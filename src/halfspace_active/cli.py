@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .driver import (
     run_active,
     total_label_bound,
 )
-from .errors import ConfigError, HalfspaceActiveError, ScheduleError, StreamExhausted
+from .errors import ConfigError, HalfspaceActiveError, ScheduleError
 from .harness import ExperimentConfig, export_results, label_complexity_curve
 from .losses import BUILTIN_LOSSES, get_loss, psi, psi_numeric
 from .solvers import ConvexSolverParams
@@ -48,36 +49,10 @@ DEFAULT_CONFIG = {
     "update": {
         "kind": "convex",
         "loss": "truncated-quadratic",
-        "restarts": 32,
+        "restarts": ZeroOneUpdate().restarts,
     },
-    "solver": {
-        "max_iters": 20000,
-        "grad_tol": 1e-8,
-        "initial_step": 1.0,
-        "backtrack_factor": 0.5,
-        "armijo_c": 1e-4,
-    },
-    "schedule": {
-        "mode": "fixed",
-        "n": 500,
-        "n0": None,
-        "ratio": None,
-        "mu": 1.0,
-        "kappa": 1.0,
-        "ell_minus": 1.0,
-        "ell_plus": 1.0,
-        "gamma_minus": 1.0,
-        "gamma_plus": 1.0,
-        "theta_eps": 1.0,
-        "delta": 0.1,
-        "d": 2,
-        "m": 1,
-        "L": 1.0,
-        "R": 1.0,
-        "a": 1.0,
-        "gamma": 2.0,
-        "floor_enabled": False,
-    },
+    "solver": asdict(ConvexSolverParams()),
+    "schedule": asdict(ScheduleParams(mode="fixed", n=500)),
     "run": {
         "epochs": 6,
         "seeds": [0],
@@ -200,24 +175,17 @@ def build_update(config: dict, kind: str | None = None, R: float = 1.0):
         return ZeroOneUpdate(restarts=int(uc["restarts"]))
     if kind == "convex":
         sc = config["solver"]
-        params = ConvexSolverParams(
-            max_iters=int(sc["max_iters"]),
-            grad_tol=float(sc["grad_tol"]),
-            initial_step=float(sc["initial_step"]),
-            backtrack_factor=float(sc["backtrack_factor"]),
-            armijo_c=float(sc["armijo_c"]),
-        )
+        # coerce each value to its default's type (max_iters int, the rest float)
+        params = ConvexSolverParams(**{
+            f.name: type(f.default)(sc[f.name]) for f in fields(ConvexSolverParams)
+        })
         return ConvexUpdate(loss=get_loss(uc["loss"], R=R), params=params)
     raise ConfigError(f"unknown update kind {kind!r}")
 
 
 def build_schedule(config: dict) -> ScheduleParams:
     sc = config["schedule"]
-    kwargs = {k: sc[k] for k in (
-        "mode", "n", "n0", "ratio", "mu", "kappa", "ell_minus", "ell_plus",
-        "gamma_minus", "gamma_plus", "theta_eps", "delta", "d", "m",
-        "L", "R", "a", "gamma", "floor_enabled",
-    )}
+    kwargs = {f.name: sc[f.name] for f in fields(ScheduleParams)}
     if kwargs["n"] is not None:
         kwargs["n"] = int(kwargs["n"])
     return ScheduleParams(**kwargs)
@@ -257,12 +225,9 @@ def cmd_run(config: dict) -> int:
                 excess_risk_mc=int(config["run"]["excess_risk_mc"]),
                 config_digest=digest,
             )
-        except StreamExhausted as exc:
+        except HalfspaceActiveError as exc:
             if exc.partial is not None:
                 records.append(exc.partial)
-            failure = exc
-            break
-        except HalfspaceActiveError as exc:
             failure = exc
             break
         records.append(rec)
@@ -384,10 +349,7 @@ def cmd_budget(config: dict) -> int:
     modes = ("theory-nonconvex", "theory-convex")
     budgets = {}
     for mode in modes:
-        s = ScheduleParams(**{**{k: getattr(schedule, k) for k in (
-            "n", "n0", "ratio", "mu", "kappa", "ell_minus", "ell_plus",
-            "gamma_minus", "gamma_plus", "theta_eps", "delta", "d", "m",
-            "L", "R", "a", "gamma", "floor_enabled")}, "mode": mode, "n": None})
+        s = replace(schedule, mode=mode, n=None)
         budgets[mode] = [s.budget(k) for k in range(1, epochs + 1)]
     print(f"{'k':>3} {'r_k':>10} {'n_k (0-1)':>14} {'n_k (convex)':>14}")
     for k in range(1, epochs + 1):

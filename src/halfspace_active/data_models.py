@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionIIViolation, UnsupportedMarginal
-from .geometry import UnitVector, angle, dis_region_mask, normalize
+from .geometry import UnitVector, _vector_of, angle, dis_region_mask, normalize
 from .streams import substream
 
 __all__ = [
@@ -89,9 +89,8 @@ class RiskEstimate:
 class DataModel:
     """Joint distribution 𝒫_XY with known optimum direction.
 
-    ``scale`` is the logistic steepness, ``kappa``/``tau0`` parameterize
-    the powered-margin conditional, and ``mu`` is an optional nominal
-    low-noise constant recorded alongside kappa for bookkeeping.
+    ``scale`` is the logistic steepness and ``kappa``/``tau0`` parameterize
+    the powered-margin conditional.
     """
 
     dimension: int
@@ -102,7 +101,6 @@ class DataModel:
     scale: float = 1.0
     kappa: float | None = None
     tau0: float = 1.0
-    mu: float | None = None
 
     def __post_init__(self):
         if self.marginal not in MARGINALS:
@@ -142,10 +140,6 @@ class DataModel:
     @property
     def w_bar(self) -> UnitVector:
         return normalize(self.w_star)
-
-    @property
-    def rotation_invariant(self) -> bool:
-        return self.marginal in MARGINALS
 
     def stream(self, *labels) -> np.random.Generator:
         """Named substream anchored at the model's own seed."""
@@ -324,7 +318,7 @@ def _simpson_arcs(f, breaks: list[float], total_panels: int) -> float:
 def exact_binary_risk(model: DataModel, w, panels: int = _SIMPSON_PANELS) -> float:
     """ℓ_b(w) = E[1(y·w·x <= 0)] by piecewise Simpson quadrature on the circle."""
     _require_exact(model)
-    wc = np.asarray(w, dtype=np.float64) if not isinstance(w, UnitVector) else w.coords
+    wc = _vector_of(w)
     psi_w = math.atan2(wc[1], wc[0])
     breaks = [psi_w + math.pi / 2.0, psi_w - math.pi / 2.0] + _eta_breakpoints(model)
 
@@ -343,7 +337,7 @@ def exact_surrogate_risk(model: DataModel, loss, w, panels: int = 8192) -> float
     sees smooth pieces only.
     """
     _require_exact(model)
-    wc = np.asarray(w, dtype=np.float64) if not isinstance(w, UnitVector) else w.coords
+    wc = _vector_of(w)
     norm = float(np.linalg.norm(wc))
     psi_w = math.atan2(wc[1], wc[0])
     breaks = list(_eta_breakpoints(model))
@@ -368,7 +362,7 @@ def exact_excess_binary_risk(model: DataModel, w, panels: int = _SIMPSON_PANELS)
     signs of w·x and w*·x disagree.
     """
     _require_exact(model)
-    wc = np.asarray(w, dtype=np.float64) if not isinstance(w, UnitVector) else w.coords
+    wc = _vector_of(w)
     psi_w = math.atan2(wc[1], wc[0])
     psi_s = math.atan2(model.w_star[1], model.w_star[0])
     breaks = [psi_w + math.pi / 2.0, psi_w - math.pi / 2.0,
@@ -400,7 +394,7 @@ def estimate_binary_risk(
     exact: bool = False,
 ) -> RiskEstimate:
     """Binary risk of w, by Monte Carlo or (exact flag, d = 2) quadrature."""
-    wc = np.asarray(w, dtype=np.float64) if not isinstance(w, UnitVector) else w.coords
+    wc = _vector_of(w)
     if exact:
         return RiskEstimate(mean=exact_binary_risk(model, wc), std_error=0.0, n_mc=1)
     if n_mc < 100:
@@ -430,8 +424,6 @@ def disagreement_probability(
     uc = normalize(u).coords
     vc = normalize(v).coords
     if exact:
-        if not model.rotation_invariant:
-            raise UnsupportedMarginal("exact disagreement probability needs rotation invariance")
         return RiskEstimate(mean=angle(uc, vc) / math.pi, std_error=0.0, n_mc=1)
     if n_mc is None or n_mc < 100:
         raise ValueError("Monte Carlo mode needs n_mc >= 100")
@@ -543,8 +535,6 @@ def estimate_disagreement_coefficient(
     w_star=None,
 ) -> DisagreementCoefficient:
     """sup over the grid of Pr(DIS(B(w*, r)))/r, restricted to r >= epsilon."""
-    if not model.rotation_invariant:
-        raise UnsupportedMarginal("disagreement regions need a rotation-invariant marginal")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     center = normalize(model.w_star if w_star is None else w_star)

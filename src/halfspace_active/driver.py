@@ -24,7 +24,7 @@ from .data_models import (
     label_batch,
     sample_unlabeled,
 )
-from .errors import DegenerateSolution, ScheduleError, StreamExhausted
+from .errors import DegenerateSolution, HalfspaceActiveError, ScheduleError, StreamExhausted
 from .geometry import HypothesisBall, UnitVector, chord_length, normalize, query_mask
 from .losses import SurrogateLoss
 from .solvers import ConvexSolverParams, erm_convex, erm_zero_one_2d, erm_zero_one_search
@@ -325,11 +325,12 @@ class _CountingOracle:
         return self._fn(X, idx)
 
 
-class _ModelScan:
-    """Inexhaustible i.i.d. scan: each epoch reads a fresh substream."""
+class _ModelSource:
+    """Inexhaustible i.i.d. stream: each epoch reads fresh substreams of the run seed."""
 
     def __init__(self, model: DataModel, seed: int):
         self.model = model
+        self.dim = model.dimension
         self.seed = seed
         self._rng = None
 
@@ -340,16 +341,24 @@ class _ModelScan:
         X = sample_unlabeled(self.model, _SCAN_CHUNK, self._rng)
         return X, np.arange(X.shape[0])
 
+    def give_back(self, count: int) -> None:
+        """Unread rows of a fresh draw are simply dropped."""
 
-class _PoolScan:
+    def oracle(self, k: int) -> _CountingOracle:
+        rng = substream(self.seed, "epoch", k, "labels")
+        model = self.model
+        return _CountingOracle(lambda X, idx: label_batch(model, X, rng))
+
+
+class _PoolSource(_ModelSource):
     """Sequential cursor over a finite pool, persisting across epochs."""
 
-    def __init__(self, pool: FinitePool):
+    def __init__(self, pool: FinitePool, seed: int):
         self.pool = pool
+        self.model = pool.model
+        self.dim = pool.X.shape[1]
+        self.seed = seed
         self.cursor = 0
-
-    def start_epoch(self, k: int) -> None:
-        pass
 
     def next_chunk(self):
         if self.cursor >= self.pool.X.shape[0]:
@@ -359,22 +368,28 @@ class _PoolScan:
         self.cursor = end
         return self.pool.X[idx], idx
 
-    def rewind(self, count: int) -> None:
+    def give_back(self, count: int) -> None:
         self.cursor -= count
 
+    def oracle(self, k: int) -> _CountingOracle:
+        pool_y = self.pool.y
+        if pool_y is None:
+            return super().oracle(k)
+        return _CountingOracle(lambda X, idx: pool_y[idx])
 
-def _collect_epoch(scan, ball: HypothesisBall, n_k: int, oracle: _CountingOracle):
+
+def _collect_epoch(source, ball: HypothesisBall, n_k: int, oracle: _CountingOracle):
     """Scan until n_k queried instances are labeled.
 
     Returns (X, y, scanned, exhausted); scanning stops at the instance
-    that fills the budget, so trailing chunk rows stay unread (and are
-    handed back to finite pools).
+    that fills the budget, and the trailing chunk rows are handed back
+    to the source unread.
     """
     xs, ys = [], []
     scanned = 0
     got = 0
     while got < n_k:
-        chunk = scan.next_chunk()
+        chunk = source.next_chunk()
         if chunk is None:
             if xs:
                 X = np.vstack(xs)
@@ -390,9 +405,7 @@ def _collect_epoch(scan, ball: HypothesisBall, n_k: int, oracle: _CountingOracle
             need = n_k - got
             cut = int(positions[need - 1])
             scanned += cut + 1
-            unread = X_chunk.shape[0] - (cut + 1)
-            if unread and isinstance(scan, _PoolScan):
-                scan.rewind(unread)
+            source.give_back(X_chunk.shape[0] - (cut + 1))
             take = positions[:need]
         else:
             scanned += X_chunk.shape[0]
@@ -403,29 +416,6 @@ def _collect_epoch(scan, ball: HypothesisBall, n_k: int, oracle: _CountingOracle
             ys.append(oracle(sel, idx_chunk[take]))
             got += take.size
     return np.vstack(xs), np.concatenate(ys), scanned, False
-
-
-def _make_oracle(source, seed: int, k: int) -> _CountingOracle:
-    if isinstance(source, DataModel):
-        rng = substream(seed, "epoch", k, "labels")
-        return _CountingOracle(lambda X, idx: label_batch(source, X, rng))
-    if source.y is not None:
-        pool_y = source.y
-        return _CountingOracle(lambda X, idx: pool_y[idx])
-    rng = substream(seed, "epoch", k, "labels")
-    model = source.model
-    return _CountingOracle(lambda X, idx: label_batch(model, X, rng))
-
-
-def _w_star_of(source) -> np.ndarray | None:
-    model = source if isinstance(source, DataModel) else source.model
-    return None if model is None else model.w_star
-
-
-def _dimension_of(source) -> int:
-    if isinstance(source, DataModel):
-        return source.dimension
-    return source.X.shape[1]
 
 
 def _mc_excess_risk(model: DataModel, w: np.ndarray, n: int, rng) -> float:
@@ -454,8 +444,7 @@ def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float | None, see
 _warned_pairings: set[tuple[str, str]] = set()
 
 
-def _check_pairing(source, update) -> None:
-    model = source if isinstance(source, DataModel) else source.model
+def _check_pairing(model: DataModel | None, update) -> None:
     if model is None or not isinstance(update, ConvexUpdate):
         return
     pairing = (update.loss.name, model.conditional)
@@ -482,31 +471,30 @@ def run_active(
     """Run the full epoch loop and return its trace.
 
     ``source`` is a DataModel (inexhaustible i.i.d. stream) or a
-    FinitePool; the pool raises StreamExhausted with the partial trace
-    attached if it runs dry.  Labels are only ever drawn for instances
-    the query rule selected (epoch 1 selects everything).
+    FinitePool, which raises StreamExhausted if it runs dry.  Any package
+    error raised mid-run carries the trace of the epochs recorded so far
+    as ``partial``.  Labels are only ever drawn for instances the query
+    rule selected (epoch 1 selects everything).
     """
     if m < 1:
         raise ValueError("need at least one epoch")
-    _check_pairing(source, update)
+    source = (_ModelSource(source, seed) if isinstance(source, DataModel)
+              else _PoolSource(source, seed))
+    model = source.model
+    _check_pairing(model, update)
     if R is None and isinstance(update, ConvexUpdate):
-        model = source if isinstance(source, DataModel) else source.model
         if model is None:
             raise ValueError("convex update needs R when the source has no model")
         R = model.R
 
-    d = _dimension_of(source)
-    w_star = _w_star_of(source)
-    w_star_bar = None if w_star is None else w_star / np.linalg.norm(w_star)
-    scan = _ModelScan(source, seed) if isinstance(source, DataModel) else _PoolScan(source)
-    w_k = normalize(substream(seed, "init").standard_normal(d))
+    w_star_bar = None if model is None else model.w_star / np.linalg.norm(model.w_star)
+    w_k = normalize(substream(seed, "init").standard_normal(source.dim))
     r_k = FIRST_RADIUS
     epochs: list[EpochRecord] = []
 
     def entry(k, n_k, labels, scanned):
         chord = None if w_star_bar is None else chord_length(w_k, w_star_bar)
         excess = None
-        model = source if isinstance(source, DataModel) else source.model
         if excess_risk_mc > 0 and model is not None:
             excess = _mc_excess_risk(
                 model, w_k.coords, excess_risk_mc, substream(seed, "epoch", k, "risk")
@@ -517,41 +505,37 @@ def run_active(
             chord_error=chord, excess_risk_est=excess,
         )
 
-    for k in range(1, m + 1):
-        n_k = schedule.budget(k)
-        ball = HypothesisBall(w_k, r_k)
-        scan.start_epoch(k)
-        oracle = _make_oracle(source, seed, k)
-        X, y, scanned, exhausted = _collect_epoch(scan, ball, n_k, oracle)
-        if oracle.count != y.shape[0]:
-            raise AssertionError("label audit failed: oracle calls != labels kept")
-        if exhausted:
-            epochs.append(entry(k, n_k, int(y.shape[0]), scanned))
-            partial = RunRecord(
-                seed=seed,
-                config_digest=config_digest,
-                epochs=tuple(epochs),
-                final_w=tuple(float(v) for v in w_k.coords),
-                total_labels=sum(e.labels for e in epochs),
-            )
-            raise StreamExhausted(
-                f"pool ran dry in epoch {k} after {y.shape[0]}/{n_k} labels",
-                partial=partial,
-            )
-        epochs.append(entry(k, n_k, int(y.shape[0]), scanned))
-        if y.shape[0] == 0:
-            logger.warning("EmptyEpoch: no labeled examples in epoch %d, keeping center", k)
-        else:
-            w_k = _solve_epoch(update, X, y, w_k, r_k, R, seed, k)
-        r_k = r_k / 2.0
+    def record() -> RunRecord:
+        return RunRecord(
+            seed=seed,
+            config_digest=config_digest,
+            epochs=tuple(epochs),
+            final_w=tuple(float(v) for v in w_k.coords),
+            total_labels=sum(e.labels for e in epochs),
+        )
 
-    return RunRecord(
-        seed=seed,
-        config_digest=config_digest,
-        epochs=tuple(epochs),
-        final_w=tuple(float(v) for v in w_k.coords),
-        total_labels=sum(e.labels for e in epochs),
-    )
+    try:
+        for k in range(1, m + 1):
+            n_k = schedule.budget(k)
+            ball = HypothesisBall(w_k, r_k)
+            source.start_epoch(k)
+            oracle = source.oracle(k)
+            X, y, scanned, exhausted = _collect_epoch(source, ball, n_k, oracle)
+            if oracle.count != y.shape[0]:
+                raise AssertionError("label audit failed: oracle calls != labels kept")
+            epochs.append(entry(k, n_k, int(y.shape[0]), scanned))
+            if exhausted:
+                raise StreamExhausted(f"pool ran dry in epoch {k} after {y.shape[0]}/{n_k} labels")
+            if y.shape[0] == 0:
+                logger.warning("EmptyEpoch: no labeled examples in epoch %d, keeping center", k)
+            else:
+                w_k = _solve_epoch(update, X, y, w_k, r_k, R, seed, k)
+            r_k = r_k / 2.0
+    except HalfspaceActiveError as exc:
+        if epochs:
+            exc.partial = record()
+        raise
+    return record()
 
 
 def run_passive(

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class HalfspaceActiveError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``partial`` holds the trace of the epochs a run finished before the
+    error, when the error escaped a run mid-way.
+    """
+
+    partial = None
 
 
 class NormalizationError(HalfspaceActiveError):
@@ -56,14 +62,7 @@ class ScheduleError(HalfspaceActiveError):
 
 
 class StreamExhausted(HalfspaceActiveError):
-    """Finite instance pool ran dry mid-epoch.
-
-    ``partial`` holds the trace of everything completed before exhaustion.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Finite instance pool ran dry mid-epoch."""
 
 
 class DegenerateSolution(HalfspaceActiveError):

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NormalizationError,
-    UnsupportedMarginal,
-    UnsupportedRadius,
-)
+from .errors import DimensionMismatch, NormalizationError, UnsupportedRadius
 
 __all__ = [
     "UnitVector",
@@ -39,6 +34,8 @@ __all__ = [
 
 _UNIT_TOL = 1e-12
 FULL_RADIUS = 2.0
+# norms whose square is a normal float; outside this range ||v|| loses bits
+_SAFE_NORMS = (math.sqrt(np.finfo(np.float64).tiny), math.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,13 @@ def _unit_coords(v, what: str = "vector") -> np.ndarray:
         return v.coords
     arr = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm) or norm <= 0.0:
-        raise NormalizationError(f"cannot normalize {what} with norm {norm!r}")
+    if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
+        # tiny, huge, zero or non-finite: rescale by the largest entry first
+        scale = float(np.max(np.abs(arr), initial=0.0))
+        if not math.isfinite(scale) or scale <= 0.0:
+            raise NormalizationError(f"cannot normalize {what} with norm {norm!r}")
+        arr = arr / scale
+        norm = float(np.linalg.norm(arr))
     return arr / norm
 
 
@@ -202,19 +204,14 @@ def _dis_half_angle(r: float) -> float:
     return min(math.pi * r, math.pi / 2.0)
 
 
-def dis_region_test(x, w, r: float, rotation_invariant: bool = True) -> bool:
+def dis_region_test(x, w, r: float) -> bool:
     """Membership of x in DIS(B(w, r)) under a rotation-invariant marginal.
 
     B(w, r) collects hypotheses whose disagreement probability with w is
     at most r; rotation invariance turns that pseudo-metric into angle/π,
-    giving the closed form |θ(w, x̄) - π/2| <= min(π r, π/2).  For any
-    other marginal there is no closed form and callers must fall back to
-    Monte Carlo.
+    giving the closed form |θ(w, x̄) - π/2| <= min(π r, π/2).  Every
+    built-in marginal is rotation invariant.
     """
-    if not rotation_invariant:
-        raise UnsupportedMarginal(
-            "closed-form disagreement region requires a rotation-invariant marginal"
-        )
     half = _dis_half_angle(r)
     theta = angle(_unit_coords(w, "hypothesis"), _unit_coords(x, "instance"))
     return abs(theta - math.pi / 2.0) <= half

@@ -111,7 +111,6 @@ class CurvePoint:
 @dataclass(frozen=True)
 class CurveResult:
     points: tuple[CurvePoint, ...]
-    achieved: tuple[tuple[float, float, float], ...]  # (med, q1, q3) final chord error per point
     # every passive probe: (n_total, final chord error per seed); shared across
     # targets and reused by the bootstrap so no probe is ever recomputed
     passive_errors: tuple[tuple[int, tuple[float, ...]], ...]
@@ -198,19 +197,15 @@ def label_complexity_curve(config: ExperimentConfig) -> CurveResult:
     bisections give the IQR; a point whose median search hits the cap is
     censored).
     """
-    if config.model.w_star is None:
-        raise ConfigError("curve needs a synthetic model with known optimum")
-    points, achieved, records = [], [], []
-    w_bar = config.model.w_bar.coords
+    points, records = [], []
     probe = _PassiveProbe(config)
     for eps in config.epsilons:
         m = epochs_for_target(eps)
-        labels, errors = [], []
+        labels = []
         for seed in config.seeds:
             rec = run_active(config.model, config.update, config.schedule, m=m, seed=seed)
             records.append(rec)
             labels.append(rec.total_labels)
-            errors.append(float(np.linalg.norm(np.asarray(rec.final_w) - w_bar)))
         cap = config.passive_cap
         lp_med = _bisect_labels(probe, eps, 50.0, cap)
         censored = lp_med >= cap and probe.statistic(cap, 50.0) > eps
@@ -228,13 +223,11 @@ def label_complexity_curve(config: ExperimentConfig) -> CurveResult:
                 censored=censored,
             )
         )
-        achieved.append(_quartiles(errors))
     passive_errors = tuple(
         (n, tuple(map(float, probe.cache[n]))) for n in sorted(probe.cache)
     )
     return CurveResult(
         points=tuple(points),
-        achieved=tuple(achieved),
         passive_errors=passive_errors,
         records=tuple(records),
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data_models import stack_examples
 from .errors import MaxItersExceeded, SolverDiverged
-from .geometry import UnitVector, angle, normalize
+from .geometry import UnitVector, _vector_of, angle, normalize
 from .losses import EXP_CLAMP, SurrogateLoss
 
 __all__ = [
@@ -201,7 +201,7 @@ def erm_convex(
 def zero_one_objective(w, data) -> int:
     """Number of training errors, counting y·w·x = 0 as an error."""
     X, y = stack_examples(data)
-    wc = np.asarray(w, dtype=np.float64) if not isinstance(w, UnitVector) else w.coords
+    wc = _vector_of(w)
     return int(np.count_nonzero(y * (X @ wc) <= 0.0))
 
 

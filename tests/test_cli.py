@@ -98,6 +98,24 @@ class TestCmdRun:
         # does not expose, so this just documents exit 0 here
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
+    def test_partial_trace_on_solver_failure(self, tmp_path, capsys):
+        # seed 172 of this config exhausts the convex solver's iterations in epoch 8
+        path = write_config(
+            tmp_path,
+            model={"dimension": 2, "marginal": "uniform-sphere", "conditional": "affine",
+                   "w_star": [0.4, 0.0]},
+            update={"kind": "convex", "loss": "truncated-quadratic"},
+            schedule={"mode": "fixed", "n": 500},
+            run={"epochs": 10, "seeds": [172]},
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "no convergence" in capsys.readouterr().err
+        lines = (tmp_path / "out" / "run_records.json").read_text().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert len(record["epochs"]) == 8
+        assert record["total_labels"] == sum(e["labels"] for e in record["epochs"])
+
 
 class TestCmdCurve:
     def test_writes_curve_csv(self, tmp_path, capsys):

@@ -246,7 +246,7 @@ class TestFinitePool:
         y = np.where(X @ model.w_star > 0, 1.0, -1.0)
         pool = FinitePool(X, y=y)
         ball = HypothesisBall(UnitVector(np.array([0.0, 1.0])), 0.5)
-        scan = driver._PoolScan(pool)
+        scan = driver._PoolSource(pool, seed=0)
         scan.start_epoch(1)
         oracle = driver._CountingOracle(lambda Xs, idx: y[idx])
         Xq, yq, scanned, exhausted = driver._collect_epoch(scan, ball, 200, oracle)

@@ -9,7 +9,6 @@ from halfspace_active import geometry
 from halfspace_active.errors import (
     DimensionMismatch,
     NormalizationError,
-    UnsupportedMarginal,
     UnsupportedRadius,
 )
 from halfspace_active.geometry import (
@@ -58,10 +57,15 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([2.0])
 
+    @pytest.mark.parametrize("v", [[0.0, 3.44e-158], [1e-200, 1e-200], [1e300, 1e300]])
+    def test_tiny_and_huge_vectors(self, v):
+        # the squared norm of each underflows or overflows
+        assert abs(np.linalg.norm(normalize(v).coords) - 1.0) <= 1e-12
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6))
     def test_norm_is_one_or_error(self, coords):
         v = np.asarray(coords)
-        if np.linalg.norm(v) <= 0:
+        if not np.any(v):
             with pytest.raises(NormalizationError):
                 normalize(v)
         else:
@@ -193,10 +197,6 @@ class TestDisRegion:
 
     def test_far_from_boundary(self):
         assert not dis_region_test(unit_at(0.2).coords, E1, 0.125)
-
-    def test_non_invariant_marginal_rejected(self):
-        with pytest.raises(UnsupportedMarginal):
-            dis_region_test([0.0, 1.0], E1, 0.25, rotation_invariant=False)
 
     def test_radius_domain(self):
         with pytest.raises(ValueError):

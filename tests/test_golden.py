@@ -1,0 +1,56 @@
+"""Pinned output bytes: refactors of the driver, CLI or models must not move them.
+
+The run-records digest belongs to acceptance criterion 11's config; the
+config digest is that of the built-in defaults; the pool record covers the
+finite-pool source, which no CLI command reaches.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from halfspace_active import cli
+from halfspace_active.data_models import DataModel
+from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
+
+CRITERION_11_RECORDS_SHA256 = "6e4f854416b9c6fb8d707549625eb048c4f1963be4fba72f4cd9a525c1671211"
+
+POOL_RECORD = (
+    '{"config_digest":"pool","epochs":['
+    '{"chord_error":1.9726124390415714,"excess_risk_est":null,"k":1,"labels":40,'
+    '"n_k":40,"r_k":2.0,"scanned":40},'
+    '{"chord_error":0.04148916898031942,"excess_risk_est":null,"k":2,"labels":40,'
+    '"n_k":40,"r_k":1.0,"scanned":69},'
+    '{"chord_error":0.04461988624184146,"excess_risk_est":null,"k":3,"labels":40,'
+    '"n_k":40,"r_k":0.5,"scanned":106}],'
+    '"final_w":[0.9999225296861086,-0.012447273843427755],"seed":6,"total_labels":120}'
+)
+
+
+def test_criterion_11_records_digest(tmp_path, capsys):
+    config = {
+        "model": {"dimension": 2, "marginal": "uniform-sphere",
+                  "conditional": "powered-margin", "w_star": [1.0, 0.0], "kappa": 1.0},
+        "update": {"kind": "convex", "loss": "truncated-quadratic"},
+        "schedule": {"mode": "fixed", "n": 120},
+        "run": {"epochs": 3, "seeds": [5, 6]},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / "run_records.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CRITERION_11_RECORDS_SHA256
+
+
+def test_default_config_digest():
+    assert cli.config_digest(cli.DEFAULT_CONFIG) == "36e1545893b947c5"
+
+
+def test_finite_pool_record():
+    model = DataModel(dimension=2, marginal="uniform-sphere", conditional="powered-margin",
+                      w_star=np.array([1.0, 0.0]), seed=10, kappa=1.0)
+    pool = FinitePool(model.stream("pool").standard_normal((3000, 2)), model=model)
+    rec = run_active(pool, ZeroOneUpdate(), ScheduleParams(mode="fixed", n=40), m=3, seed=6,
+                     config_digest="pool")
+    assert rec.to_json_line() == POOL_RECORD
