@@ -7,7 +7,7 @@ package also ships the synthetic data models, label-budget formulas, and
 Monte Carlo checks used to verify the method's claimed behavior.
 """
 
-from . import cli, data_models, driver, geometry, harness, losses, solvers, streams
+from . import data_models, driver, geometry, harness, losses, solvers, streams
 from .data_models import DataModel, LabeledExample, RiskEstimate
 from .driver import (
     ConvexUpdate,
@@ -26,7 +26,7 @@ from .losses import SurrogateLoss, get_loss
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli", "data_models", "driver", "geometry", "harness", "losses", "solvers", "streams",
+    "data_models", "driver", "geometry", "harness", "losses", "solvers", "streams",
     "DataModel", "LabeledExample", "RiskEstimate",
     "ConvexUpdate", "FinitePool", "RunRecord", "ScheduleParams", "ZeroOneUpdate",
     "run_active", "run_passive",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionIIViolation, UnsupportedMarginal
-from .geometry import UnitVector, _vector_of, angle, dis_region_mask, normalize
+from .geometry import UnitVector, _unit_margins, _vector_of, angle, dis_region_mask, normalize
 from .streams import substream
 
 __all__ = [
@@ -201,10 +201,7 @@ def eta_batch(model: DataModel, X: np.ndarray) -> np.ndarray:
             raise ValueError("affine conditional saw w_star·x outside [-1/2, 1/2]")
         return np.clip(margins + 0.5, 0.0, 1.0)
     # powered-margin: depends only on the normalized margin
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("powered-margin conditional is undefined at x = 0")
-    m = (X @ model.w_bar.coords) / norms
+    m = _unit_margins(X, model.w_bar.coords)
     scaled = np.minimum(1.0, np.abs(m) / model.tau0)
     return 0.5 * (1.0 + np.sign(m) * scaled ** (model.kappa - 1.0))
 

@@ -90,6 +90,30 @@ def _unit_coords(v, what: str = "vector") -> np.ndarray:
     return arr / norm
 
 
+def _unit_margins(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(X @ c) / ||x|| for each row x of X: c's margin on the row's direction.
+
+    Rows whose norm is outside _SAFE_NORMS are rescaled by their largest
+    entry first, as in _unit_coords; every other row keeps X @ c / norms
+    bit for bit.  A zero or non-finite row raises NormalizationError.
+    """
+    norms = np.linalg.norm(X, axis=1)
+    margins = X @ c
+    lo, hi = _SAFE_NORMS
+    if lo <= norms.min(initial=lo) and norms.max(initial=hi) <= hi:
+        return margins / norms
+    safe = (norms >= lo) & (norms <= hi)
+    rows = X[~safe]
+    scale = np.max(np.abs(rows), axis=1)
+    if not np.all(np.isfinite(scale) & (scale > 0.0)):
+        raise NormalizationError("instance batch contains a zero or non-finite row")
+    rows = rows / scale[:, None]
+    out = np.empty_like(margins)
+    out[safe] = margins[safe] / norms[safe]
+    out[~safe] = (rows @ c) / np.linalg.norm(rows, axis=1)
+    return out
+
+
 @dataclass(frozen=True)
 class HypothesisBall:
     """Unit vectors within chord distance ``radius`` of ``center``.
@@ -175,11 +199,7 @@ def query_mask(X: np.ndarray, ball: HypothesisBall) -> np.ndarray:
         raise DimensionMismatch(f"expected shape (n, {ball.dim}), got {X.shape}")
     if r == FULL_RADIUS:
         return np.ones(X.shape[0], dtype=bool)
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms <= 0.0) or not np.all(np.isfinite(norms)):
-        raise NormalizationError("instance batch contains a zero or non-finite row")
-    margins = np.abs(X @ ball.center.coords) / norms
-    return margins <= margin_threshold(r)
+    return np.abs(_unit_margins(X, ball.center.coords)) <= margin_threshold(r)
 
 
 def disagreement_exists_oracle(x, ball: HypothesisBall) -> bool:
@@ -222,8 +242,5 @@ def dis_region_mask(X: np.ndarray, w, r: float) -> np.ndarray:
     half = _dis_half_angle(r)
     wc = _unit_coords(w, "hypothesis")
     X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms <= 0.0):
-        raise NormalizationError("instance batch contains a zero row")
-    cosines = np.clip((X @ wc) / norms, -1.0, 1.0)
+    cosines = np.clip(_unit_margins(X, wc), -1.0, 1.0)
     return np.abs(np.arccos(cosines) - math.pi / 2.0) <= half

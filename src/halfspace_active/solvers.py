@@ -223,10 +223,15 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     """Exact 0-1 ERM over the feasible arc, by sweeping critical angles.
 
     The error count is piecewise constant in the hypothesis angle, with
-    breakpoints where some instance lies exactly on the boundary; the
-    sweep walks the sorted breakpoints updating the count incrementally,
-    so the whole minimization is O(n log n).  Ties prefer the candidate
-    closest in angle to w_k.
+    breakpoints (events) where some instance lies exactly on the boundary.
+    Crossing an event flips that instance between right and wrong, so the
+    count after every event is the count at the first piece plus a
+    cumulative sum of ±1 steps; one sort plus one cumulative sum make the
+    whole minimization O(n log n) in array operations.  Each run of equal
+    event angles closes one constant piece, whose midpoint is a candidate,
+    as are the arc endpoints and w_k itself.  Ties prefer the candidate
+    closest in angle to w_k, then the smaller angle; w_k itself is
+    returned when it attains the minimum.
     """
     X, y = stack_examples(data)
     if X.shape[1] != 2:
@@ -245,14 +250,14 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     order = np.argsort(shifted, kind="stable")
     inside = (shifted[order] > lo) & (shifted[order] < hi)
     ev_angles = shifted[order][inside]
-    ev_points = order[inside] % n
+    ev_crits = order[inside]
 
     def count_at(psi: float) -> int:
         w = np.array([math.cos(psi), math.sin(psi)])
         return int(np.count_nonzero(y * (X @ w) <= 0.0))
 
-    # candidate angles: one midpoint per constant piece (incremental sweep),
-    # the arc endpoints, and w_k itself
+    # candidate angles: the arc endpoints, w_k itself, and one midpoint per
+    # constant piece, the first of which is counted directly
     candidates: list[tuple[int, float]] = [
         (count_at(lo), lo),
         (count_at(hi), hi),
@@ -260,25 +265,30 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     ]
     first_mid = (lo + (ev_angles[0] if ev_angles.size else hi)) / 2.0
     w0 = np.array([math.cos(first_mid), math.sin(first_mid)])
-    err = (y * (X @ w0)) <= 0.0
-    count = int(err.sum())
-    candidates.append((count, float(first_mid)))
-    idx = 0
-    n_ev = ev_angles.size
-    while idx < n_ev:
-        # apply every toggle at this exact angle before emitting a candidate
-        j = idx
-        while j < n_ev and ev_angles[j] == ev_angles[idx]:
-            i = ev_points[j]
-            count += 1 - 2 * int(err[i])
-            err[i] = not err[i]
-            j += 1
-        nxt = ev_angles[j] if j < n_ev else hi
-        candidates.append((count, float((ev_angles[idx] + nxt) / 2.0)))
-        idx = j
+    err0 = (y * (X @ w0)) <= 0.0
+    count0 = int(err0.sum())
+    candidates.append((count0, float(first_mid)))
 
-    best = min(c for c, _ in candidates)
+    # an event flips its point: +1 if it was right, -1 if wrong; a point's
+    # second event (both critical angles inside, possible only at r_k = 2)
+    # flips it back
+    delta = 1 - 2 * err0[ev_crits % n].astype(np.int64)
+    position = np.arange(ev_crits.size)
+    rank = np.full(2 * n, ev_crits.size)
+    rank[ev_crits] = position
+    delta[rank[(ev_crits + n) % (2 * n)] < position] *= -1
+    counts = count0 + np.cumsum(delta)
+    # a run of equal angles closes one piece, counted after its last event
+    new_run = np.empty(ev_angles.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(ev_angles[1:], ev_angles[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    run_counts = np.append(counts[starts[1:] - 1], counts[-1:])
+    mids = (ev_angles[starts] + np.append(ev_angles[starts[1:]], hi)) / 2.0
+
+    best = min(min(c for c, _ in candidates), int(run_counts.min(initial=n)))
     tied = [psi for c, psi in candidates if c == best]
+    tied += mids[run_counts == best].tolist()
     tied.sort(key=lambda psi: (abs(_wrap(psi - psi_k)), psi))
     psi_best = tied[0]
     if psi_best == psi_k:

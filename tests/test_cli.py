@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import halfspace_active
 from halfspace_active import cli, harness
 from halfspace_active.cli import main
 from halfspace_active.errors import ConfigError
@@ -24,6 +28,18 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return str(path)
+
+
+def test_module_entry_point_prints_no_runtime_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(halfspace_active.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "halfspace_active.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
 
 
 class TestConfig:

@@ -180,6 +180,24 @@ class TestOracleEquivalence:
                     assert should_query(x, ball) == expected
                     assert disagreement_exists_oracle(x, ball) == expected
 
+    @pytest.mark.parametrize("x", [[1e-200, 1e-200], [0.0, 3.44e-158], [1e300, 1e300]])
+    def test_mask_agrees_on_tiny_and_huge_rows(self, x):
+        # each row's squared norm underflows or overflows
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((50, 2))
+        for r in (1.0, 0.5, 0.25):
+            for w in (E1, E2, unit_at(math.pi / 4.0), unit_at(-0.3)):
+                ball = HypothesisBall(w, r)
+                mask = query_mask(np.vstack([X, x]), ball)
+                assert mask[-1] == should_query(x, ball)
+                np.testing.assert_array_equal(mask[:-1], query_mask(X, ball))
+
+    def test_mask_rejects_zero_and_non_finite_rows(self):
+        ball = HypothesisBall(E1, 0.5)
+        for x in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
+            with pytest.raises(NormalizationError):
+                query_mask(np.array([[1.0, 2.0], x]), ball)
+
 
 class TestDisRegion:
     def test_large_radius_covers_everything(self):
@@ -211,3 +229,10 @@ class TestDisRegion:
         mask = dis_region_mask(X, w, 0.2)
         for x, expected in zip(X, mask):
             assert dis_region_test(x, w, 0.2) == expected
+
+    def test_mask_agrees_on_tiny_and_huge_rows(self):
+        X = np.array([[1e-200, 1e-200], [0.0, 3.44e-158], [1e300, 1e300], [-1e300, 2e-300]])
+        for w in (E1, E2, unit_at(0.9)):
+            for r in (0.125, 0.25):
+                mask = dis_region_mask(X, w, r)
+                assert mask.tolist() == [dis_region_test(x, w, r) for x in X]

@@ -1,8 +1,11 @@
 """Pinned output bytes: refactors of the driver, CLI or models must not move them.
 
 The run-records digest belongs to acceptance criterion 11's config; the
-config digest is that of the built-in defaults; the pool record covers the
-finite-pool source, which no CLI command reaches.
+curve digests belong to a small criterion-07 curve whose active and passive
+arms both refit by the exact 2-D 0-1 sweep, the active arm's first epoch on
+the whole circle (r = 2); the config digest is that of the built-in
+defaults; the pool record covers the finite-pool source, which no CLI
+command reaches.
 """
 
 import hashlib
@@ -15,6 +18,8 @@ from halfspace_active.data_models import DataModel
 from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
 
 CRITERION_11_RECORDS_SHA256 = "6e4f854416b9c6fb8d707549625eb048c4f1963be4fba72f4cd9a525c1671211"
+ZERO_ONE_CURVE_CSV_SHA256 = "6220b270b2881149bcae01924d7d4a20737e4134a3069cd6f75b9d685676f6f8"
+ZERO_ONE_CURVE_RECORDS_SHA256 = "dbefe617a82c3f4ff138435a5ece3f45f33bb9dc45a71ddc136f19edaabe740b"
 
 POOL_RECORD = (
     '{"config_digest":"pool","epochs":['
@@ -41,6 +46,25 @@ def test_criterion_11_records_digest(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     data = (tmp_path / "out" / "run_records.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == CRITERION_11_RECORDS_SHA256
+
+
+def test_zero_one_curve_digests(tmp_path, capsys):
+    config = {
+        "model": {"dimension": 2, "marginal": "uniform-sphere",
+                  "conditional": "powered-margin", "w_star": [1.0, 0.0],
+                  "kappa": 1.5, "seed": 7},
+        "update": {"kind": "zero-one"},
+        "schedule": {"mode": "fixed", "n": 200},
+        "curve": {"epsilons": [0.2, 0.1], "seeds": [0, 1, 2, 3],
+                  "passive_update": "zero-one", "passive_cap": 4096},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["curve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    curve = (tmp_path / "out" / "curve.csv").read_bytes()
+    records = (tmp_path / "out" / "run_records.json").read_bytes()
+    assert hashlib.sha256(curve).hexdigest() == ZERO_ONE_CURVE_CSV_SHA256
+    assert hashlib.sha256(records).hexdigest() == ZERO_ONE_CURVE_RECORDS_SHA256
 
 
 def test_default_config_digest():

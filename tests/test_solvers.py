@@ -9,6 +9,7 @@ from halfspace_active import solvers
 from halfspace_active.errors import MaxItersExceeded, SolverDiverged
 from halfspace_active.geometry import angle, normalize
 from halfspace_active.losses import exponential_loss, truncated_quadratic_loss
+from halfspace_active.data_models import stack_examples
 from halfspace_active.solvers import (
     ConvexSolverParams,
     SurrogateBall,
@@ -34,6 +35,54 @@ def grid_oracle_min(X, y, w_k, r_k, n_angles=10_000):
     W = np.stack([np.cos(psis), np.sin(psis)], axis=1)
     errs = ((y[None, :] * (W @ X.T)) <= 0).sum(axis=1)
     return int(errs.min())
+
+
+def _reference_sweep(data, w_k, r_k):
+    """The event-by-event form of the exact 2-D sweep, kept as a bitwise reference."""
+    X, y = stack_examples(data)
+    half = math.pi if r_k == 2.0 else 2.0 * math.asin(r_k / 2.0)
+    psi_k = math.atan2(w_k.coords[1], w_k.coords[0])
+    lo, hi = psi_k - half, psi_k + half
+
+    n = X.shape[0]
+    alphas = np.arctan2(X[:, 1], X[:, 0])
+    crits = np.concatenate([alphas + math.pi / 2.0, alphas - math.pi / 2.0])
+    shifted = lo + np.mod(crits - lo, 2.0 * math.pi)
+    order = np.argsort(shifted, kind="stable")
+    inside = (shifted[order] > lo) & (shifted[order] < hi)
+    ev_angles = shifted[order][inside]
+    ev_points = order[inside] % n
+
+    def count_at(psi):
+        w = np.array([math.cos(psi), math.sin(psi)])
+        return int(np.count_nonzero(y * (X @ w) <= 0.0))
+
+    candidates = [(count_at(lo), lo), (count_at(hi), hi), (count_at(psi_k), psi_k)]
+    first_mid = (lo + (ev_angles[0] if ev_angles.size else hi)) / 2.0
+    w0 = np.array([math.cos(first_mid), math.sin(first_mid)])
+    err = (y * (X @ w0)) <= 0.0
+    count = int(err.sum())
+    candidates.append((count, float(first_mid)))
+    idx = 0
+    n_ev = ev_angles.size
+    while idx < n_ev:
+        j = idx
+        while j < n_ev and ev_angles[j] == ev_angles[idx]:
+            i = ev_points[j]
+            count += 1 - 2 * int(err[i])
+            err[i] = not err[i]
+            j += 1
+        nxt = ev_angles[j] if j < n_ev else hi
+        candidates.append((count, float((ev_angles[idx] + nxt) / 2.0)))
+        idx = j
+
+    best = min(c for c, _ in candidates)
+    tied = [psi for c, psi in candidates if c == best]
+    tied.sort(key=lambda psi: (abs(math.remainder(psi - psi_k, 2.0 * math.pi)), psi))
+    psi_best = tied[0]
+    if psi_best == psi_k:
+        return w_k
+    return normalize([math.cos(psi_best), math.sin(psi_best)])
 
 
 class TestProjection:
@@ -227,6 +276,32 @@ class TestErmZeroOne2d:
         for r_k in (1.0, 0.5, 0.25):
             w = erm_zero_one_2d((X, y), E1, r_k)
             assert angle(w, E1) <= 2 * math.asin(r_k / 2) + 1e-9
+
+    def test_bitwise_equal_to_reference_sweep(self):
+        rng = np.random.default_rng(11)
+        cases = 0
+        for r_k in (2.0, 1.0, 0.5, 0.25):
+            for n in (1, 2, 50, 4096):
+                for labels in ("noisy", "all-correct", "all-wrong"):
+                    for rounded in (False, True):
+                        for _ in range(4):
+                            X = rng.standard_normal((n, 2))
+                            if rounded:  # many instances share a critical angle
+                                X = np.round(X, 1)
+                            w_star = normalize(rng.standard_normal(2))
+                            y = np.sign(X @ w_star.coords)
+                            y[y == 0] = 1.0
+                            if labels == "noisy":
+                                y[rng.random(n) < 0.2] *= -1.0
+                            elif labels == "all-wrong":
+                                y = -y
+                            w_k = normalize(rng.standard_normal(2))
+                            got = erm_zero_one_2d((X, y), w_k, r_k)
+                            want = _reference_sweep((X, y), w_k, r_k)
+                            assert (got is w_k) == (want is w_k)
+                            assert got.coords.tobytes() == want.coords.tobytes()
+                            cases += 1
+        assert cases >= 300
 
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError):
