@@ -79,51 +79,31 @@ DEFAULT_CONFIG = {
     "seed": 0,
 }
 
-CHECK_NAMES = ("query-rule", "psi", "sphere", "gaussian", "gradient", "scaling")
 
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """``override`` laid over ``base``; every key in it must exist in ``base``.
 
-def _validate_keys(config: dict, defaults: dict, prefix: str = "") -> None:
-    for key, value in config.items():
-        path = f"{prefix}{key}"
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            _validate_keys(value, defaults[key], prefix=path + ".")
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
+    An object merges into an object and a value replaces a value; any other
+    pairing, like an unknown key, is rejected by its dotted path.
+    """
+    merged = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
+        path = prefix + key
+        if key not in base:
+            raise ConfigError(f"unknown config key {path!r}")
+        if isinstance(base[key], dict) != isinstance(value, dict):
+            expected = "an object" if isinstance(base[key], dict) else "a value, not an object"
+            raise ConfigError(f"config key {path!r} takes {expected}")
+        merged[key] = _merge(base[key], value, path + ".") if isinstance(value, dict) else value
     return merged
 
 
-def _apply_override(config: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key=value")
-    dotted, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = config
-    parts = dotted.split(".")
-    walked = []
-    for part in parts[:-1]:
-        walked.append(part)
-        if not isinstance(node.get(part), dict):
-            raise ConfigError(f"unknown config key {'.'.join(walked)!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    node[parts[-1]] = value
-
-
 def load_config(path: str | None, overrides=(), seed: int | None = None, out: str | None = None) -> dict:
-    """Resolve defaults <- file <- --set overrides <- flag overrides."""
+    """Resolve defaults <- file <- --set overrides <- flag overrides.
+
+    ``--set a.b=v`` is the one-leaf tree ``{"a": {"b": v}}`` and merges
+    exactly as the same tree in the file would.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -135,10 +115,18 @@ def load_config(path: str | None, overrides=(), seed: int | None = None, out: st
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
         if not isinstance(file_config, dict):
             raise ConfigError("config root must be a JSON object")
-        _validate_keys(file_config, DEFAULT_CONFIG)
-        config = _deep_merge(config, file_config)
+        config = _merge(config, file_config)
     for assignment in overrides:
-        _apply_override(config, assignment)
+        dotted, eq, raw = assignment.partition("=")
+        if not eq:
+            raise ConfigError(f"override {assignment!r} is not of the form key=value")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        config = _merge(config, value)
     if seed is not None:
         config["seed"] = int(seed)
     if out is not None:
@@ -151,6 +139,12 @@ def config_digest(config: dict) -> str:
     payload = {k: v for k, v in config.items() if k != "out"}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _loss(name: str, R: float = 1.0):
+    if name not in BUILTIN_LOSSES:
+        raise ConfigError(f"unknown loss {name!r}; available: {sorted(BUILTIN_LOSSES)}")
+    return get_loss(name, R=R)
 
 
 def build_model(config: dict) -> DataModel:
@@ -179,7 +173,7 @@ def build_update(config: dict, kind: str | None = None, R: float = 1.0):
         params = ConvexSolverParams(**{
             f.name: type(f.default)(sc[f.name]) for f in fields(ConvexSolverParams)
         })
-        return ConvexUpdate(loss=get_loss(uc["loss"], R=R), params=params)
+        return ConvexUpdate(loss=_loss(uc["loss"], R=R), params=params)
     raise ConfigError(f"unknown update kind {kind!r}")
 
 
@@ -251,7 +245,6 @@ def cmd_curve(config: dict) -> int:
         seeds=tuple(int(s) for s in cc["seeds"]),
         passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
         passive_cap=int(cc["passive_cap"]),
-        master_seed=int(config["seed"]),
     )
     digest = config_digest(config)
     result = label_complexity_curve(experiment)
@@ -269,40 +262,31 @@ def cmd_curve(config: dict) -> int:
     return 0
 
 
+# Check name -> call, in the order rows are written.  Each entry looks up
+# ``harness.check_*`` when it runs, so a rebound or patched check is used.
+CHECKS = {
+    "query-rule": lambda cc, seed: harness.check_query_rule_equivalence(
+        total=int(cc["equivalence_samples"]), seed=seed),
+    "psi": lambda cc, seed: harness.check_psi_transform(),
+    "sphere": lambda cc, seed: harness.check_sphere_identity(
+        pairs=int(cc["pairs"]), n_mc=int(cc["n_mc"]), seed=seed),
+    "gaussian": lambda cc, seed: harness.check_gaussian_lower_bound(
+        pairs=int(cc["pairs"]), n_mc=int(cc["n_mc"]), seed=seed),
+    "gradient": lambda cc, seed: harness.check_gradient_finite_difference(
+        triples=int(cc["gradient_triples"]), seed=seed),
+    "scaling": lambda cc, seed: harness.check_concentration_scaling(
+        trials=int(cc["scaling_trials"]), n=int(cc["scaling_n"]),
+        candidates=int(cc["scaling_candidates"]), seed=seed),
+}
+
+
 def _run_checks(config: dict, only) -> list[harness.CheckRow]:
-    cc = config["check"]
-    seed = int(config["seed"])
-    selected = CHECK_NAMES if not only else tuple(only)
-    unknown = set(selected) - set(CHECK_NAMES)
+    selected = set(only or CHECKS)
+    unknown = selected - CHECKS.keys()
     if unknown:
-        raise ConfigError(f"unknown check name(s): {sorted(unknown)}; known: {list(CHECK_NAMES)}")
-    rows: list[harness.CheckRow] = []
-    if "query-rule" in selected:
-        rows += harness.check_query_rule_equivalence(
-            total=int(cc["equivalence_samples"]), seed=seed
-        )
-    if "psi" in selected:
-        rows += harness.check_psi_transform()
-    if "sphere" in selected:
-        rows += harness.check_sphere_identity(
-            pairs=int(cc["pairs"]), n_mc=int(cc["n_mc"]), seed=seed
-        )
-    if "gaussian" in selected:
-        rows += harness.check_gaussian_lower_bound(
-            pairs=int(cc["pairs"]), n_mc=int(cc["n_mc"]), seed=seed
-        )
-    if "gradient" in selected:
-        rows += harness.check_gradient_finite_difference(
-            triples=int(cc["gradient_triples"]), seed=seed
-        )
-    if "scaling" in selected:
-        rows += harness.check_concentration_scaling(
-            trials=int(cc["scaling_trials"]),
-            n=int(cc["scaling_n"]),
-            candidates=int(cc["scaling_candidates"]),
-            seed=seed,
-        )
-    return rows
+        raise ConfigError(f"unknown check name(s): {sorted(unknown)}; known: {list(CHECKS)}")
+    cc, seed = config["check"], int(config["seed"])
+    return [row for name, check in CHECKS.items() if name in selected for row in check(cc, seed)]
 
 
 def cmd_check(config: dict, only) -> int:
@@ -319,14 +303,9 @@ def cmd_check(config: dict, only) -> int:
 
 
 def cmd_psi_table(loss_name: str, step: float) -> int:
-    if loss_name not in BUILTIN_LOSSES:
-        print(f"error: unknown loss {loss_name!r}; available: {sorted(BUILTIN_LOSSES)}",
-              file=sys.stderr)
-        return 2
+    loss = _loss(loss_name)
     if not 0.0 < step <= 1.0:
-        print(f"error: step must lie in (0, 1], got {step}", file=sys.stderr)
-        return 2
-    loss = get_loss(loss_name)
+        raise ConfigError(f"step must lie in (0, 1], got {step}")
     print("z,psi,psi_numeric,lower_bound")
     z = 0.0
     while z <= 1.0 + 1e-12:
@@ -386,7 +365,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the verification suites")
     common(p_check, True)
     p_check.add_argument("--only", default=None,
-                         help=f"comma-separated subset of {','.join(CHECK_NAMES)}")
+                         help=f"comma-separated subset of {','.join(CHECKS)}")
     p_psi = sub.add_parser("psi-table", help="print a z -> psi(z) table as CSV")
     p_psi.add_argument("--loss", required=True, help="loss name")
     p_psi.add_argument("--step", type=float, default=0.1, help="grid step (default 0.1)")
@@ -397,26 +376,20 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
-    if args.command == "psi-table":
-        return cmd_psi_table(args.loss, args.step)
     try:
+        if args.command == "psi-table":
+            return cmd_psi_table(args.loss, args.step)
         config = load_config(args.config, args.overrides, seed=args.seed, out=args.out)
-        if args.command == "run":
-            return cmd_run(config)
-        if args.command == "curve":
-            return cmd_curve(config)
         if args.command == "check":
-            only = args.only.split(",") if args.only else (config["check"]["only"] or None)
-            return cmd_check(config, only)
-        if args.command == "budget":
-            return cmd_budget(config)
+            return cmd_check(config, args.only.split(",") if args.only else config["check"]["only"])
+        # looked up per call: the commands are module globals that may be rebound
+        return {"run": cmd_run, "curve": cmd_curve, "budget": cmd_budget}[args.command](config)
     except (ConfigError, ScheduleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HalfspaceActiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

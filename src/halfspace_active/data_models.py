@@ -56,6 +56,7 @@ SUPPORTED_PAIRINGS = {
 
 _MC_CHUNK = 1 << 18
 _SIMPSON_PANELS = 100_000
+_SURROGATE_PANELS = 8192
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,7 @@ def _simpson_arcs(f, breaks: list[float], total_panels: int) -> float:
     return total
 
 
-def exact_binary_risk(model: DataModel, w, panels: int = _SIMPSON_PANELS) -> float:
+def exact_binary_risk(model: DataModel, w) -> float:
     """ℓ_b(w) = E[1(y·w·x <= 0)] by piecewise Simpson quadrature on the circle."""
     _require_exact(model)
     wc = _vector_of(w)
@@ -323,10 +324,10 @@ def exact_binary_risk(model: DataModel, w, panels: int = _SIMPSON_PANELS) -> flo
         e = _eta_of_angle(model, t)
         return 1.0 - e if math.cos(mid - psi_w) > 0.0 else e
 
-    return _simpson_arcs(integrand, breaks, panels) / (2.0 * math.pi)
+    return _simpson_arcs(integrand, breaks, _SIMPSON_PANELS) / (2.0 * math.pi)
 
 
-def exact_surrogate_risk(model: DataModel, loss, w, panels: int = 8192) -> float:
+def exact_surrogate_risk(model: DataModel, loss, w) -> float:
     """ℓ_φ(w) = E[φ(y w·x)] by quadrature on the circle.
 
     Splits at the loss's margin kinks (|w·x| = 1 for the truncated
@@ -348,10 +349,10 @@ def exact_surrogate_risk(model: DataModel, loss, w, panels: int = 8192) -> float
         margins = norm * np.cos(t - psi_w)
         return e * loss.phi(margins) + (1.0 - e) * loss.phi(-margins)
 
-    return _simpson_arcs(integrand, breaks, panels) / (2.0 * math.pi)
+    return _simpson_arcs(integrand, breaks, _SURROGATE_PANELS) / (2.0 * math.pi)
 
 
-def exact_excess_binary_risk(model: DataModel, w, panels: int = _SIMPSON_PANELS) -> float:
+def exact_excess_binary_risk(model: DataModel, w) -> float:
     """ℓ_b(w) - ℓ_b(w*), integrating |2η - 1| over the disagreement wedge only.
 
     Valid because sgn(w*·x) is the Bayes sign for every built-in
@@ -370,7 +371,7 @@ def exact_excess_binary_risk(model: DataModel, w, panels: int = _SIMPSON_PANELS)
             return np.abs(2.0 * _eta_of_angle(model, t) - 1.0)
         return np.zeros_like(t)
 
-    return _simpson_arcs(integrand, breaks, panels) / (2.0 * math.pi)
+    return _simpson_arcs(integrand, breaks, _SIMPSON_PANELS) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

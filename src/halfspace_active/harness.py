@@ -82,7 +82,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     passive_update: ZeroOneUpdate | ConvexUpdate | None = None
     passive_cap: int = 200_000
-    master_seed: int = 0
 
     def __post_init__(self):
         if len(self.seeds) < 1:

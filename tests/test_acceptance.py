@@ -161,7 +161,6 @@ def test_criterion_07_label_complexity_trend():
         seeds=tuple(range(20)),
         passive_update=ZeroOneUpdate(),
         passive_cap=200_000,
-        master_seed=107,
     )
     result = label_complexity_curve(config)
     fits = curve_fits(result, bootstrap=500, seed=107)

@@ -74,6 +74,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="schedule.nn"):
             cli.load_config(path, overrides=["schedule.nn=99"])
 
+    def test_set_object_merges_like_leaf(self, tmp_path):
+        path = write_config(tmp_path)
+        whole = cli.load_config(path, overrides=['model={"kappa": 1.5}'])
+        leaf = cli.load_config(path, overrides=["model.kappa=1.5"])
+        assert whole == leaf
+        assert cli.config_digest(whole) == cli.config_digest(leaf)
+
+    def test_value_where_object_belongs(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": 5}))
+        with pytest.raises(ConfigError, match="'model'"):
+            cli.load_config(str(path))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "'model'" in capsys.readouterr().err
+
+    def test_object_where_value_belongs(self, tmp_path):
+        path = write_config(tmp_path)
+        with pytest.raises(ConfigError, match=r"'model\.dimension'"):
+            cli.load_config(path, overrides=["model.dimension.x=1"])
+
     def test_digest_is_stable(self, tmp_path):
         path = write_config(tmp_path)
         a = cli.config_digest(cli.load_config(path))
@@ -96,6 +116,13 @@ class TestCmdRun:
         code = main(["run", "--config", str(path)])
         assert code == 2
         assert "wrong" in capsys.readouterr().err
+
+    def test_unknown_loss_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, update={"kind": "convex"})
+        code = main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", "update.loss=perceptron"])
+        assert code == 2
+        assert "unknown loss" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -167,6 +194,15 @@ class TestCmdCheck:
         code = main(["check", "--config", path, "--only", "nosuch"])
         assert code == 2
 
+    def test_rows_follow_table_order(self, tmp_path, capsys):
+        path = write_config(tmp_path, check={"equivalence_samples": 1500})
+        csvs = []
+        for i, only in enumerate(("psi,query-rule", "query-rule,psi", "psi,query-rule,psi")):
+            out = tmp_path / f"out{i}"
+            assert main(["check", "--config", path, "--out", str(out), "--only", only]) == 0
+            csvs.append((out / "checks.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+
     def test_failing_rows_exit_one(self, tmp_path, capsys, monkeypatch):
         bad = harness.CheckRow("psi-closed-vs-numeric", "forced", 1.0, "0.0", 0.0, False)
         monkeypatch.setattr(harness, "check_psi_transform", lambda: [bad])
@@ -190,6 +226,10 @@ class TestCmdPsiTable:
     def test_unknown_loss(self, capsys):
         assert main(["psi-table", "--loss", "perceptron"]) == 2
         assert "unknown loss" in capsys.readouterr().err
+
+    def test_bad_step_exits_two(self, capsys):
+        assert main(["psi-table", "--loss", "exponential", "--step", "0"]) == 2
+        assert "step must lie in (0, 1]" in capsys.readouterr().err
 
 
 class TestCmdBudget:

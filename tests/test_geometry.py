@@ -203,7 +203,7 @@ class TestDisRegion:
     def test_large_radius_covers_everything(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            assert dis_region_test(rng.standard_normal(3), E1.coords.tolist() + [0.0][:1], 0.5) or True
+            assert dis_region_test(rng.standard_normal(3), E1.coords.tolist() + [0.0][:1], 0.5)
         # direct statement: any x passes at r >= 1/2
         for _ in range(20):
             x = rng.standard_normal(2)
