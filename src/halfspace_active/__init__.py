@@ -8,7 +8,7 @@ Monte Carlo checks used to verify the method's claimed behavior.
 """
 
 from . import data_models, driver, geometry, harness, losses, solvers, streams
-from .data_models import DataModel, LabeledExample, RiskEstimate
+from .data_models import DataModel, RiskEstimate
 from .driver import (
     ConvexUpdate,
     FinitePool,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "data_models", "driver", "geometry", "harness", "losses", "solvers", "streams",
-    "DataModel", "LabeledExample", "RiskEstimate",
+    "DataModel", "RiskEstimate",
     "ConvexUpdate", "FinitePool", "RunRecord", "ScheduleParams", "ZeroOneUpdate",
     "run_active", "run_passive",
     "HalfspaceActiveError",

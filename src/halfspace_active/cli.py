@@ -141,10 +141,10 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _loss(name: str, R: float = 1.0):
-    if name not in BUILTIN_LOSSES:
+def _loss_name(name) -> str:
+    if not isinstance(name, str) or name not in BUILTIN_LOSSES:
         raise ConfigError(f"unknown loss {name!r}; available: {sorted(BUILTIN_LOSSES)}")
-    return get_loss(name, R=R)
+    return name
 
 
 def build_model(config: dict) -> DataModel:
@@ -165,6 +165,7 @@ def build_model(config: dict) -> DataModel:
 def build_update(config: dict, kind: str | None = None, R: float = 1.0):
     uc = config["update"]
     kind = uc["kind"] if kind is None else kind
+    loss_name = _loss_name(uc["loss"])  # checked whatever the kind, as it is digested
     if kind == "zero-one":
         return ZeroOneUpdate(restarts=int(uc["restarts"]))
     if kind == "convex":
@@ -173,7 +174,7 @@ def build_update(config: dict, kind: str | None = None, R: float = 1.0):
         params = ConvexSolverParams(**{
             f.name: type(f.default)(sc[f.name]) for f in fields(ConvexSolverParams)
         })
-        return ConvexUpdate(loss=_loss(uc["loss"], R=R), params=params)
+        return ConvexUpdate(loss=get_loss(loss_name, R=R), params=params)
     raise ConfigError(f"unknown update kind {kind!r}")
 
 
@@ -281,6 +282,12 @@ CHECKS = {
 
 
 def _run_checks(config: dict, only) -> list[harness.CheckRow]:
+    """Rows of the checks named in ``only`` (a comma-separated string or a
+    list; None runs them all), in table order."""
+    if isinstance(only, str):
+        only = only.split(",")
+    if only is not None and not isinstance(only, list):
+        raise ConfigError("check.only takes a comma-separated string or a list of check names")
     selected = set(only or CHECKS)
     unknown = selected - CHECKS.keys()
     if unknown:
@@ -303,7 +310,7 @@ def cmd_check(config: dict, only) -> int:
 
 
 def cmd_psi_table(loss_name: str, step: float) -> int:
-    loss = _loss(loss_name)
+    loss = get_loss(_loss_name(loss_name))
     if not 0.0 < step <= 1.0:
         raise ConfigError(f"step must lie in (0, 1], got {step}")
     print("z,psi,psi_numeric,lower_bound")
@@ -381,7 +388,7 @@ def main(argv=None) -> int:
             return cmd_psi_table(args.loss, args.step)
         config = load_config(args.config, args.overrides, seed=args.seed, out=args.out)
         if args.command == "check":
-            return cmd_check(config, args.only.split(",") if args.only else config["check"]["only"])
+            return cmd_check(config, args.only or config["check"]["only"])
         # looked up per call: the commands are module globals that may be rebound
         return {"run": cmd_run, "curve": cmd_curve, "budget": cmd_budget}[args.command](config)
     except (ConfigError, ScheduleError, ValueError) as exc:

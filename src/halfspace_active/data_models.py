@@ -7,9 +7,9 @@ or affine function of w*·x, or the powered-margin family
     η(x) = 1/2 (1 + sgn(m) · min(1, |m|/τ₀)^{κ-1}),   m = w̄*·x̄,
 
 whose low-noise exponent is κ by construction (κ = 1 gives hard labels).
-Risks and disagreement probabilities come either from Monte Carlo or,
-in two dimensions, from an exact quadrature oracle over the circle that
-the Monte Carlo paths are validated against.
+Disagreement probabilities come from Monte Carlo or from their closed
+form θ/π; in two dimensions, surrogate and excess binary risks come from
+an exact quadrature oracle over the circle.
 """
 
 from __future__ import annotations
@@ -19,29 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionIIViolation, UnsupportedMarginal
-from .geometry import UnitVector, _unit_margins, _vector_of, angle, dis_region_mask, normalize
+from .errors import UnsupportedMarginal
+from .geometry import UnitVector, _unit_margins, _vector_of, angle, normalize
 from .streams import substream
 
 __all__ = [
     "DataModel",
-    "LabeledExample",
     "RiskEstimate",
     "TsybakovFit",
-    "DisagreementCoefficient",
     "sample_unlabeled",
-    "eta",
     "eta_batch",
-    "label_oracle",
     "label_batch",
-    "bayes_tau",
-    "exact_binary_risk",
     "exact_surrogate_risk",
     "exact_excess_binary_risk",
-    "estimate_binary_risk",
     "disagreement_probability",
     "verify_tsybakov_exponent",
-    "estimate_disagreement_coefficient",
     "stack_examples",
 ]
 
@@ -57,20 +49,6 @@ SUPPORTED_PAIRINGS = {
 _MC_CHUNK = 1 << 18
 _SIMPSON_PANELS = 100_000
 _SURROGATE_PANELS = 8192
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.x, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("instance has non-finite entries")
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y!r}")
-        object.__setattr__(self, "x", arr)
 
 
 @dataclass(frozen=True)
@@ -148,13 +126,9 @@ class DataModel:
 
 
 def stack_examples(data) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a list of LabeledExample or an (X, y) pair into arrays."""
-    if isinstance(data, tuple) and len(data) == 2:
-        X = np.asarray(data[0], dtype=np.float64)
-        y = np.asarray(data[1], dtype=np.float64)
-    else:
-        X = np.asarray([ex.x for ex in data], dtype=np.float64)
-        y = np.asarray([ex.y for ex in data], dtype=np.float64)
+    """Coerce an (X, y) pair into float arrays, checking shapes and labels."""
+    X = np.asarray(data[0], dtype=np.float64)
+    y = np.asarray(data[1], dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError(f"inconsistent dataset shapes {X.shape} / {y.shape}")
     if not np.all(np.abs(y) == 1.0):
@@ -207,39 +181,10 @@ def eta_batch(model: DataModel, X: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.sign(m) * scaled ** (model.kappa - 1.0))
 
 
-def eta(model: DataModel, x) -> float:
-    return float(eta_batch(model, np.asarray(x, dtype=np.float64))[0])
-
-
 def label_batch(model: DataModel, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Labels in {-1, +1} drawn from the conditional at each row."""
     probs = eta_batch(model, X)
     return np.where(rng.random(probs.shape) < probs, 1.0, -1.0)
-
-
-def label_oracle(model: DataModel, x, rng: np.random.Generator) -> LabeledExample:
-    x = np.asarray(x, dtype=np.float64)
-    y = label_batch(model, x[None, :], rng)[0]
-    return LabeledExample(x=x, y=int(y))
-
-
-def bayes_tau(model: DataModel, loss_name: str, x) -> float:
-    """Pointwise surrogate-risk minimizer, for the pairings where it is linear.
-
-    Exponential + logistic gives (s/2)·w*·x; truncated quadratic + affine
-    gives 2η(x) - 1 = w*·x.  Any other pairing has no linear minimizer and
-    raises AssumptionIIViolation.
-    """
-    pairing = (loss_name, model.conditional)
-    if pairing not in SUPPORTED_PAIRINGS:
-        raise AssumptionIIViolation(
-            f"no linear surrogate-risk minimizer for loss {loss_name!r} "
-            f"with conditional {model.conditional!r}"
-        )
-    margin = float(np.dot(np.asarray(x, dtype=np.float64), model.w_star))
-    if loss_name == "exponential":
-        return 0.5 * model.scale * margin
-    return margin
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +258,6 @@ def _simpson_arcs(f, breaks: list[float], total_panels: int) -> float:
     return total
 
 
-def exact_binary_risk(model: DataModel, w) -> float:
-    """ℓ_b(w) = E[1(y·w·x <= 0)] by piecewise Simpson quadrature on the circle."""
-    _require_exact(model)
-    wc = _vector_of(w)
-    psi_w = math.atan2(wc[1], wc[0])
-    breaks = [psi_w + math.pi / 2.0, psi_w - math.pi / 2.0] + _eta_breakpoints(model)
-
-    def integrand(t: np.ndarray, mid: float) -> np.ndarray:
-        e = _eta_of_angle(model, t)
-        return 1.0 - e if math.cos(mid - psi_w) > 0.0 else e
-
-    return _simpson_arcs(integrand, breaks, _SIMPSON_PANELS) / (2.0 * math.pi)
-
-
 def exact_surrogate_risk(model: DataModel, loss, w) -> float:
     """ℓ_φ(w) = E[φ(y w·x)] by quadrature on the circle.
 
@@ -384,32 +315,6 @@ def _binomial_estimate(hits: int, n: int) -> RiskEstimate:
     return RiskEstimate(mean=p, std_error=math.sqrt(max(p * (1.0 - p), 0.0) / n), n_mc=n)
 
 
-def estimate_binary_risk(
-    model: DataModel,
-    w,
-    n_mc: int,
-    rng: np.random.Generator | None = None,
-    exact: bool = False,
-) -> RiskEstimate:
-    """Binary risk of w, by Monte Carlo or (exact flag, d = 2) quadrature."""
-    wc = _vector_of(w)
-    if exact:
-        return RiskEstimate(mean=exact_binary_risk(model, wc), std_error=0.0, n_mc=1)
-    if n_mc < 100:
-        raise ValueError("n_mc must be at least 100")
-    if rng is None:
-        rng = model.stream("binary-risk")
-    hits = 0
-    remaining = n_mc
-    while remaining > 0:
-        chunk = min(remaining, _MC_CHUNK)
-        X = sample_unlabeled(model, chunk, rng)
-        y = label_batch(model, X, rng)
-        hits += int(np.count_nonzero(y * (X @ wc) <= 0.0))
-        remaining -= chunk
-    return _binomial_estimate(hits, n_mc)
-
-
 def disagreement_probability(
     model: DataModel,
     u,
@@ -438,7 +343,7 @@ def disagreement_probability(
 
 
 # ---------------------------------------------------------------------------
-# Noise-exponent and disagreement-coefficient fits
+# Noise-exponent fit
 # ---------------------------------------------------------------------------
 
 
@@ -464,34 +369,22 @@ def _rotated_from_w_star(model: DataModel, theta: float) -> np.ndarray:
     return math.cos(theta) * wb + math.sin(theta) * perp
 
 
-def verify_tsybakov_exponent(
-    model: DataModel,
-    theta_grid,
-    n_mc: int = 200_000,
-    rng: np.random.Generator | None = None,
-    exact: bool = False,
-) -> TsybakovFit:
+def verify_tsybakov_exponent(model: DataModel, theta_grid) -> TsybakovFit:
     """Measure the noise exponent by regressing log-disagreement on log-excess.
 
-    Each angle θ pairs w̄* with a hypothesis rotated by θ; grid points
-    whose excess-risk estimate is non-positive are dropped (estimator
-    noise) and reported in the fit.
+    Each angle θ pairs w̄* with a hypothesis rotated by θ; the disagreement
+    is θ/π and the excess risk comes from the exact circle quadrature
+    (d = 2).  Grid points where either is non-positive are dropped and
+    reported in the fit.
     """
     thetas = [float(t) for t in theta_grid]
     if any(t <= 0 or t > math.pi / 4 for t in thetas):
         raise ValueError("theta grid must lie in (0, pi/4]")
-    if rng is None:
-        rng = model.stream("tsybakov")
     log_pr, log_ex, kept, dropped = [], [], [], []
     for theta in thetas:
         w = _rotated_from_w_star(model, theta)
-        pr = disagreement_probability(model, w, model.w_bar, n_mc=n_mc, rng=rng, exact=exact).mean
-        if exact:
-            excess = exact_excess_binary_risk(model, w)
-        else:
-            r_w = estimate_binary_risk(model, w, n_mc, rng=rng)
-            r_s = estimate_binary_risk(model, model.w_bar, n_mc, rng=rng)
-            excess = r_w.mean - r_s.mean
+        pr = disagreement_probability(model, w, model.w_bar, exact=True).mean
+        excess = exact_excess_binary_risk(model, w)
         if excess <= 0.0 or pr <= 0.0:
             dropped.append(theta)
             continue
@@ -499,7 +392,7 @@ def verify_tsybakov_exponent(
         log_pr.append(math.log(pr))
         log_ex.append(math.log(excess))
     if len(kept) < 2:
-        raise ValueError("fewer than two usable grid points; enlarge n_mc or the grid")
+        raise ValueError("fewer than two usable grid points; enlarge the grid")
     x = np.asarray(log_ex)
     y = np.asarray(log_pr)
     slope, intercept = np.polyfit(x, y, 1)
@@ -515,38 +408,3 @@ def verify_tsybakov_exponent(
         angles=tuple(kept),
         dropped=tuple(dropped),
     )
-
-
-@dataclass(frozen=True)
-class DisagreementCoefficient:
-    theta_hat: float
-    epsilon: float
-    table: tuple[tuple[float, float, float], ...]  # (r, Pr(DIS), Pr/r)
-
-
-def estimate_disagreement_coefficient(
-    model: DataModel,
-    epsilon: float,
-    r_grid,
-    n_mc: int = 100_000,
-    rng: np.random.Generator | None = None,
-    w_star=None,
-) -> DisagreementCoefficient:
-    """sup over the grid of Pr(DIS(B(w*, r)))/r, restricted to r >= epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    center = normalize(model.w_star if w_star is None else w_star)
-    radii = sorted({float(r) for r in r_grid if float(r) >= epsilon})
-    if not radii:
-        raise ValueError("r_grid has no points with r >= epsilon")
-    if any(r > 1.0 for r in radii):
-        raise ValueError("disagreement-region radii must lie in (0, 1]")
-    if rng is None:
-        rng = model.stream("dis-coefficient")
-    X = sample_unlabeled(model, n_mc, rng)
-    rows = []
-    for r in radii:
-        prob = float(np.count_nonzero(dis_region_mask(X, center, r))) / n_mc
-        rows.append((r, prob, prob / r))
-    theta_hat = max(row[2] for row in rows)
-    return DisagreementCoefficient(theta_hat=theta_hat, epsilon=epsilon, table=tuple(rows))

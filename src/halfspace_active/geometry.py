@@ -5,9 +5,7 @@ chord distance ``r`` of the current center disagrees with the center on
 the instance.  For ``r <= 1`` that reduces to a margin test
 ``|x̄·w| <= r*sqrt(1 - r^2/4)``; for ``r = 2`` every instance qualifies.
 The equivalent arc condition ``|θ(w, x̄) - π/2| <= 2*arcsin(r/2)`` is kept
-as an independent oracle, and ``dis_region_test`` gives the closed-form
-disagreement-region membership used when the marginal is rotation
-invariant.
+as an independent oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ __all__ = [
     "should_query",
     "query_mask",
     "disagreement_exists_oracle",
-    "dis_region_test",
-    "dis_region_mask",
 ]
 
 _UNIT_TOL = 1e-12
@@ -61,9 +57,6 @@ class UnitVector:
     def dim(self) -> int:
         return self.coords.shape[0]
 
-    def dot(self, other: "UnitVector | np.ndarray") -> float:
-        return float(np.dot(self.coords, _vector_of(other)))
-
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.coords, dtype=dtype)
 
@@ -79,7 +72,8 @@ def _unit_coords(v, what: str = "vector") -> np.ndarray:
     if isinstance(v, UnitVector):
         return v.coords
     arr = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):  # an overflow to inf is rescaled below
+        norm = float(np.linalg.norm(arr))
     if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
         # tiny, huge, zero or non-finite: rescale by the largest entry first
         scale = float(np.max(np.abs(arr), initial=0.0))
@@ -97,8 +91,9 @@ def _unit_margins(X: np.ndarray, c: np.ndarray) -> np.ndarray:
     entry first, as in _unit_coords; every other row keeps X @ c / norms
     bit for bit.  A zero or non-finite row raises NormalizationError.
     """
-    norms = np.linalg.norm(X, axis=1)
-    margins = X @ c
+    with np.errstate(over="ignore"):  # overflowing rows are rescaled below
+        norms = np.linalg.norm(X, axis=1)
+        margins = X @ c
     lo, hi = _SAFE_NORMS
     if lo <= norms.min(initial=lo) and norms.max(initial=hi) <= hi:
         return margins / norms
@@ -216,31 +211,3 @@ def disagreement_exists_oracle(x, ball: HypothesisBall) -> bool:
         return True
     theta = angle(ball.center, xbar)
     return abs(theta - math.pi / 2.0) <= 2.0 * math.asin(r / 2.0)
-
-
-def _dis_half_angle(r: float) -> float:
-    if not (0.0 < r <= 1.0):
-        raise ValueError(f"disagreement-region radius must lie in (0, 1], got {r!r}")
-    return min(math.pi * r, math.pi / 2.0)
-
-
-def dis_region_test(x, w, r: float) -> bool:
-    """Membership of x in DIS(B(w, r)) under a rotation-invariant marginal.
-
-    B(w, r) collects hypotheses whose disagreement probability with w is
-    at most r; rotation invariance turns that pseudo-metric into angle/π,
-    giving the closed form |θ(w, x̄) - π/2| <= min(π r, π/2).  Every
-    built-in marginal is rotation invariant.
-    """
-    half = _dis_half_angle(r)
-    theta = angle(_unit_coords(w, "hypothesis"), _unit_coords(x, "instance"))
-    return abs(theta - math.pi / 2.0) <= half
-
-
-def dis_region_mask(X: np.ndarray, w, r: float) -> np.ndarray:
-    """Vectorized dis_region_test over rows of X."""
-    half = _dis_half_angle(r)
-    wc = _unit_coords(w, "hypothesis")
-    X = np.asarray(X, dtype=np.float64)
-    cosines = np.clip(_unit_margins(X, wc), -1.0, 1.0)
-    return np.abs(np.arccos(cosines) - math.pi / 2.0) <= half

@@ -57,7 +57,6 @@ __all__ = [
     "check_gradient_finite_difference",
     "check_concentration_scaling",
     "export_results",
-    "parse_curve_csv",
     "CURVE_HEADER",
     "CHECKS_HEADER",
 ]
@@ -658,28 +657,3 @@ def export_results(
     _write_csv(checks_path, CHECKS_HEADER, check_rows, comment)
     paths["checks"] = checks_path
     return paths
-
-
-def parse_curve_csv(path: str) -> tuple[CurvePoint, ...]:
-    """Read curve.csv back into CurvePoints (exact float round-trip)."""
-    points = []
-    with open(path, encoding="utf-8") as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != CURVE_HEADER:
-        raise ConfigError(f"unexpected curve header {header!r}")
-    for row in reader:
-        points.append(
-            CurvePoint(
-                epsilon=float(row[0]),
-                labels_active_med=float(row[1]),
-                labels_active_q1=float(row[2]),
-                labels_active_q3=float(row[3]),
-                labels_passive_med=float(row[4]),
-                labels_passive_q1=float(row[5]),
-                labels_passive_q3=float(row[6]),
-                censored=row[7] == "true",
-            )
-        )
-    return tuple(points)

@@ -1,17 +1,14 @@
 """Convex surrogate losses and their binary-risk conversion calculus.
 
 A loss specification bundles φ, φ', a Lipschitz constant valid on the
-margin range the algorithm can actually reach, an optional curvature
-bound, and the ψ-transform
+margin range the algorithm can actually reach, and the ψ-transform
 
     ψ(z) = inf_{αz <= 0} C_z(α) - inf_α C_z(α),
     C_z(α) = (1+z)/2 φ(α) + (1-z)/2 φ(-α),
 
 which converts convex excess risk into a bound on binary excess risk.
 Two losses ship with closed-form transforms (exponential, truncated
-quadratic); the logistic loss is numeric-only.  The module also computes
-the power-law constants sandwiching binary excess risk between powers of
-the chord distance to the optimum.
+quadratic); the logistic loss is numeric-only.
 """
 
 from __future__ import annotations
@@ -22,31 +19,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LossSpecError, NotSmooth
+from .errors import LossSpecError
 
 __all__ = [
     "SurrogateLoss",
-    "AssumptionIIIConstants",
     "exponential_loss",
     "truncated_quadratic_loss",
     "logistic_loss",
     "get_loss",
     "BUILTIN_LOSSES",
-    "phi",
-    "phi_prime",
     "psi",
     "psi_numeric",
-    "is_classification_calibrated",
-    "upper_bound_constants",
-    "lower_bound_constants",
     "working_margin_bound",
-    "SPHERE_ANGLE_CONSTANT",
 ]
-
-# Exact angle-to-disagreement factor on the sphere: Pr{signs differ} = θ/π.
-# Default for the otherwise-free constant in the log-concave angle
-# log-concave lower bound.
-SPHERE_ANGLE_CONSTANT = 1.0 / math.pi
 
 # Exponential-loss arguments are never evaluated below this; iterates live in
 # bounded balls, so anything smaller means the solver left the trusted region.
@@ -54,8 +39,6 @@ EXP_CLAMP = -50.0
 
 # Half-width of the golden-section bracket for the numeric ψ infima.
 PSI_SEARCH_HALF_WIDTH = 50.0
-
-_CALIBRATION_MARGIN = 1e-9
 
 
 def working_margin_bound(R: float, r1: float = 2.0) -> float:
@@ -68,11 +51,8 @@ class SurrogateLoss:
     """A convex loss φ with the constants the analysis needs.
 
     ``lipschitz`` is valid on |z| <= margin_bound only (the exponential
-    loss has no global constant).  ``smoothness`` bounds φ'' on that
-    interval and doubles as the strong-smoothness constant of the risk
-    when instances satisfy ||x|| <= 1; it is None for non-smooth losses.
-    ``psi_lower_a``/``psi_lower_gamma`` give the polynomial minorant
-    ψ(z) >= a z^γ on (0, 1].
+    loss has no global constant).  ``psi_lower_a``/``psi_lower_gamma``
+    give the polynomial minorant ψ(z) >= a z^γ on (0, 1].
     """
 
     name: str
@@ -82,41 +62,7 @@ class SurrogateLoss:
     margin_bound: float
     psi_lower_a: float
     psi_lower_gamma: float
-    smoothness: float | None = None
     psi_closed: Callable[[float], float] | None = None
-
-
-@dataclass(frozen=True)
-class AssumptionIIIConstants:
-    """Constants of the two-sided power bound on binary excess risk.
-
-    ell_minus * chord^gamma_minus <= excess <= ell_plus * chord^gamma_plus.
-    """
-
-    ell_minus: float
-    gamma_minus: float
-    ell_plus: float
-    gamma_plus: float
-
-    def __post_init__(self):
-        if self.ell_minus <= 0 or self.ell_plus <= 0:
-            raise ValueError("ell_minus and ell_plus must be positive")
-        if not (self.gamma_minus >= self.gamma_plus > 0):
-            raise ValueError("need gamma_minus >= gamma_plus > 0")
-
-
-def phi(loss: SurrogateLoss, z: float) -> float:
-    """Evaluate the loss at margin z."""
-    if not math.isfinite(z):
-        raise ValueError(f"margin must be finite, got {z!r}")
-    return float(loss.phi(z))
-
-
-def phi_prime(loss: SurrogateLoss, z: float) -> float:
-    """Evaluate the loss derivative at margin z."""
-    if not math.isfinite(z):
-        raise ValueError(f"margin must be finite, got {z!r}")
-    return float(loss.phi_prime(z))
 
 
 # ---------------------------------------------------------------------------
@@ -179,67 +125,6 @@ def psi(loss: SurrogateLoss, z: float) -> float:
     return psi_numeric(loss, z)
 
 
-def is_classification_calibrated(loss: SurrogateLoss, eta_grid) -> bool:
-    """Check H^-(η) > H(η) on the grid, i.e. wrong-sign predictions cost extra.
-
-    H minimizes the conditional risk over all of R; H^- over predictions
-    whose sign disagrees with 2η - 1.  Calibration requires a strict gap
-    at every η != 1/2.
-    """
-    A = PSI_SEARCH_HALF_WIDTH
-    for eta in eta_grid:
-        if not 0.0 < eta < 1.0:
-            raise ValueError(f"eta grid values must lie in (0, 1), got {eta!r}")
-        if eta == 0.5:
-            raise ValueError("eta = 1/2 is excluded from calibration checks")
-        h = _conditional_risk_min(loss, eta, -A, A)
-        if eta > 0.5:
-            h_minus = _conditional_risk_min(loss, eta, -A, 0.0)
-        else:
-            h_minus = _conditional_risk_min(loss, eta, 0.0, A)
-        if not h_minus > h + _CALIBRATION_MARGIN:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Power-law constants for the excess-risk sandwich
-# ---------------------------------------------------------------------------
-
-
-def upper_bound_constants(loss: SurrogateLoss, R: float) -> tuple[float, float]:
-    """(ell_plus, gamma_plus) from risk smoothness and the ψ minorant.
-
-    A curvature bound L_phi with ||x|| <= 1 makes the convex excess risk
-    at R*w̄ at most (L_phi R²/2)·chord², and ψ(z) >= a z^γ inverts that
-    into excess <= (L_phi R²/(2a))^{1/γ} · chord^{2/γ}.
-    """
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    if loss.smoothness is None:
-        raise NotSmooth(f"loss {loss.name!r} has no curvature bound")
-    a, gamma = loss.psi_lower_a, loss.psi_lower_gamma
-    ell_plus = (loss.smoothness * R * R / (2.0 * a)) ** (1.0 / gamma)
-    return ell_plus, 2.0 / gamma
-
-
-def lower_bound_constants(
-    mu: float, kappa: float, c: float = SPHERE_ANGLE_CONSTANT
-) -> tuple[float, float]:
-    """(ell_minus, gamma_minus) under low noise with an angle lower bound.
-
-    For marginals where c·θ(u, v) lower-bounds the disagreement
-    probability, the noise exponent κ gives chord <= (μ/c)·excess^{1/κ},
-    i.e. excess >= (c/μ)^κ · chord^κ.  The constant c defaults to the
-    uniform-sphere exact value 1/π.
-    """
-    if mu <= 0 or c <= 0:
-        raise ValueError("mu and c must be positive")
-    if kappa < 1:
-        raise ValueError(f"noise exponent must satisfy kappa >= 1, got {kappa!r}")
-    return (c / mu) ** kappa, kappa
-
-
 # ---------------------------------------------------------------------------
 # Built-in losses
 # ---------------------------------------------------------------------------
@@ -278,7 +163,6 @@ def exponential_loss(R: float = 1.0) -> SurrogateLoss:
             ),
             lipschitz=math.exp(M),
             margin_bound=M,
-            smoothness=math.exp(M),
             psi_closed=lambda z: 1.0 - math.sqrt(max(0.0, 1.0 - z * z)),
             psi_lower_a=0.5,
             psi_lower_gamma=2.0,
@@ -296,7 +180,6 @@ def truncated_quadratic_loss(R: float = 1.0) -> SurrogateLoss:
             phi_prime=lambda z: -2.0 * np.maximum(0.0, 1.0 - z),
             lipschitz=2.0 * (1.0 + M),
             margin_bound=M,
-            smoothness=2.0,
             psi_closed=lambda z: z * z,
             psi_lower_a=1.0,
             psi_lower_gamma=2.0,
@@ -317,7 +200,6 @@ def logistic_loss(R: float = 1.0) -> SurrogateLoss:
             phi_prime=lambda z: -np.exp(-np.logaddexp(0.0, np.asarray(z, dtype=float))),
             lipschitz=1.0,
             margin_bound=M,
-            smoothness=0.25,
             psi_closed=None,
             psi_lower_a=0.5,
             psi_lower_gamma=2.0,

@@ -118,7 +118,6 @@ def minimize_in_ball(
     ball: SurrogateBall,
     params: ConvexSolverParams = ConvexSolverParams(),
     start: np.ndarray | None = None,
-    debug: bool = False,
 ) -> np.ndarray:
     """Projected gradient descent with Armijo backtracking inside the ball.
 
@@ -153,8 +152,6 @@ def minimize_in_ball(
             if step < 1e-18:
                 # no acceptable step exists at float64: treat as stationary
                 return w
-        if debug and f_new > f + 1e-12:
-            raise AssertionError("objective increased across an accepted Armijo step")
         if f_new == f:
             stalls += 1
             if stalls >= 5:
@@ -177,7 +174,6 @@ def erm_convex(
     r_k: float,
     R: float,
     params: ConvexSolverParams = ConvexSolverParams(),
-    debug: bool = False,
 ) -> np.ndarray:
     """Convex epoch update: minimize the surrogate sum over the ball around R·w_k.
 
@@ -190,7 +186,7 @@ def erm_convex(
     if X.shape[0] == 0:
         raise ValueError("convex update needs at least one labeled example")
     ball = SurrogateBall(center=R * w_k.coords, radius=R * r_k)
-    return minimize_in_ball(loss, X, y, ball, params=params, debug=debug)
+    return minimize_in_ball(loss, X, y, ball, params=params)
 
 
 # ---------------------------------------------------------------------------

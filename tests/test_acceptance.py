@@ -276,8 +276,8 @@ def test_criterion_11_cli_determinism(tmp_path):
 
 def test_criterion_12_tsybakov_generator():
     grid = np.linspace(0.05, math.pi / 4.0, 12)
-    hard = verify_tsybakov_exponent(powered_model(kappa=1.0), grid, exact=True)
-    quad = verify_tsybakov_exponent(powered_model(kappa=2.0), grid, exact=True)
+    hard = verify_tsybakov_exponent(powered_model(kappa=1.0), grid)
+    quad = verify_tsybakov_exponent(powered_model(kappa=2.0), grid)
     ok = abs(hard.kappa_hat - 1.0) <= 0.1 and 1.7 <= quad.kappa_hat <= 2.3
     report(12, "measured noise exponents", ok,
            f"kappa_hat(hard)={hard.kappa_hat:.4f}, kappa_hat(quadratic)={quad.kappa_hat:.3f}")

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -40,6 +42,15 @@ def test_module_entry_point_prints_no_runtime_warning():
     )
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "module", [""] + [m.name for m in pkgutil.iter_modules(halfspace_active.__path__)]
+)
+def test_exported_names_resolve(module):
+    # a name left in __all__ after its definition is deleted fails here
+    mod = importlib.import_module("halfspace_active" + (f".{module}" if module else ""))
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 class TestConfig:
@@ -117,8 +128,10 @@ class TestCmdRun:
         assert code == 2
         assert "wrong" in capsys.readouterr().err
 
-    def test_unknown_loss_exits_two(self, tmp_path, capsys):
-        path = write_config(tmp_path, update={"kind": "convex"})
+    @pytest.mark.parametrize("kind", ["convex", "zero-one"])
+    def test_unknown_loss_exits_two(self, tmp_path, capsys, kind):
+        # the loss is part of the config digest, so it is checked for every kind
+        path = write_config(tmp_path, update={"kind": kind})
         code = main(["run", "--config", path, "--out", str(tmp_path / "out"),
                      "--set", "update.loss=perceptron"])
         assert code == 2
@@ -169,8 +182,8 @@ class TestCmdCurve:
         out_dir = tmp_path / "out"
         code = main(["curve", "--config", path, "--out", str(out_dir)])
         assert code == 0
-        points = harness.parse_curve_csv(str(out_dir / "curve.csv"))
-        assert len(points) == 2
+        rows = (out_dir / "curve.csv").read_text().splitlines()[2:]  # comment, header
+        assert len(rows) == 2
 
     def test_empty_seed_list_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": []})
@@ -202,6 +215,16 @@ class TestCmdCheck:
             assert main(["check", "--config", path, "--out", str(out), "--only", only]) == 0
             csvs.append((out / "checks.csv").read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
+
+    def test_only_from_config_string_matches_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["check", "--config", path, "--out", str(out_a), "--only", "psi"]) == 0
+        assert main(["check", "--config", path, "--out", str(out_b), "--set", "check.only=psi"]) == 0
+        # the leading comment carries the config digest, which --set changes and --only does not
+        a = (out_a / "checks.csv").read_text().splitlines()
+        b = (out_b / "checks.csv").read_text().splitlines()
+        assert a[1:] == b[1:] and len(a) == 5
 
     def test_failing_rows_exit_one(self, tmp_path, capsys, monkeypatch):
         bad = harness.CheckRow("psi-closed-vs-numeric", "forced", 1.0, "0.0", 0.0, False)

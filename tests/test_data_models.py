@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfspace_active import data_models as dm
-from halfspace_active.errors import AssumptionIIViolation, UnsupportedMarginal
+from halfspace_active.errors import UnsupportedMarginal
 from halfspace_active.geometry import normalize
 from halfspace_active.streams import substream
 
@@ -80,36 +80,34 @@ class TestSampling:
 class TestEta:
     def test_logistic_boundary(self):
         model = sphere_model("logistic", kappa=None)
-        assert dm.eta(model, [0.0, 1.0]) == pytest.approx(0.5)
+        assert dm.eta_batch(model, [[0.0, 1.0]])[0] == pytest.approx(0.5)
 
     def test_affine_value(self):
         model = sphere_model("affine", kappa=None, R=0.5)
         # w* = (0.5, 0), x on the circle with w*.x = 0.3
-        assert dm.eta(model, [0.6, 0.8]) == pytest.approx(0.8, abs=1e-12)
+        assert dm.eta_batch(model, [[0.6, 0.8]])[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_powered_margin_value(self):
         model = sphere_model(kappa=2.0, tau0=1.0)
         x = [0.25, math.sqrt(1 - 0.0625)]
-        assert dm.eta(model, x) == pytest.approx(0.625, abs=1e-12)
+        assert dm.eta_batch(model, [x])[0] == pytest.approx(0.625, abs=1e-12)
 
     def test_hard_labels_at_kappa_one(self):
         model = sphere_model(kappa=1.0)
-        assert dm.eta(model, [0.3, 0.95]) == 1.0
-        assert dm.eta(model, [-0.3, 0.95]) == 0.0
-        assert dm.eta(model, [0.0, 1.0]) == 0.5
+        X = [[0.3, 0.95], [-0.3, 0.95], [0.0, 1.0]]
+        assert dm.eta_batch(model, X).tolist() == [1.0, 0.0, 0.5]
 
     def test_tau0_clamp(self):
         model = sphere_model(kappa=3.0, tau0=0.5)
-        assert dm.eta(model, [0.9, math.sqrt(1 - 0.81)]) == 1.0
+        assert dm.eta_batch(model, [[0.9, math.sqrt(1 - 0.81)]])[0] == 1.0
 
 
 class TestLabels:
     def test_deterministic_regions(self):
         model = sphere_model(kappa=1.0)
         rng = model.stream("labels")
-        for _ in range(50):
-            assert dm.label_oracle(model, [0.5, 0.5], rng).y == 1
-            assert dm.label_oracle(model, [-0.5, 0.5], rng).y == -1
+        X = np.tile([[0.5, 0.5], [-0.5, 0.5]], (50, 1))
+        np.testing.assert_array_equal(dm.label_batch(model, X, rng), np.tile([1.0, -1.0], 50))
 
     def test_balanced_at_boundary(self):
         model = sphere_model("logistic", kappa=None)
@@ -119,37 +117,7 @@ class TestLabels:
         assert abs(np.mean(y == 1.0) - 0.5) <= 0.005
 
 
-class TestBayesTau:
-    def test_exponential_logistic(self):
-        model = sphere_model("logistic", kappa=None, scale=1.0, R=0.5)
-        x = [0.8, 0.6]  # w*.x = 0.4
-        assert dm.bayes_tau(model, "exponential", x) == pytest.approx(0.2)
-
-    def test_truncated_quadratic_affine(self):
-        model = sphere_model("affine", kappa=None, R=0.5)
-        assert dm.bayes_tau(model, "truncated-quadratic", [0.6, 0.8]) == pytest.approx(0.3)
-
-    def test_zero_margin(self):
-        model = sphere_model("logistic", kappa=None)
-        assert dm.bayes_tau(model, "exponential", [0.0, 1.0]) == 0.0
-
-    def test_unsupported_pairing(self):
-        model = sphere_model(kappa=2.0)
-        with pytest.raises(AssumptionIIViolation):
-            dm.bayes_tau(model, "exponential", [1.0, 0.0])
-
-
 class TestExactRisk:
-    def test_bayes_risk_closed_form(self):
-        # kappa=2, tau0=1 circle: l_b(w*) = 1/2 - 1/pi
-        model = sphere_model(kappa=2.0)
-        got = dm.exact_binary_risk(model, model.w_bar)
-        assert got == pytest.approx(0.5 - 1.0 / math.pi, abs=1e-10)
-
-    def test_noiseless_bayes_risk_is_zero(self):
-        model = sphere_model(kappa=1.0)
-        assert dm.exact_binary_risk(model, model.w_bar) == pytest.approx(0.0, abs=1e-10)
-
     def test_excess_closed_form(self):
         # kappa=2, tau0=1: excess(theta) = (1 - cos theta)/pi
         model = sphere_model(kappa=2.0)
@@ -157,26 +125,11 @@ class TestExactRisk:
             w = [math.cos(theta), math.sin(theta)]
             expected = (1.0 - math.cos(theta)) / math.pi
             assert dm.exact_excess_binary_risk(model, w) == pytest.approx(expected, abs=1e-9)
-            diff = dm.exact_binary_risk(model, w) - dm.exact_binary_risk(model, model.w_bar)
-            assert diff == pytest.approx(expected, abs=1e-9)
-
-    def test_mc_agrees_with_exact(self):
-        model = sphere_model(kappa=2.0, seed=5)
-        w = normalize([0.8, 0.6])
-        est = dm.estimate_binary_risk(model, w, 200_000, model.stream("mc"))
-        exact = dm.exact_binary_risk(model, w)
-        assert abs(est.mean - exact) <= 3 * est.std_error
-
-    def test_exact_flag(self):
-        model = sphere_model(kappa=2.0)
-        est = dm.estimate_binary_risk(model, model.w_bar, 1000, exact=True)
-        assert est.std_error == 0.0
-        assert est.mean == pytest.approx(0.5 - 1.0 / math.pi, abs=1e-10)
 
     def test_unsupported_exact(self):
         model = sphere_model("logistic", kappa=None, d=2, marginal="gaussian")
         with pytest.raises(UnsupportedMarginal):
-            dm.exact_binary_risk(model, model.w_bar)
+            dm.exact_excess_binary_risk(model, model.w_bar)
 
 
 class TestDisagreementProbability:
@@ -210,96 +163,22 @@ class TestTsybakovExponent:
 
     def test_hard_labels_give_kappa_one(self):
         model = sphere_model(kappa=1.0)
-        fit = dm.verify_tsybakov_exponent(model, self.GRID, exact=True)
+        fit = dm.verify_tsybakov_exponent(model, self.GRID)
         assert fit.kappa_hat == pytest.approx(1.0, abs=0.1)
         assert fit.r_squared > 0.999
 
     def test_quadratic_noise_gives_kappa_two(self):
         model = sphere_model(kappa=2.0)
-        fit = dm.verify_tsybakov_exponent(model, self.GRID, exact=True)
+        fit = dm.verify_tsybakov_exponent(model, self.GRID)
         assert 1.7 <= fit.kappa_hat <= 2.3
-
-    def test_logistic_reports_without_assertion(self):
-        model = sphere_model("logistic", kappa=None, scale=4.0, seed=2)
-        fit = dm.verify_tsybakov_exponent(model, self.GRID, n_mc=50_000)
-        assert fit.kappa_hat > 0
-        assert len(fit.angles) + len(fit.dropped) == len(self.GRID)
 
     def test_grid_domain(self):
         model = sphere_model(kappa=1.0)
         with pytest.raises(ValueError):
-            dm.verify_tsybakov_exponent(model, [0.0, 0.1], exact=True)
-
-
-class TestDisagreementCoefficient:
-    def test_full_radius_ratio_one(self):
-        model = sphere_model(d=2, seed=7)
-        out = dm.estimate_disagreement_coefficient(model, 0.5, [1.0], n_mc=20_000)
-        r, prob, ratio = out.table[0]
-        assert prob == 1.0 and ratio == 1.0
-
-    def test_circle_exact_measure(self):
-        # on the circle Pr(DIS(B(w, r))) = min(2r, 1); at r = 1/8 this is 1/4
-        model = sphere_model(d=2, seed=8)
-        out = dm.estimate_disagreement_coefficient(model, 0.01, [0.125], n_mc=200_000)
-        _, prob, _ = out.table[0]
-        sigma = math.sqrt(0.25 * 0.75 / 200_000)
-        assert abs(prob - 0.25) <= 3 * sigma
-
-    def test_monotone_in_epsilon(self):
-        model = sphere_model(d=2, seed=9)
-        grid = [0.05, 0.1, 0.2, 0.4, 0.8]
-        vals = [
-            dm.estimate_disagreement_coefficient(model, eps, grid, n_mc=50_000).theta_hat
-            for eps in (0.05, 0.1, 0.3)
-        ]
-        assert vals[0] >= vals[1] >= vals[2]
-
-
-class TestExcessRiskSandwich:
-    def test_power_bounds_hold_on_angle_grid(self):
-        # kappa=2, tau0=1 on the circle with unit w*: the exact low-noise
-        # constant is sqrt(pi/2) (the probability/sqrt(excess) ratio peaks at
-        # the antipode), the curvature-based upper constants are (1, 1)
-        from halfspace_active.losses import (
-            AssumptionIIIConstants,
-            lower_bound_constants,
-            truncated_quadratic_loss,
-            upper_bound_constants,
-        )
-
-        model = sphere_model(kappa=2.0, seed=21)
-        mu = math.sqrt(math.pi / 2.0)
-        ell_minus, gamma_minus = lower_bound_constants(mu, 2.0, c=1.0 / math.pi)
-        ell_plus, gamma_plus = upper_bound_constants(truncated_quadratic_loss(), R=1.0)
-        constants = AssumptionIIIConstants(ell_minus, gamma_minus, ell_plus, gamma_plus)
-
-        rng = model.stream("sandwich")
-        for theta in np.linspace(0.2, 2.8, 8):
-            w = np.array([math.cos(theta), math.sin(theta)])
-            chord = 2.0 * math.sin(theta / 2.0)
-            # closed-form oracle for this conditional: excess = (1 - cos)/pi,
-            # disagreement = theta/pi; check the noise condition itself first
-            excess_exact = (1.0 - math.cos(theta)) / math.pi
-            assert theta / math.pi <= mu * excess_exact ** 0.5 + 1e-12
-            # Monte Carlo excess with a per-draw |2 eta - 1| wedge estimator
-            X = dm.sample_unlabeled(model, 100_000, rng)
-            e = dm.eta_batch(model, X)
-            flip = ((X @ w) <= 0.0).astype(float) - ((X @ model.w_star) <= 0.0).astype(float)
-            samples = (2.0 * e - 1.0) * flip
-            mean = float(samples.mean())
-            sigma = float(samples.std(ddof=1) / math.sqrt(samples.size))
-            assert constants.ell_minus * chord**constants.gamma_minus <= mean + 3 * sigma
-            assert mean - 3 * sigma <= constants.ell_plus * chord**constants.gamma_plus
+            dm.verify_tsybakov_exponent(model, [0.0, 0.1])
 
 
 class TestStackExamples:
-    def test_round_trip(self):
-        exs = [dm.LabeledExample(np.array([1.0, 2.0]), 1), dm.LabeledExample(np.array([3.0, 4.0]), -1)]
-        X, y = dm.stack_examples(exs)
-        np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(y, [1.0, -1.0])
-
     def test_pair_passthrough(self):
         X, y = dm.stack_examples((np.eye(2), np.array([1.0, -1.0])))
         assert X.shape == (2, 2)
@@ -307,5 +186,3 @@ class TestStackExamples:
     def test_bad_labels(self):
         with pytest.raises(ValueError):
             dm.stack_examples((np.eye(2), np.array([1.0, 0.0])))
-        with pytest.raises(ValueError):
-            dm.LabeledExample(np.array([1.0, 0.0]), 0)

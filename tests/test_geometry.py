@@ -16,8 +16,6 @@ from halfspace_active.geometry import (
     UnitVector,
     angle,
     chord_length,
-    dis_region_mask,
-    dis_region_test,
     disagreement_exists_oracle,
     normalize,
     query_mask,
@@ -57,6 +55,7 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([2.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("v", [[0.0, 3.44e-158], [1e-200, 1e-200], [1e300, 1e300]])
     def test_tiny_and_huge_vectors(self, v):
         # the squared norm of each underflows or overflows
@@ -180,6 +179,7 @@ class TestOracleEquivalence:
                     assert should_query(x, ball) == expected
                     assert disagreement_exists_oracle(x, ball) == expected
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x", [[1e-200, 1e-200], [0.0, 3.44e-158], [1e300, 1e300]])
     def test_mask_agrees_on_tiny_and_huge_rows(self, x):
         # each row's squared norm underflows or overflows
@@ -197,42 +197,3 @@ class TestOracleEquivalence:
         for x in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
             with pytest.raises(NormalizationError):
                 query_mask(np.array([[1.0, 2.0], x]), ball)
-
-
-class TestDisRegion:
-    def test_large_radius_covers_everything(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            assert dis_region_test(rng.standard_normal(3), E1.coords.tolist() + [0.0][:1], 0.5)
-        # direct statement: any x passes at r >= 1/2
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            assert dis_region_test(x, E1, 0.5)
-            assert dis_region_test(x, E1, 1.0)
-
-    def test_boundary_point(self):
-        assert dis_region_test([0.0, 1.0], E1, 0.25)
-
-    def test_far_from_boundary(self):
-        assert not dis_region_test(unit_at(0.2).coords, E1, 0.125)
-
-    def test_radius_domain(self):
-        with pytest.raises(ValueError):
-            dis_region_test([0.0, 1.0], E1, 0.0)
-        with pytest.raises(ValueError):
-            dis_region_test([0.0, 1.0], E1, 1.5)
-
-    def test_mask_agrees_with_scalar(self):
-        rng = np.random.default_rng(6)
-        w = normalize(rng.standard_normal(3))
-        X = rng.standard_normal((300, 3))
-        mask = dis_region_mask(X, w, 0.2)
-        for x, expected in zip(X, mask):
-            assert dis_region_test(x, w, 0.2) == expected
-
-    def test_mask_agrees_on_tiny_and_huge_rows(self):
-        X = np.array([[1e-200, 1e-200], [0.0, 3.44e-158], [1e300, 1e300], [-1e300, 2e-300]])
-        for w in (E1, E2, unit_at(0.9)):
-            for r in (0.125, 0.25):
-                mask = dis_region_mask(X, w, r)
-                assert mask.tolist() == [dis_region_test(x, w, r) for x in X]

@@ -20,7 +20,6 @@ from halfspace_active.harness import (
     export_results,
     label_complexity_curve,
     angle_disagreement_report,
-    parse_curve_csv,
 )
 from halfspace_active.losses import truncated_quadratic_loss
 from halfspace_active.streams import substream
@@ -180,12 +179,6 @@ class TestExport:
             assert b1 == b2
         head = open(paths1["curve"]).readline()
         assert "config_digest=deadbeef" in head and "master_seed=7" in head
-
-    def test_curve_csv_round_trip(self, tmp_path):
-        result = label_complexity_curve(curve_config())
-        paths = export_results(result.records, result, [], str(tmp_path), master_seed=1)
-        parsed = parse_curve_csv(paths["curve"])
-        assert parsed == result.points
 
     def test_empty_exports_have_headers(self, tmp_path):
         paths = export_results([], None, [], str(tmp_path))

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from halfspace_active import losses
-from halfspace_active.errors import LossSpecError, NotSmooth
+from halfspace_active.errors import LossSpecError
 from halfspace_active.losses import (
     SurrogateLoss,
     exponential_loss,
     get_loss,
-    is_classification_calibrated,
     logistic_loss,
-    lower_bound_constants,
     psi,
     psi_numeric,
     truncated_quadratic_loss,
-    upper_bound_constants,
 )
 
 EXP = exponential_loss()
@@ -27,21 +24,15 @@ PSI_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
 
 class TestPhi:
     def test_exponential_values(self):
-        assert losses.phi(EXP, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert losses.phi(EXP, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        vals = EXP.phi(np.array([0.0, 1.0]))
+        assert vals[0] == pytest.approx(1.0, abs=1e-15)
+        assert vals[1] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_truncated_quadratic_values(self):
-        assert losses.phi(TQ, 2.0) == 0.0
-        assert losses.phi(TQ, -1.0) == pytest.approx(4.0, abs=1e-15)
+        assert TQ.phi(np.array([2.0, -1.0])).tolist() == [0.0, 4.0]
 
     def test_exponential_saturates_at_clamp(self):
-        assert losses.phi(EXP, -60.0) == losses.phi(EXP, losses.EXP_CLAMP)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            losses.phi(EXP, math.nan)
-        with pytest.raises(ValueError):
-            losses.phi_prime(TQ, math.inf)
+        assert EXP.phi(np.array([-60.0]))[0] == EXP.phi(np.array([losses.EXP_CLAMP]))[0]
 
     def test_convexity_on_grid(self):
         zs = np.linspace(-4.0, 4.0, 100)
@@ -57,10 +48,8 @@ class TestPhi:
             zs = rng.uniform(-3.0, 3.0, size=200)
             # stay away from the truncated-quadratic kink at z = 1
             zs = zs[np.abs(zs - 1.0) > 1e-3]
-            for z in zs:
-                fd = (losses.phi(loss, z + h) - losses.phi(loss, z - h)) / (2 * h)
-                d = losses.phi_prime(loss, z)
-                assert d == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            fd = (loss.phi(zs + h) - loss.phi(zs - h)) / (2 * h)
+            assert loss.phi_prime(zs) == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 class TestPsi:
@@ -103,78 +92,6 @@ class TestPsi:
             psi(EXP, 1.5)
         with pytest.raises(ValueError):
             psi_numeric(EXP, -0.1)
-
-
-class TestCalibration:
-    GRID = [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9]
-
-    def test_builtin_losses_are_calibrated(self):
-        assert is_classification_calibrated(EXP, self.GRID)
-        assert is_classification_calibrated(TQ, self.GRID)
-        assert is_classification_calibrated(LOGI, self.GRID)
-
-    def test_constant_loss_is_not(self):
-        flat = SurrogateLoss(
-            name="constant",
-            phi=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            phi_prime=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-            lipschitz=0.0,
-            margin_bound=4.0,
-            psi_lower_a=1.0,
-            psi_lower_gamma=2.0,
-        )
-        assert not is_classification_calibrated(flat, self.GRID)
-
-    def test_half_rejected(self):
-        with pytest.raises(ValueError):
-            is_classification_calibrated(EXP, [0.5])
-
-
-class TestSandwichConstants:
-    def test_truncated_quadratic_unit_radius(self):
-        assert upper_bound_constants(TQ, 1.0) == pytest.approx((1.0, 1.0))
-
-    def test_truncated_quadratic_radius_two(self):
-        assert upper_bound_constants(TQ, 2.0) == pytest.approx((2.0, 1.0))
-
-    def test_custom_constants(self):
-        loss = SurrogateLoss(
-            name="custom",
-            phi=lambda z: np.square(np.asarray(z, dtype=float)),
-            phi_prime=lambda z: 2.0 * np.asarray(z, dtype=float),
-            lipschitz=8.0,
-            margin_bound=4.0,
-            smoothness=1.0,
-            psi_lower_a=0.5,
-            psi_lower_gamma=2.0,
-        )
-        assert upper_bound_constants(loss, 1.0) == pytest.approx((1.0, 1.0))
-
-    def test_not_smooth(self):
-        hinge = SurrogateLoss(
-            name="hinge",
-            phi=lambda z: np.maximum(0.0, 1.0 - np.asarray(z, dtype=float)),
-            phi_prime=lambda z: -(np.asarray(z, dtype=float) < 1.0).astype(float),
-            lipschitz=1.0,
-            margin_bound=4.0,
-            psi_lower_a=1.0,
-            psi_lower_gamma=1.0,
-        )
-        with pytest.raises(NotSmooth):
-            upper_bound_constants(hinge, 1.0)
-
-    def test_lower_bound_values(self):
-        assert lower_bound_constants(1.0, 1.0, 1.0) == pytest.approx((1.0, 1.0))
-        assert lower_bound_constants(2.0, 2.0, 1.0) == pytest.approx((0.25, 2.0))
-        ell, gamma = lower_bound_constants(1.0, 1.5, 0.5)
-        assert ell == pytest.approx(0.353553, abs=1e-6)
-        assert gamma == 1.5
-
-    def test_lower_bound_domain(self):
-        with pytest.raises(ValueError):
-            lower_bound_constants(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            lower_bound_constants(1.0, 0.5, 1.0)
 
 
 class TestLossRegistry:

@@ -207,7 +207,7 @@ class TestErmConvex:
         for _ in range(10):
             X = rng.standard_normal((30, 2))
             y = np.sign(rng.standard_normal(30))
-            w = erm_convex(EXP, (X, y), E1, 1.0, 1.0, debug=True)
+            w = erm_convex(EXP, (X, y), E1, 1.0, 1.0)
             assert surrogate_objective(EXP, w, (X, y)) <= surrogate_objective(
                 EXP, 1.0 * E1.coords, (X, y)
             ) + 1e-12
