@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedMarginal
+from .errors import AssumptionIIViolation, UnsupportedMarginal
 from .geometry import UnitVector, _unit_margins, _vector_of, angle, normalize
 from .streams import substream
 
@@ -30,6 +30,7 @@ __all__ = [
     "sample_unlabeled",
     "eta_batch",
     "label_batch",
+    "bayes_tau",
     "exact_surrogate_risk",
     "exact_excess_binary_risk",
     "disagreement_probability",
@@ -185,6 +186,25 @@ def label_batch(model: DataModel, X: np.ndarray, rng: np.random.Generator) -> np
     """Labels in {-1, +1} drawn from the conditional at each row."""
     probs = eta_batch(model, X)
     return np.where(rng.random(probs.shape) < probs, 1.0, -1.0)
+
+
+def bayes_tau(model: DataModel, loss_name: str, x) -> float:
+    """Pointwise surrogate-risk minimizer, for the pairings where it is linear.
+
+    Exponential + logistic gives (s/2)·w*·x; truncated quadratic + affine
+    gives 2η(x) - 1 = w*·x.  Any other pairing has no linear minimizer and
+    raises AssumptionIIViolation.
+    """
+    pairing = (loss_name, model.conditional)
+    if pairing not in SUPPORTED_PAIRINGS:
+        raise AssumptionIIViolation(
+            f"no linear surrogate-risk minimizer for loss {loss_name!r} "
+            f"with conditional {model.conditional!r}"
+        )
+    margin = float(np.dot(np.asarray(x, dtype=np.float64), model.w_star))
+    if loss_name == "exponential":
+        return 0.5 * model.scale * margin
+    return margin
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Convex surrogate losses and their binary-risk conversion calculus.
 
 A loss specification bundles φ, φ', a Lipschitz constant valid on the
-margin range the algorithm can actually reach, and the ψ-transform
+margin range the algorithm can actually reach, an optional curvature
+bound, and the ψ-transform
 
     ψ(z) = inf_{αz <= 0} C_z(α) - inf_α C_z(α),
     C_z(α) = (1+z)/2 φ(α) + (1-z)/2 φ(-α),
 
 which converts convex excess risk into a bound on binary excess risk.
 Two losses ship with closed-form transforms (exponential, truncated
-quadratic); the logistic loss is numeric-only.
+quadratic); the logistic loss is numeric-only.  The module also computes
+the power-law constants sandwiching binary excess risk between powers of
+the chord distance to the optimum.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LossSpecError
+from .errors import LossSpecError, NotSmooth
 
 __all__ = [
     "SurrogateLoss",
@@ -30,6 +33,8 @@ __all__ = [
     "BUILTIN_LOSSES",
     "psi",
     "psi_numeric",
+    "upper_bound_constants",
+    "lower_bound_constants",
     "working_margin_bound",
 ]
 
@@ -51,8 +56,11 @@ class SurrogateLoss:
     """A convex loss φ with the constants the analysis needs.
 
     ``lipschitz`` is valid on |z| <= margin_bound only (the exponential
-    loss has no global constant).  ``psi_lower_a``/``psi_lower_gamma``
-    give the polynomial minorant ψ(z) >= a z^γ on (0, 1].
+    loss has no global constant).  ``smoothness`` bounds φ'' on that
+    interval and doubles as the strong-smoothness constant of the risk
+    when instances satisfy ||x|| <= 1; it is None for non-smooth losses.
+    ``psi_lower_a``/``psi_lower_gamma`` give the polynomial minorant
+    ψ(z) >= a z^γ on (0, 1].
     """
 
     name: str
@@ -62,6 +70,7 @@ class SurrogateLoss:
     margin_bound: float
     psi_lower_a: float
     psi_lower_gamma: float
+    smoothness: float | None = None
     psi_closed: Callable[[float], float] | None = None
 
 
@@ -126,6 +135,42 @@ def psi(loss: SurrogateLoss, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Power-law constants for the excess-risk sandwich
+# ---------------------------------------------------------------------------
+
+
+def upper_bound_constants(loss: SurrogateLoss, R: float) -> tuple[float, float]:
+    """(ell_plus, gamma_plus) from risk smoothness and the ψ minorant.
+
+    A curvature bound L_phi with ||x|| <= 1 makes the convex excess risk
+    at R*w̄ at most (L_phi R²/2)·chord², and ψ(z) >= a z^γ inverts that
+    into excess <= (L_phi R²/(2a))^{1/γ} · chord^{2/γ}.
+    """
+    if R <= 0:
+        raise ValueError(f"R must be positive, got {R!r}")
+    if loss.smoothness is None:
+        raise NotSmooth(f"loss {loss.name!r} has no curvature bound")
+    a, gamma = loss.psi_lower_a, loss.psi_lower_gamma
+    ell_plus = (loss.smoothness * R * R / (2.0 * a)) ** (1.0 / gamma)
+    return ell_plus, 2.0 / gamma
+
+
+def lower_bound_constants(mu: float, kappa: float, c: float = 1.0 / math.pi) -> tuple[float, float]:
+    """(ell_minus, gamma_minus) under low noise with an angle lower bound.
+
+    For marginals where c·θ(u, v) lower-bounds the disagreement
+    probability, the noise exponent κ gives chord <= (μ/c)·excess^{1/κ},
+    i.e. excess >= (c/μ)^κ · chord^κ.  The constant c defaults to the
+    uniform-sphere exact value 1/π.
+    """
+    if mu <= 0 or c <= 0:
+        raise ValueError("mu and c must be positive")
+    if kappa < 1:
+        raise ValueError(f"noise exponent must satisfy kappa >= 1, got {kappa!r}")
+    return (c / mu) ** kappa, kappa
+
+
+# ---------------------------------------------------------------------------
 # Built-in losses
 # ---------------------------------------------------------------------------
 
@@ -163,6 +208,7 @@ def exponential_loss(R: float = 1.0) -> SurrogateLoss:
             ),
             lipschitz=math.exp(M),
             margin_bound=M,
+            smoothness=math.exp(M),
             psi_closed=lambda z: 1.0 - math.sqrt(max(0.0, 1.0 - z * z)),
             psi_lower_a=0.5,
             psi_lower_gamma=2.0,
@@ -180,6 +226,7 @@ def truncated_quadratic_loss(R: float = 1.0) -> SurrogateLoss:
             phi_prime=lambda z: -2.0 * np.maximum(0.0, 1.0 - z),
             lipschitz=2.0 * (1.0 + M),
             margin_bound=M,
+            smoothness=2.0,
             psi_closed=lambda z: z * z,
             psi_lower_a=1.0,
             psi_lower_gamma=2.0,
@@ -200,6 +247,7 @@ def logistic_loss(R: float = 1.0) -> SurrogateLoss:
             phi_prime=lambda z: -np.exp(-np.logaddexp(0.0, np.asarray(z, dtype=float))),
             lipschitz=1.0,
             margin_bound=M,
+            smoothness=0.25,
             psi_closed=None,
             psi_lower_a=0.5,
             psi_lower_gamma=2.0,

@@ -128,10 +128,16 @@ class TestCmdRun:
         assert code == 2
         assert "wrong" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["convex", "zero-one"])
-    def test_unknown_loss_exits_two(self, tmp_path, capsys, kind):
+    def test_unknown_loss_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, update={"kind": "convex"})
+        code = main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", "update.loss=perceptron"])
+        assert code == 2
+        assert "unknown loss" in capsys.readouterr().err
+
+    def test_unknown_loss_exits_two_for_zero_one_update(self, tmp_path, capsys):
         # the loss is part of the config digest, so it is checked for every kind
-        path = write_config(tmp_path, update={"kind": kind})
+        path = write_config(tmp_path, update={"kind": "zero-one"})
         code = main(["run", "--config", path, "--out", str(tmp_path / "out"),
                      "--set", "update.loss=perceptron"])
         assert code == 2

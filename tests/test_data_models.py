@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from halfspace_active import data_models as dm
-from halfspace_active.errors import UnsupportedMarginal
-from halfspace_active.geometry import normalize
+from halfspace_active.errors import AssumptionIIViolation, UnsupportedMarginal
+from halfspace_active.geometry import HypothesisBall, normalize, query_mask
 from halfspace_active.streams import substream
 
 
@@ -117,7 +117,40 @@ class TestLabels:
         assert abs(np.mean(y == 1.0) - 0.5) <= 0.005
 
 
+class TestBayesTau:
+    def test_exponential_logistic(self):
+        model = sphere_model("logistic", kappa=None, scale=1.0, R=0.5)
+        x = [0.8, 0.6]  # w*.x = 0.4
+        assert dm.bayes_tau(model, "exponential", x) == pytest.approx(0.2)
+
+    def test_truncated_quadratic_affine(self):
+        model = sphere_model("affine", kappa=None, R=0.5)
+        assert dm.bayes_tau(model, "truncated-quadratic", [0.6, 0.8]) == pytest.approx(0.3)
+
+    def test_zero_margin(self):
+        model = sphere_model("logistic", kappa=None)
+        assert dm.bayes_tau(model, "exponential", [0.0, 1.0]) == 0.0
+
+    def test_unsupported_pairing(self):
+        model = sphere_model(kappa=2.0)
+        with pytest.raises(AssumptionIIViolation):
+            dm.bayes_tau(model, "exponential", [1.0, 0.0])
+
+
 class TestExactRisk:
+    # l_b(w) + l_b(-w) = 1, so the excess risk of the antipode of w* is
+    # 1 - 2 l_b(w*): the Bayes risk follows from the exact excess oracle
+    def test_bayes_risk_closed_form(self):
+        # kappa=2, tau0=1 circle: l_b(w*) = 1/2 - 1/pi
+        model = sphere_model(kappa=2.0)
+        got = 0.5 * (1.0 - dm.exact_excess_binary_risk(model, -model.w_bar.coords))
+        assert got == pytest.approx(0.5 - 1.0 / math.pi, abs=1e-10)
+
+    def test_noiseless_bayes_risk_is_zero(self):
+        model = sphere_model(kappa=1.0)
+        got = 0.5 * (1.0 - dm.exact_excess_binary_risk(model, -model.w_bar.coords))
+        assert got == pytest.approx(0.0, abs=1e-10)
+
     def test_excess_closed_form(self):
         # kappa=2, tau0=1: excess(theta) = (1 - cos theta)/pi
         model = sphere_model(kappa=2.0)
@@ -125,6 +158,26 @@ class TestExactRisk:
             w = [math.cos(theta), math.sin(theta)]
             expected = (1.0 - math.cos(theta)) / math.pi
             assert dm.exact_excess_binary_risk(model, w) == pytest.approx(expected, abs=1e-9)
+
+    def test_mc_agrees_with_exact(self):
+        model = sphere_model(kappa=2.0, seed=5)
+        w = normalize([0.8, 0.6]).coords
+        rng = model.stream("mc")
+        X = dm.sample_unlabeled(model, 200_000, rng)
+        y = dm.label_batch(model, X, rng)
+        # per-draw difference of the 0-1 losses of w and w*, on shared draws
+        diff = (y * (X @ w) <= 0.0).astype(float) - (y * (X @ model.w_bar.coords) <= 0.0)
+        sigma = float(diff.std(ddof=1)) / math.sqrt(diff.size)
+        assert abs(float(diff.mean()) - dm.exact_excess_binary_risk(model, w)) <= 3 * sigma
+
+    def test_exact_flag(self):
+        model = sphere_model(kappa=2.0)
+        w = normalize([0.8, 0.6])
+        est = dm.disagreement_probability(model, w, model.w_bar, exact=True)
+        assert est.std_error == 0.0 and est.n_mc == 1
+        assert est.mean == pytest.approx(math.atan2(0.6, 0.8) / math.pi, abs=1e-15)
+        with pytest.raises(ValueError):
+            dm.disagreement_probability(model, w, model.w_bar)
 
     def test_unsupported_exact(self):
         model = sphere_model("logistic", kappa=None, d=2, marginal="gaussian")
@@ -172,13 +225,98 @@ class TestTsybakovExponent:
         fit = dm.verify_tsybakov_exponent(model, self.GRID)
         assert 1.7 <= fit.kappa_hat <= 2.3
 
+    def test_logistic_reports_without_assertion(self):
+        model = sphere_model("logistic", kappa=None, scale=4.0, seed=2)
+        fit = dm.verify_tsybakov_exponent(model, self.GRID)
+        assert fit.kappa_hat > 0
+        assert len(fit.angles) + len(fit.dropped) == len(self.GRID)
+
     def test_grid_domain(self):
         model = sphere_model(kappa=1.0)
         with pytest.raises(ValueError):
             dm.verify_tsybakov_exponent(model, [0.0, 0.1])
 
 
+class TestDisagreementCoefficient:
+    # Pr(DIS(B(w*, r))) for r the disagreement-probability radius: on the
+    # circle the region is the query arc of a hypothesis ball whose chord
+    # radius is 2 sin(pi r / 2), so its measure is min(2r, 1)
+    @staticmethod
+    def dis_fraction(model, X, r):
+        if r >= 0.5:
+            ball = HypothesisBall(normalize(model.w_star), 2.0)
+        else:
+            ball = HypothesisBall(normalize(model.w_star), 2.0 * math.sin(math.pi * r / 2.0))
+        return float(np.count_nonzero(query_mask(X, ball))) / X.shape[0]
+
+    def test_full_radius_ratio_one(self):
+        model = sphere_model(d=2, seed=7)
+        X = dm.sample_unlabeled(model, 20_000, model.stream("dis-coefficient"))
+        prob = self.dis_fraction(model, X, 1.0)
+        assert prob == 1.0 and prob / 1.0 == 1.0
+
+    def test_circle_exact_measure(self):
+        # on the circle Pr(DIS(B(w, r))) = min(2r, 1); at r = 1/8 this is 1/4
+        model = sphere_model(d=2, seed=8)
+        X = dm.sample_unlabeled(model, 200_000, model.stream("dis-coefficient"))
+        prob = self.dis_fraction(model, X, 0.125)
+        sigma = math.sqrt(0.25 * 0.75 / 200_000)
+        assert abs(prob - 0.25) <= 3 * sigma
+
+    def test_monotone_in_epsilon(self):
+        # theta(eps) = sup over r >= eps of Pr(DIS(B(w*, r)))/r
+        model = sphere_model(d=2, seed=9)
+        X = dm.sample_unlabeled(model, 50_000, model.stream("dis-coefficient"))
+        grid = [0.05, 0.1, 0.2, 0.3, 0.8]
+        ratios = {r: self.dis_fraction(model, X, r) / r for r in grid}
+        vals = [max(ratios[r] for r in grid if r >= eps) for eps in (0.05, 0.1, 0.3)]
+        assert vals[0] >= vals[1] >= vals[2]
+        # 2 below r = 1/2, 1/r above it
+        assert abs(ratios[0.2] - 2.0) <= 0.05 and ratios[0.8] == pytest.approx(1.25)
+
+
+class TestExcessRiskSandwich:
+    def test_power_bounds_hold_on_angle_grid(self):
+        # kappa=2, tau0=1 on the circle with unit w*: the exact low-noise
+        # constant is sqrt(pi/2) (the probability/sqrt(excess) ratio peaks at
+        # the antipode), the curvature-based upper constants are (1, 1)
+        from halfspace_active.losses import (
+            lower_bound_constants,
+            truncated_quadratic_loss,
+            upper_bound_constants,
+        )
+
+        model = sphere_model(kappa=2.0, seed=21)
+        mu = math.sqrt(math.pi / 2.0)
+        ell_minus, gamma_minus = lower_bound_constants(mu, 2.0, c=1.0 / math.pi)
+        ell_plus, gamma_plus = upper_bound_constants(truncated_quadratic_loss(), R=1.0)
+
+        rng = model.stream("sandwich")
+        for theta in np.linspace(0.2, 2.8, 8):
+            w = np.array([math.cos(theta), math.sin(theta)])
+            chord = 2.0 * math.sin(theta / 2.0)
+            # closed-form oracle for this conditional: excess = (1 - cos)/pi,
+            # disagreement = theta/pi; check the noise condition itself first
+            excess_exact = (1.0 - math.cos(theta)) / math.pi
+            assert theta / math.pi <= mu * excess_exact ** 0.5 + 1e-12
+            # Monte Carlo excess with a per-draw |2 eta - 1| wedge estimator
+            X = dm.sample_unlabeled(model, 100_000, rng)
+            e = dm.eta_batch(model, X)
+            flip = ((X @ w) <= 0.0).astype(float) - ((X @ model.w_star) <= 0.0).astype(float)
+            samples = (2.0 * e - 1.0) * flip
+            mean = float(samples.mean())
+            sigma = float(samples.std(ddof=1) / math.sqrt(samples.size))
+            assert ell_minus * chord**gamma_minus <= mean + 3 * sigma
+            assert mean - 3 * sigma <= ell_plus * chord**gamma_plus
+
+
 class TestStackExamples:
+    def test_round_trip(self):
+        X, y = dm.stack_examples(([[1.0, 2.0], [3.0, 4.0]], [1, -1]))
+        np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(y, [1.0, -1.0])
+        assert X.dtype == y.dtype == np.float64
+
     def test_pair_passthrough(self):
         X, y = dm.stack_examples((np.eye(2), np.array([1.0, -1.0])))
         assert X.shape == (2, 2)

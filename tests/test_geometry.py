@@ -197,3 +197,45 @@ class TestOracleEquivalence:
         for x in ([0.0, 0.0], [np.inf, 1.0], [np.nan, 1.0]):
             with pytest.raises(NormalizationError):
                 query_mask(np.array([[1.0, 2.0], x]), ball)
+
+
+class TestDisRegion:
+    # DIS(B(w, r)), the instances on which some hypothesis within chord
+    # distance r of w disagrees with w, is the query region of the ball
+    def test_large_radius_covers_everything(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 3):
+            ball = HypothesisBall(normalize(rng.standard_normal(d)), 2.0)
+            X = rng.standard_normal((20, d))
+            assert query_mask(X, ball).all()
+            assert all(should_query(x, ball) for x in X)
+
+    def test_boundary_point(self):
+        assert should_query([0.0, 1.0], HypothesisBall(E1, 0.25))
+
+    def test_far_from_boundary(self):
+        assert not should_query(unit_at(0.2).coords, HypothesisBall(E1, 0.125))
+
+    def test_radius_domain(self):
+        with pytest.raises(UnsupportedRadius):
+            HypothesisBall(E1, 0.0)
+        with pytest.raises(UnsupportedRadius):
+            HypothesisBall(E1, 2.5)
+        with pytest.raises(UnsupportedRadius):
+            query_mask(np.array([[0.0, 1.0]]), HypothesisBall(E1, 1.5))
+
+    def test_mask_agrees_with_scalar(self):
+        rng = np.random.default_rng(6)
+        ball = HypothesisBall(normalize(rng.standard_normal(3)), 0.2)
+        X = rng.standard_normal((300, 3))
+        mask = query_mask(X, ball)
+        for x, expected in zip(X, mask):
+            assert should_query(x, ball) == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mask_agrees_on_tiny_and_huge_rows(self):
+        X = np.array([[1e-200, 1e-200], [0.0, 3.44e-158], [1e300, 1e300], [-1e300, 2e-300]])
+        for w in (E1, E2, unit_at(0.9)):
+            for r in (0.125, 0.25):
+                ball = HypothesisBall(w, r)
+                assert query_mask(X, ball).tolist() == [should_query(x, ball) for x in X]

@@ -1,3 +1,4 @@
+import csv
 import logging
 
 import numpy as np
@@ -179,6 +180,18 @@ class TestExport:
             assert b1 == b2
         head = open(paths1["curve"]).readline()
         assert "config_digest=deadbeef" in head and "master_seed=7" in head
+
+    def test_curve_csv_round_trip(self, tmp_path):
+        # floats are written with repr, so reading them back is exact
+        result = label_complexity_curve(curve_config())
+        paths = export_results(result.records, result, [], str(tmp_path), master_seed=1)
+        with open(paths["curve"], encoding="utf-8") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert rows[0] == harness.CURVE_HEADER
+        parsed = tuple(
+            CurvePoint(*[float(v) for v in row[:7]], censored=row[7] == "true") for row in rows[1:]
+        )
+        assert parsed == result.points
 
     def test_empty_exports_have_headers(self, tmp_path):
         paths = export_results([], None, [], str(tmp_path))

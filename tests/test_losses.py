@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from halfspace_active import losses
-from halfspace_active.errors import LossSpecError
+from halfspace_active.errors import LossSpecError, NotSmooth
 from halfspace_active.losses import (
     SurrogateLoss,
     exponential_loss,
     get_loss,
     logistic_loss,
+    lower_bound_constants,
     psi,
     psi_numeric,
     truncated_quadratic_loss,
+    upper_bound_constants,
 )
 
 EXP = exponential_loss()
@@ -92,6 +94,76 @@ class TestPsi:
             psi(EXP, 1.5)
         with pytest.raises(ValueError):
             psi_numeric(EXP, -0.1)
+
+
+class TestCalibration:
+    # a loss is classification calibrated iff H^-(eta) > H(eta) at every
+    # eta != 1/2, i.e. iff psi(z) > 0 at z = |2 eta - 1| in (0, 1]; psi_numeric
+    # computes that gap from the two conditional-risk infima directly
+    Z = [0.2, 0.4, 0.6, 0.8]  # eta in {0.1, ..., 0.4, 0.6, ..., 0.9}
+
+    def test_builtin_losses_are_calibrated(self):
+        for loss in (EXP, TQ, LOGI):
+            assert all(psi_numeric(loss, z) > 1e-9 for z in self.Z)
+
+    def test_constant_loss_is_not(self):
+        flat = SurrogateLoss(
+            name="constant",
+            phi=lambda z: np.ones_like(np.asarray(z, dtype=float)),
+            phi_prime=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
+            lipschitz=0.0,
+            margin_bound=4.0,
+            psi_lower_a=1.0,
+            psi_lower_gamma=2.0,
+        )
+        assert [psi_numeric(flat, z) for z in self.Z] == [0.0] * len(self.Z)
+
+
+class TestSandwichConstants:
+    def test_truncated_quadratic_unit_radius(self):
+        assert upper_bound_constants(TQ, 1.0) == pytest.approx((1.0, 1.0))
+
+    def test_truncated_quadratic_radius_two(self):
+        assert upper_bound_constants(TQ, 2.0) == pytest.approx((2.0, 1.0))
+
+    def test_custom_constants(self):
+        loss = SurrogateLoss(
+            name="custom",
+            phi=lambda z: np.square(np.asarray(z, dtype=float)),
+            phi_prime=lambda z: 2.0 * np.asarray(z, dtype=float),
+            lipschitz=8.0,
+            margin_bound=4.0,
+            smoothness=1.0,
+            psi_lower_a=0.5,
+            psi_lower_gamma=2.0,
+        )
+        assert upper_bound_constants(loss, 1.0) == pytest.approx((1.0, 1.0))
+
+    def test_not_smooth(self):
+        hinge = SurrogateLoss(
+            name="hinge",
+            phi=lambda z: np.maximum(0.0, 1.0 - np.asarray(z, dtype=float)),
+            phi_prime=lambda z: -(np.asarray(z, dtype=float) < 1.0).astype(float),
+            lipschitz=1.0,
+            margin_bound=4.0,
+            psi_lower_a=1.0,
+            psi_lower_gamma=1.0,
+        )
+        with pytest.raises(NotSmooth):
+            upper_bound_constants(hinge, 1.0)
+
+    def test_lower_bound_values(self):
+        assert lower_bound_constants(1.0, 1.0, 1.0) == pytest.approx((1.0, 1.0))
+        assert lower_bound_constants(2.0, 2.0, 1.0) == pytest.approx((0.25, 2.0))
+        ell, gamma = lower_bound_constants(1.0, 1.5, 0.5)
+        assert ell == pytest.approx(0.353553, abs=1e-6)
+        assert gamma == 1.5
+
+    def test_lower_bound_domain(self):
+        with pytest.raises(ValueError):
+            lower_bound_constants(0.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            lower_bound_constants(1.0, 0.5, 1.0)
 
 
 class TestLossRegistry:
