@@ -6,7 +6,10 @@ backtracking.  The 0-1 update minimizes the error count over the arc of
 unit vectors within chord distance r_k of w_k: exactly in two dimensions
 by sweeping the critical angles where some instance changes side, and
 heuristically in higher dimensions by random restarts plus coordinate
-angle refinement.
+angle refinement.  The restarts are refined in lock step: each round
+builds every live refine's remaining candidates as one array and counts
+their errors with one matrix product per block, while every refine still
+takes the same path, bit for bit, as it would alone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .data_models import stack_examples
 from .errors import MaxItersExceeded, SolverDiverged
-from .geometry import UnitVector, _vector_of, angle, normalize
+from .geometry import UnitVector, _vector_of, normalize
 from .losses import EXP_CLAMP, SurrogateLoss
 
 __all__ = [
@@ -117,19 +120,18 @@ def minimize_in_ball(
     y: np.ndarray,
     ball: SurrogateBall,
     params: ConvexSolverParams = ConvexSolverParams(),
-    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Projected gradient descent with Armijo backtracking inside the ball.
 
-    Stops when ||w - P(w - g)|| <= grad_tol * (1 + ||g||), or earlier at
-    the float64 progress floor (several accepted steps in a row that
-    change neither the objective nor the iterate by a representable
-    amount).  Raises MaxItersExceeded (carrying the best iterate and its
-    residual) if the iteration cap is hit while still making progress.
-    Deterministic: no randomness anywhere.
+    Starts from the ball center and stops when ||w - P(w - g)|| <=
+    grad_tol * (1 + ||g||), or earlier at the float64 progress floor
+    (several accepted steps in a row that change neither the objective nor
+    the iterate by a representable amount).  Raises MaxItersExceeded
+    (carrying the best iterate and its residual) if the iteration cap is
+    hit while still making progress.  Deterministic: no randomness anywhere.
     """
     data = (X, y)
-    w = project_to_ball(ball.center if start is None else np.asarray(start, float), ball)
+    w = ball.center.copy()
     f = surrogate_objective(loss, w, data)
     step = params.initial_step
     stalls = 0
@@ -305,17 +307,168 @@ def _sample_in_cap(w_k: np.ndarray, half: float, rng: np.random.Generator) -> np
     return math.cos(beta) * w_k + math.sin(beta) * t
 
 
-def _clip_to_cap(w: np.ndarray, w_k: np.ndarray, half: float) -> np.ndarray:
-    """Pull w back onto the cap boundary if it drifted outside."""
-    theta = angle(w, w_k)
-    if theta <= half:
-        return w
-    # rotate w_k toward w by exactly the half-angle
-    t = w - (w @ w_k) * w_k
-    norm = float(np.linalg.norm(t))
-    if norm < 1e-15:
-        return w_k.copy()
-    return math.cos(half) * w_k + math.sin(half) * (t / norm)
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise A·B with one BLAS ddot per row: the bits of np.dot on 1-D rows."""
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Row-wise ||a||, bit for bit np.linalg.norm of each row."""
+    return np.sqrt(_dots(A, A))
+
+
+class _ErrorCounter:
+    """Training errors of candidate rows c, bit for bit count_nonzero(y * (X @ c) <= 0).
+
+    The margins come from one gemm per call.  gemm sums in another order
+    than gemv (X @ c), so a margin within the dot-product rounding bound
+    ``tol`` of zero may change sign between the two.  Outside [-tol, tol]
+    the sign is certain, so a candidate counts its margins below -tol, and
+    a candidate with a margin inside the interval is recounted by stacked
+    gemv, which has the bits of X @ c.  A call takes at most ``rows``
+    candidates: 2^18 multiply-adds, which OpenBLAS runs on one thread.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        n, d = X.shape
+        self.X, self.y = X, y
+        self.Xy = X * y[:, None]  # labels are ±1, so this scaling is exact
+        # twice the error bound of a d-term dot product of a unit row c with
+        # a row of X, whose norm is at most sqrt(d)·max|x_j|, with room to spare
+        self.tol = 4.0 * d * np.finfo(np.float64).eps * math.sqrt(d) * float(np.max(np.abs(self.Xy)))
+        self.rows = max(1, (1 << 18) // (n * d))
+        self._margins = np.empty((self.rows, n))
+
+    def __call__(self, C: np.ndarray) -> np.ndarray:
+        M = np.matmul(C, self.Xy.T, out=self._margins[:C.shape[0]])
+        below = M < -self.tol
+        counts = below.view(np.uint8).sum(axis=1, dtype=np.int64)
+        if np.count_nonzero(M <= self.tol) != np.count_nonzero(below):
+            near = np.flatnonzero(np.any(np.abs(M) <= self.tol, axis=1))
+            exact = self.y * np.matmul(self.X, C[near, :, None])[..., 0]
+            counts[near] = np.count_nonzero(exact <= 0.0, axis=1)
+        return counts
+
+
+def _clip_rows_to_cap(C: np.ndarray, w_k: np.ndarray, half: float) -> None:
+    """Pull each row of C that lies outside the cap back onto its boundary, in place."""
+    dots = _dots(C, w_k)
+    cosines = np.clip(dots, -1.0, 1.0)
+    theta = np.arccos(cosines)
+    # np.arccos and math.acos may differ in the last bit: settle rows near
+    # the boundary with math.acos, the angle the cap is defined by
+    outside = theta > half
+    for i in np.flatnonzero(np.abs(theta - half) <= 1e-12):
+        outside[i] = math.acos(cosines[i]) > half
+    rows = np.flatnonzero(outside)
+    if rows.size == 0:
+        return
+    # rotate w_k toward each row by exactly the half-angle
+    t = C[rows] - dots[rows, None] * w_k
+    norms = _row_norms(t)
+    degenerate = norms < 1e-15
+    norms[degenerate] = 1.0
+    clipped = math.cos(half) * w_k + math.sin(half) * (t / norms[:, None])
+    clipped[degenerate] = w_k
+    C[rows] = clipped
+
+
+def _refine_all(
+    X: np.ndarray, y: np.ndarray, W: np.ndarray, w_k: np.ndarray, half: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate-rotation refinement of every row of W, all in lock step.
+
+    Each refine sweeps passes over positions (i, +), (i, -) for axes
+    i = 0..d-1: rotate the best vector b by ±step toward the unit tangent t
+    of e_i at b, renormalize, clip to the cap, and accept the candidate if
+    it makes strictly fewer errors.  An axis whose tangent has norm below
+    1e-12 is skipped, and the (i, -) candidate after an accepted (i, +)
+    keeps the tangent taken before that accept.  A pass with an accept is
+    repeated at the same step; a pass without one halves the step, until
+    it falls to 1e-4.
+
+    One round builds, for every live refine, its pass's remaining
+    candidates from the current b.  They are scored in blocks that take
+    every refine's k-th candidate before any (k+1)-th, and a refine's
+    candidates stop being scored once one of them improves on its best.
+    Each refine takes its first improving candidate and resumes after it;
+    the candidates behind that one are discarded, since they were built
+    from a superseded b.  Every refine thus follows its one-at-a-time path
+    bit for bit.
+    """
+    n_w, d = W.shape
+    steps = []
+    step = half / 4.0
+    while step > 1e-4:
+        steps.append(step)
+        step /= 2.0
+    count = _ErrorCounter(X, y)
+    best_w = W.copy()
+    best = np.concatenate([count(W[lo:lo + count.rows]) for lo in range(0, n_w, count.rows)])
+    # per-level rotation scalars: rows (+step, -step), columns (cos, sin)
+    turns = np.array([[[math.cos(s), math.sin(s)], [math.cos(-s), math.sin(-s)]] for s in steps])
+    level = np.zeros(n_w, dtype=np.int64)
+    pos = np.zeros(n_w, dtype=np.int64)  # next position 2i + (0 for +, 1 for -)
+    improved = np.zeros(n_w, dtype=bool)
+    stale = np.empty((n_w, d))  # the tangent of the last accepted (i, +)
+    live = np.full(n_w, bool(steps))
+    eye = np.eye(d)
+    positions = np.arange(2 * d)
+    while live.any():
+        ids = np.flatnonzero(live)
+        start = pos[ids]
+        B = best_w[ids]
+        T = eye - B[:, :, None] * B[:, None, :]  # T[l, i] = e_i - b_i·b
+        norms = _row_norms(T)
+        valid = norms >= 1e-12
+        T /= np.where(valid, norms, 1.0)[..., None]
+        minus = np.flatnonzero(start % 2)
+        if minus.size:
+            axes = start[minus] // 2
+            T[minus, axes] = stale[ids[minus]]
+            valid[minus, axes] = True
+        rot = turns[level[ids]]  # (live, ±, cos|sin)
+        cands = (rot[:, :, 0, None, None] * B[:, None, None, :]
+                 + rot[:, :, 1, None, None] * T[:, None, :, :])  # (live, ±, axis, d)
+        cands = cands.transpose(0, 2, 1, 3).reshape(ids.size, 2 * d, d)
+        todo = (positions >= start[:, None]) & np.repeat(valid, 2, axis=1)
+        owner, at = np.nonzero(todo)
+        C = cands[owner, at]
+        C /= _row_norms(C)[:, None]
+        _clip_rows_to_cap(C, w_k, half)
+        # unscored candidates count n + 1 errors, so they never improve
+        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+        pending = np.lexsort((owner, rank))
+        counts = np.full(owner.size, X.shape[0] + 1)
+        found = np.zeros(ids.size, dtype=bool)
+        while pending.size:
+            block, pending = pending[:count.rows], pending[count.rows:]
+            counts[block] = count(C[block])
+            found[owner[block[counts[block] < best[ids[owner[block]]]]]] = True
+            pending = pending[~found[owner[pending]]]
+
+        # each refine takes its first improving candidate and resumes after
+        # it; a refine with none ends its pass
+        better = np.flatnonzero(counts < best[ids[owner]])
+        first = np.ones(better.size, dtype=bool)
+        first[1:] = owner[better[1:]] != owner[better[:-1]]
+        take = better[first]
+        local, q = owner[take], at[take]
+        rows = ids[local]
+        best_w[rows] = C[take]
+        best[rows] = counts[take]
+        improved[rows] = True
+        pos[ids] = 2 * d
+        pos[rows] = q + 1
+        plus = q % 2 == 0
+        stale[rows[plus]] = T[local[plus], q[plus] // 2]
+
+        ended = ids[pos[ids] == 2 * d]
+        level[ended] += ~improved[ended]
+        pos[ended] = 0
+        improved[ended] = False
+        live[ended[level[ended] == len(steps)]] = False
+    return best_w, best
 
 
 def erm_zero_one_search(
@@ -327,52 +480,23 @@ def erm_zero_one_search(
 ) -> UnitVector:
     """Heuristic 0-1 ERM for any dimension: restarts + coordinate refinement.
 
-    Starts from w_k plus ``restarts`` random feasible unit vectors, each
-    refined by rotating toward coordinate axes with a shrinking angle
-    step.  The result is never worse than w_k on the training data, but
-    carries no global-optimality guarantee (the exact problem is hard
-    beyond d = 2).
+    Starts from w_k plus ``restarts`` random feasible unit vectors, all
+    drawn before any refine, each refined by rotating toward coordinate
+    axes with a shrinking angle step (see _refine_all).  The refines run
+    in lock-step rounds, one batch of candidates per round, and each ends
+    where it would alone; the first strict minimum in restart order wins.
+    The result is never worse than w_k on the training data, but carries
+    no global-optimality guarantee (the exact problem is hard beyond
+    d = 2).
     """
     X, y = stack_examples(data)
     if X.shape[0] == 0:
         raise ValueError("0-1 update needs at least one labeled example")
     half = _feasible_half_angle(r_k)
     wk = w_k.coords
-    d = wk.shape[0]
     if rng is None:
         rng = np.random.default_rng(0)
-
-    def count(w: np.ndarray) -> int:
-        return int(np.count_nonzero(y * (X @ w) <= 0.0))
-
-    def refine(w: np.ndarray) -> tuple[int, np.ndarray]:
-        best, best_w = count(w), w
-        step = half / 4.0 if half > 0 else 0.0
-        while step > 1e-4:
-            improved = True
-            while improved:
-                improved = False
-                for i in range(d):
-                    axis = np.zeros(d)
-                    axis[i] = 1.0
-                    t = axis - (axis @ best_w) * best_w
-                    norm = float(np.linalg.norm(t))
-                    if norm < 1e-12:
-                        continue
-                    t /= norm
-                    for s in (step, -step):
-                        cand = math.cos(s) * best_w + math.sin(s) * t
-                        cand /= np.linalg.norm(cand)
-                        cand = _clip_to_cap(cand, wk, half)
-                        c = count(cand)
-                        if c < best:
-                            best, best_w, improved = c, cand, True
-            step /= 2.0
-        return best, best_w
-
-    best, best_w = refine(wk.copy())
-    for _ in range(restarts):
-        c, w = refine(_sample_in_cap(wk, half, rng))
-        if c < best:
-            best, best_w = c, w
-    return normalize(best_w)
+    starts = [wk] + [_sample_in_cap(wk, half, rng) for _ in range(restarts)]
+    best_w, best = _refine_all(X, y, np.array(starts), wk, half)
+    # the first strict minimum in restart order, w_k's own refine first
+    return normalize(best_w[int(np.argmin(best))])

@@ -3,9 +3,11 @@
 The run-records digest belongs to acceptance criterion 11's config; the
 curve digests belong to a small criterion-07 curve whose active and passive
 arms both refit by the exact 2-D 0-1 sweep, the active arm's first epoch on
-the whole circle (r = 2); the config digest is that of the built-in
-defaults; the pool record covers the finite-pool source, which no CLI
-command reaches.
+the whole circle (r = 2); the search digest belongs to d = 10 zero-one runs
+that refit by the restart search, from the whole sphere (r = 2) down to caps
+narrow enough that refined candidates are clipped back; the config digest
+is that of the built-in defaults; the pool record covers the finite-pool
+source, which no CLI command reaches.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, r
 CRITERION_11_RECORDS_SHA256 = "6e4f854416b9c6fb8d707549625eb048c4f1963be4fba72f4cd9a525c1671211"
 ZERO_ONE_CURVE_CSV_SHA256 = "6220b270b2881149bcae01924d7d4a20737e4134a3069cd6f75b9d685676f6f8"
 ZERO_ONE_CURVE_RECORDS_SHA256 = "dbefe617a82c3f4ff138435a5ece3f45f33bb9dc45a71ddc136f19edaabe740b"
+ZERO_ONE_SEARCH_RECORDS_SHA256 = "288e65f640942bfedd30cf1f763a583ff0f82e8950d84e40e3e7e7c0c061e86d"
 
 POOL_RECORD = (
     '{"config_digest":"pool","epochs":['
@@ -65,6 +68,22 @@ def test_zero_one_curve_digests(tmp_path, capsys):
     records = (tmp_path / "out" / "run_records.json").read_bytes()
     assert hashlib.sha256(curve).hexdigest() == ZERO_ONE_CURVE_CSV_SHA256
     assert hashlib.sha256(records).hexdigest() == ZERO_ONE_CURVE_RECORDS_SHA256
+
+
+def test_zero_one_search_records_digest(tmp_path, capsys):
+    config = {
+        "model": {"dimension": 10, "marginal": "uniform-sphere",
+                  "conditional": "powered-margin", "w_star": [1.0] + [0.0] * 9,
+                  "kappa": 1.5},
+        "update": {"kind": "zero-one", "restarts": 8},
+        "schedule": {"mode": "fixed", "n": 120},
+        "run": {"epochs": 4, "seeds": [0, 1]},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / "run_records.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == ZERO_ONE_SEARCH_RECORDS_SHA256
 
 
 def test_default_config_digest():

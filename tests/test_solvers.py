@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,68 @@ def _reference_sweep(data, w_k, r_k):
     return normalize([math.cos(psi_best), math.sin(psi_best)])
 
 
+def _reference_search(data, w_k, r_k, restarts, rng):
+    """The one-refine-at-a-time form of the restart search, kept as a bitwise reference."""
+    X, y = stack_examples(data)
+    half = math.pi if r_k == 2.0 else 2.0 * math.asin(r_k / 2.0)
+    wk = w_k.coords
+    d = wk.shape[0]
+
+    def count(w):
+        return int(np.count_nonzero(y * (X @ w) <= 0.0))
+
+    def sample_in_cap():
+        beta = float(rng.uniform(0.0, half))
+        t = rng.standard_normal(d)
+        t -= (t @ wk) * wk
+        norm = float(np.linalg.norm(t))
+        if norm < 1e-12:
+            return wk.copy()
+        t /= norm
+        return math.cos(beta) * wk + math.sin(beta) * t
+
+    def clip_to_cap(w):
+        if math.acos(min(1.0, max(-1.0, float(np.dot(w, wk))))) <= half:
+            return w
+        t = w - (w @ wk) * wk
+        norm = float(np.linalg.norm(t))
+        if norm < 1e-15:
+            return wk.copy()
+        return math.cos(half) * wk + math.sin(half) * (t / norm)
+
+    def refine(w):
+        best, best_w = count(w), w
+        step = half / 4.0
+        while step > 1e-4:
+            improved = True
+            while improved:
+                improved = False
+                for i in range(d):
+                    axis = np.zeros(d)
+                    axis[i] = 1.0
+                    t = axis - (axis @ best_w) * best_w
+                    norm = float(np.linalg.norm(t))
+                    if norm < 1e-12:
+                        continue
+                    t /= norm
+                    for s in (step, -step):  # -step keeps t from before a +step accept
+                        cand = math.cos(s) * best_w + math.sin(s) * t
+                        cand /= np.linalg.norm(cand)
+                        cand = clip_to_cap(cand)
+                        c = count(cand)
+                        if c < best:
+                            best, best_w, improved = c, cand, True
+            step /= 2.0
+        return best, best_w
+
+    best, best_w = refine(wk.copy())
+    for _ in range(restarts):
+        c, w = refine(sample_in_cap())
+        if c < best:
+            best, best_w = c, w
+    return normalize(best_w)
+
+
 class TestProjection:
     def test_inside_unchanged(self):
         ball = SurrogateBall(np.array([1.0, 0.0]), 1.0)
@@ -166,7 +229,7 @@ class TestErmConvex:
         X = np.vstack([base, -base])
         y = np.concatenate([labels, -labels])
         ball = SurrogateBall(np.zeros(2), 3.0)
-        w = solvers.minimize_in_ball(TQ, X, y, ball, start=np.array([0.1, -0.2]))
+        w = solvers.minimize_in_ball(TQ, X, y, ball)
         g = surrogate_gradient(TQ, w, (X, y))
         assert np.linalg.norm(w) < 3.0 - 1e-6
         assert np.linalg.norm(g) <= 1e-6
@@ -340,6 +403,46 @@ class TestErmZeroOneSearch:
         y = np.sign(X @ w_star.coords)
         w = erm_zero_one_search((X, y), w_star, 1.0, restarts=64, rng=np.random.default_rng(2))
         assert zero_one_objective(w, (X, y)) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bitwise_equal_to_reference_search(self):
+        rng = np.random.default_rng(14)
+        cases = 0
+        for d, r_k, n, restarts, on_axis, data in itertools.product(
+            (3, 4, 10), (2.0, 1.0, 0.5, 0.0625), (1, 40, 500), (0, 1, 8),
+            (False, True), ("raw", "rounded", "orthogonal"),
+        ):
+            if on_axis:  # tangents of zero norm along the center's axis
+                w_k = normalize(np.eye(d)[rng.integers(d)] * rng.choice([-1.0, 1.0]))
+            else:
+                w_k = normalize(rng.standard_normal(d))
+            X = rng.standard_normal((n, d))
+            if data == "rounded":  # ties and margins of exactly zero
+                X = np.round(X, 1)
+            elif data == "orthogonal":
+                # rows orthogonal to the first candidate of w_k's refine, so
+                # its margins are rounding noise whose sign depends on the
+                # order of summation
+                wc = w_k.coords
+                i = 1 if abs(wc[0]) == 1.0 else 0
+                t = -wc[i] * wc
+                t[i] += 1.0
+                t /= np.linalg.norm(t)
+                step = (math.pi if r_k == 2.0 else 2.0 * math.asin(r_k / 2.0)) / 4.0
+                c = math.cos(step) * wc + math.sin(step) * t
+                c /= np.linalg.norm(c)
+                X -= np.outer(X @ c, c)
+            y = np.sign(X @ rng.standard_normal(d))
+            y[y == 0] = 1.0
+            y[rng.random(n) < 0.2] *= -1.0
+            seed = int(rng.integers(2**32))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = erm_zero_one_search((X, y), w_k, r_k, restarts=restarts, rng=got_rng)
+            want = _reference_search((X, y), w_k, r_k, restarts, want_rng)
+            assert got.coords.tobytes() == want.coords.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            cases += 1
+        assert cases >= 300
 
     def test_search_feasible(self):
         rng = np.random.default_rng(13)
