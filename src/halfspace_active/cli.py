@@ -281,9 +281,18 @@ CHECKS = {
 }
 
 
-def _run_checks(config: dict, only) -> list[harness.CheckRow]:
-    """Rows of the checks named in ``only`` (a comma-separated string or a
-    list; None runs them all), in table order."""
+# Smallest value each sized check setting takes; checked before any suite runs.
+_CHECK_MINIMA = {"equivalence_samples": 1, "pairs": 1, "n_mc": 100, "gradient_triples": 1,
+                 "scaling_trials": 1, "scaling_n": 1, "scaling_candidates": 2}
+
+
+def _selected_checks(cc: dict) -> list[str]:
+    """Names in ``check.only`` (a comma-separated string or a list; None
+    selects them all) in table order, once the sized settings are checked."""
+    for key, least in _CHECK_MINIMA.items():
+        if isinstance(cc[key], bool) or not isinstance(cc[key], (int, float)) or not cc[key] >= least:
+            raise ConfigError(f"check.{key} must be a number >= {least}, got {cc[key]!r}")
+    only = cc["only"]
     if isinstance(only, str):
         only = only.split(",")
     if only is not None and not isinstance(only, list):
@@ -292,12 +301,15 @@ def _run_checks(config: dict, only) -> list[harness.CheckRow]:
     unknown = selected - CHECKS.keys()
     if unknown:
         raise ConfigError(f"unknown check name(s): {sorted(unknown)}; known: {list(CHECKS)}")
-    cc, seed = config["check"], int(config["seed"])
-    return [row for name, check in CHECKS.items() if name in selected for row in check(cc, seed)]
+    return [name for name in CHECKS if name in selected]
 
 
-def cmd_check(config: dict, only) -> int:
-    rows = _run_checks(config, only)
+def cmd_check(config: dict) -> int:
+    names = _selected_checks(config["check"])
+    # digested as the set of suites that ran, however check.only spelled it
+    only = None if len(names) == len(CHECKS) else names
+    config = {**config, "check": {**config["check"], "only": only}}
+    rows = [row for name in names for row in CHECKS[name](config["check"], int(config["seed"]))]
     export_results([], None, rows, config["out"],
                    config_digest=config_digest(config), master_seed=int(config["seed"]))
     failed = [r for r in rows if not r.passed]
@@ -386,11 +398,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "psi-table":
             return cmd_psi_table(args.loss, args.step)
-        config = load_config(args.config, args.overrides, seed=args.seed, out=args.out)
-        if args.command == "check":
-            return cmd_check(config, args.only or config["check"]["only"])
+        overrides = list(args.overrides)
+        if getattr(args, "only", None) is not None:
+            # a config setting like any other, so the digest says which suites ran
+            overrides.append(f"check.only={json.dumps(args.only)}")
+        config = load_config(args.config, overrides, seed=args.seed, out=args.out)
         # looked up per call: the commands are module globals that may be rebound
-        return {"run": cmd_run, "curve": cmd_curve, "budget": cmd_budget}[args.command](config)
+        commands = {"run": cmd_run, "curve": cmd_curve, "check": cmd_check, "budget": cmd_budget}
+        return commands[args.command](config)
     except (ConfigError, ScheduleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,12 +8,14 @@ or affine function of w*·x, or the powered-margin family
 
 whose low-noise exponent is κ by construction (κ = 1 gives hard labels).
 Disagreement probabilities come from Monte Carlo or from their closed
-form θ/π; in two dimensions, surrogate and excess binary risks come from
-an exact quadrature oracle over the circle.
+form θ/π.  In two dimensions, surrogate and excess binary risks come from
+a quadrature oracle over the circle: Gauss–Legendre on every arc between
+kinks, after a map that flattens the arc ends, for many hypotheses at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,8 +50,7 @@ SUPPORTED_PAIRINGS = {
 }
 
 _MC_CHUNK = 1 << 18
-_SIMPSON_PANELS = 100_000
-_SURROGATE_PANELS = 8192
+_QUAD_CHUNK = 1 << 13  # quadrature nodes per block of hypotheses; blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -212,25 +213,18 @@ def bayes_tau(model: DataModel, loss_name: str, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exact_supported(model: DataModel) -> bool:
-    if model.dimension != 2:
-        return False
+def _stack_of(model: DataModel, w) -> tuple[np.ndarray, bool]:
+    """One hypothesis or a (K, 2) stack as (K, 2), and whether it was one."""
     # powered-margin uses x̄ only, so any rotation-invariant marginal reduces
     # to the circle; the other conditionals need ||x|| = 1 itself.
-    return model.conditional == "powered-margin" or model.marginal == "uniform-sphere"
-
-
-def _require_exact(model: DataModel) -> None:
-    if not _exact_supported(model):
+    on_circle = model.conditional == "powered-margin" or model.marginal == "uniform-sphere"
+    if model.dimension != 2 or not on_circle:
         raise UnsupportedMarginal(
             "exact risk quadrature needs d = 2 and a marginal on which the "
             "conditional depends only through the direction of x"
         )
-
-
-def _eta_of_angle(model: DataModel, t: np.ndarray) -> np.ndarray:
-    X = np.stack([np.cos(t), np.sin(t)], axis=-1)
-    return eta_batch(model, X)
+    W = _vector_of(w)
+    return np.atleast_2d(W), W.ndim == 1
 
 
 def _eta_breakpoints(model: DataModel) -> list[float]:
@@ -245,84 +239,91 @@ def _eta_breakpoints(model: DataModel) -> list[float]:
     return pts
 
 
-def _simpson_arcs(f, breaks: list[float], total_panels: int) -> float:
-    """Integral of f over the circle, split at ``breaks``, Simpson per arc.
+@functools.cache
+def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, 1) and weights of 32-point Gauss–Legendre after u ↦ u²/(u²+(1-u)²).
 
-    ``f(t, mid)`` receives the whole sample array plus the arc midpoint so
-    indicator branches can be decided once per arc; the breakpoints must
-    isolate every indicator flip, otherwise endpoint values are ambiguous.
+    The map is flat at both ends, so an |m|^(κ-1) kink at an arc end becomes
+    a smooth u^(2κ-1).  Built on first use, as numpy.polynomial is slow to import.
     """
-    two_pi = 2.0 * math.pi
-    bs = sorted({b % two_pi for b in breaks})
-    if not bs:
-        bs = [0.0]
-    arcs = []
-    for i, lo in enumerate(bs):
-        hi = bs[(i + 1) % len(bs)]
-        if i == len(bs) - 1:
-            hi += two_pi
-        if hi - lo > 1e-15:
-            arcs.append((lo, hi))
-    total = 0.0
-    for lo, hi in arcs:
-        n = max(16, int(round(total_panels * (hi - lo) / two_pi)))
-        n += n % 2
-        t = np.linspace(lo, hi, n + 1)
-        # endpoints sit exactly on discontinuities; sample a hair inside
-        nudge = (hi - lo) * 1e-9
-        t[0] += nudge
-        t[-1] -= nudge
-        vals = f(t, 0.5 * (lo + hi))
-        h = (hi - lo) / n
-        total += h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
-    return total
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(32)
+    u = 0.5 * (x + 1.0)
+    d = u * u + (1.0 - u) ** 2
+    nodes, weights = u * u / d, w * u * (1.0 - u) / (d * d)
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
 
 
-def exact_surrogate_risk(model: DataModel, loss, w) -> float:
-    """ℓ_φ(w) = E[φ(y w·x)] by quadrature on the circle.
+def _circle_integrals(model: DataModel, f, W: np.ndarray, *extra) -> np.ndarray:
+    """(1/2π)∮ f for each row w of W, split at all of that row's breakpoints.
 
-    Splits at the loss's margin kinks (|w·x| = 1 for the truncated
-    quadratic) as well as the conditional's own breakpoints, so Simpson
-    sees smooth pieces only.
+    A row's breakpoints are η's kinks, ψ_w + kπ/2 (so no arc exceeds π/2)
+    and its columns of the (K, ·) ``extra`` arrays; repeated ones give
+    zero-length arcs.  ``f(eta, margins, mid, psi_w)`` gets η and w·x at the
+    (k, B, n) nodes, the (k, B, 1) arc midpoints, which may decide an
+    indicator for the whole arc, and the (k, 1, 1) angles of w, for at most
+    ``_QUAD_CHUNK`` nodes a block.
     """
-    _require_exact(model)
-    wc = _vector_of(w)
-    norm = float(np.linalg.norm(wc))
-    psi_w = math.atan2(wc[1], wc[0])
-    breaks = list(_eta_breakpoints(model))
-    # truncated-quadratic curvature jumps where the margin crosses +-1
-    if loss.name == "truncated-quadratic" and norm > 1.0:
-        a = math.acos(1.0 / norm)
-        breaks += [psi_w + a, psi_w - a, psi_w + math.pi - a, psi_w - math.pi + a]
+    u, weights = _graded_rule()
+    psi_w = np.arctan2(W[:, 1], W[:, 0])
+    eta_breaks = np.tile(_eta_breakpoints(model), (len(W), 1))
+    breaks = np.hstack([psi_w[:, None] + 0.5 * math.pi * np.arange(4), eta_breaks, *extra])
+    out = np.empty(len(W))
+    step = max(1, _QUAD_CHUNK // (breaks.shape[1] * u.size))
+    for i in range(0, len(W), step):
+        rows = slice(i, i + step)
+        lo = np.sort(np.mod(breaks[rows], 2.0 * math.pi), axis=1)[..., None]
+        length = np.diff(lo, axis=1, append=lo[:, :1] + 2.0 * math.pi)
+        t = lo + length * u
+        c, s = np.cos(t), np.sin(t)
+        eta = eta_batch(model, np.stack([c, s], axis=-1).reshape(-1, 2)).reshape(t.shape)
+        margins = c * W[rows, 0, None, None] + s * W[rows, 1, None, None]
+        vals = f(eta, margins, lo + 0.5 * length, psi_w[rows, None, None])
+        out[rows] = (vals * (length * weights)).reshape(len(lo), -1).sum(axis=1)
+    return out / (2.0 * math.pi)
 
-    def integrand(t: np.ndarray, mid: float) -> np.ndarray:
-        e = _eta_of_angle(model, t)
-        margins = norm * np.cos(t - psi_w)
-        return e * loss.phi(margins) + (1.0 - e) * loss.phi(-margins)
 
-    return _simpson_arcs(integrand, breaks, _SURROGATE_PANELS) / (2.0 * math.pi)
+def exact_surrogate_risk(model: DataModel, loss, w):
+    """ℓ_φ(w) = E[φ(y w·x)] by graded Gauss–Legendre quadrature on the circle.
+
+    ``w`` is one vector (gives a float) or a (K, 2) stack (gives K values).
+    The truncated quadratic's curvature jumps where |w·x| = 1, at ψ_w ± a and
+    ψ_w + π ± a with a = acos(min(1, 1/‖w‖)); the arcs split there too.
+    """
+    W, single = _stack_of(model, w)
+    extra = []
+    if loss.name == "truncated-quadratic":
+        psi = np.arctan2(W[:, 1], W[:, 0])
+        a = np.arccos(1.0 / np.maximum(np.hypot(W[:, 0], W[:, 1]), 1.0))
+        extra = [np.stack([psi + a, psi - a, psi + math.pi + a, psi + math.pi - a], 1)]
+
+    def integrand(eta, margins, mid, psi_w):
+        return eta * loss.phi(margins) + (1.0 - eta) * loss.phi(-margins)
+
+    risk = _circle_integrals(model, integrand, W, *extra)
+    return float(risk[0]) if single else risk
 
 
-def exact_excess_binary_risk(model: DataModel, w) -> float:
+def exact_excess_binary_risk(model: DataModel, w):
     """ℓ_b(w) - ℓ_b(w*), integrating |2η - 1| over the disagreement wedge only.
 
     Valid because sgn(w*·x) is the Bayes sign for every built-in
     conditional, so the two risks differ exactly on the wedge where the
-    signs of w·x and w*·x disagree.
+    signs of w·x and w*·x disagree; ψ_w ± π/2 and ψ* ± π/2 bound it.
+    ``w`` is one vector or a (K, 2) stack, as for exact_surrogate_risk.
     """
-    _require_exact(model)
-    wc = _vector_of(w)
-    psi_w = math.atan2(wc[1], wc[0])
+    W, single = _stack_of(model, w)
     psi_s = math.atan2(model.w_star[1], model.w_star[0])
-    breaks = [psi_w + math.pi / 2.0, psi_w - math.pi / 2.0,
-              psi_s + math.pi / 2.0, psi_s - math.pi / 2.0] + _eta_breakpoints(model)
+    star = np.tile([psi_s + math.pi / 2.0, psi_s - math.pi / 2.0], (len(W), 1))
 
-    def integrand(t: np.ndarray, mid: float) -> np.ndarray:
-        if math.cos(mid - psi_w) * math.cos(mid - psi_s) < 0.0:
-            return np.abs(2.0 * _eta_of_angle(model, t) - 1.0)
-        return np.zeros_like(t)
+    def integrand(eta, margins, mid, psi_w):
+        wedge = np.cos(mid - psi_w) * np.cos(mid - psi_s) < 0.0
+        return np.where(wedge, np.abs(2.0 * eta - 1.0), 0.0)
 
-    return _simpson_arcs(integrand, breaks, _SIMPSON_PANELS) / (2.0 * math.pi)
+    risk = _circle_integrals(model, integrand, W, star)
+    return float(risk[0]) if single else risk
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,9 @@ CURVE_HEADER = [
 ]
 CHECKS_HEADER = ["check_name", "parameter", "observed", "bound_or_target", "sigma", "pass"]
 
+# Entries of the (n, candidates) margin matrix that the gap profile holds at once.
+_MARGIN_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -326,6 +329,7 @@ def empirical_process_gap_profile(
     w_star = model.w_star
     d = model.dimension
     base = exact_surrogate_risk(model, loss, w_star)
+    step = max(1, _MARGIN_BLOCK // n)  # candidates per margin block
     sums = {r: 0.0 for r in radii}
     for _ in range(trials):
         X = sample_unlabeled(model, n, rng)
@@ -342,8 +346,11 @@ def empirical_process_gap_profile(
                 rng.random(candidates - n_boundary) ** (1.0 / d),
             ])
             W = w_star[None, :] + r * radial[:, None] * dirs
-            expected = np.array([exact_surrogate_risk(model, loss, w) for w in W]) - base
-            empirical = np.mean(loss.phi(y[:, None] * (X @ W.T)), axis=0) - emp_star
+            expected = exact_surrogate_risk(model, loss, W) - base
+            empirical = np.concatenate([
+                np.mean(loss.phi(y[:, None] * (X @ W[i:i + step].T)), axis=0)
+                for i in range(0, candidates, step)
+            ]) - emp_star
             sup = max(sup, float(np.max(np.abs(empirical - expected))))
             assert sup >= prev, "gap must be non-decreasing in r within a trial"
             prev = sup

@@ -227,10 +227,33 @@ class TestCmdCheck:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["check", "--config", path, "--out", str(out_a), "--only", "psi"]) == 0
         assert main(["check", "--config", path, "--out", str(out_b), "--set", "check.only=psi"]) == 0
-        # the leading comment carries the config digest, which --set changes and --only does not
-        a = (out_a / "checks.csv").read_text().splitlines()
-        b = (out_b / "checks.csv").read_text().splitlines()
-        assert a[1:] == b[1:] and len(a) == 5
+        # --only is the check.only setting, so the digest in the leading comment agrees too
+        a = (out_a / "checks.csv").read_bytes()
+        assert a == (out_b / "checks.csv").read_bytes() and len(a.splitlines()) == 5
+
+    def test_only_changes_the_digest(self, tmp_path, capsys):
+        # the digest in the leading comment says which suites ran
+        path = write_config(tmp_path, check={"equivalence_samples": 15})
+        digests = []
+        for name in ("psi", "query-rule"):
+            out = tmp_path / name
+            assert main(["check", "--config", path, "--out", str(out), "--only", name]) == 0
+            digests.append((out / "checks.csv").read_text().splitlines()[0])
+        assert digests[0] != digests[1]
+
+    @pytest.mark.parametrize("setting", [
+        "scaling_trials=0", "scaling_candidates=1", "scaling_n=0", "pairs=0", "n_mc=99",
+        "equivalence_samples=0", "gradient_triples=0", "pairs=\"many\"",
+    ])
+    def test_bad_sizes_exit_two_before_any_suite(self, tmp_path, capsys, monkeypatch, setting):
+        ran = []
+        monkeypatch.setattr(harness, "check_psi_transform", lambda: ran.append("psi") or [])
+        path = write_config(tmp_path)
+        code = main(["check", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", f"check.{setting}"])
+        assert code == 2 and ran == []
+        assert f"check.{setting.split('=')[0]} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_failing_rows_exit_one(self, tmp_path, capsys, monkeypatch):
         bad = harness.CheckRow("psi-closed-vs-numeric", "forced", 1.0, "0.0", 0.0, False)

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfspace_active import data_models as dm
 from halfspace_active.errors import AssumptionIIViolation, UnsupportedMarginal
 from halfspace_active.geometry import HypothesisBall, normalize, query_mask
+from halfspace_active.losses import get_loss
 from halfspace_active.streams import substream
 
 
@@ -183,6 +187,99 @@ class TestExactRisk:
         model = sphere_model("logistic", kappa=None, d=2, marginal="gaussian")
         with pytest.raises(UnsupportedMarginal):
             dm.exact_excess_binary_risk(model, model.w_bar)
+
+
+# 2^20 midpoint cells on the circle; angles 2π·j/MIDPOINT_CELLS are cell edges
+MIDPOINT_CELLS = 1 << 20
+
+
+def midpoint_mean(integrand):
+    """(1/2π)∮ integrand by the midpoint rule, numpy only."""
+    t = (np.arange(MIDPOINT_CELLS) + 0.5) * (2.0 * math.pi / MIDPOINT_CELLS)
+    return float(np.mean(integrand(t, np.stack([np.cos(t), np.sin(t)], axis=1))))
+
+
+class TestExactSurrogateRisk:
+    AFFINE = dm.DataModel(2, "uniform-sphere", "affine", np.array([0.4, 0.0]))
+    TQ = get_loss("truncated-quadratic")
+
+    def test_affine_truncated_quadratic_closed_form(self):
+        # |w·x| <= 1 keeps the loss quadratic: 1 + E[m²] - 2 E[m (2η - 1)]
+        w_star = self.AFFINE.w_star
+        for w in ([0.0, 0.0], [0.3, -0.2], [0.6, 0.8], [-1.0, 0.0], [0.1, 0.7]):
+            w = np.asarray(w)
+            expected = 1.0 + 0.5 * float(w @ w) - 2.0 * float(w @ w_star)
+            assert dm.exact_surrogate_risk(self.AFFINE, self.TQ, w) == pytest.approx(
+                expected, rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("loss_name", ["truncated-quadratic", "logistic"])
+    def test_powered_margin_against_midpoint_rule(self, loss_name):
+        model = sphere_model(kappa=1.5, tau0=0.5)
+        loss = get_loss(loss_name)
+        w = np.array([1.7, -0.9])  # ||w|| > 1: the truncated quadratic kinks inside
+
+        def integrand(t, X):
+            e = dm.eta_batch(model, X)
+            m = X @ w
+            return e * loss.phi(m) + (1.0 - e) * loss.phi(-m)
+
+        got = dm.exact_surrogate_risk(model, loss, w)
+        assert got == pytest.approx(midpoint_mean(integrand), rel=0.0, abs=1e-7)
+
+    def test_stack_rows_equal_single_calls(self):
+        W = substream(3, "stack").standard_normal((40, 2)) * 1.5
+        for model, loss in ((self.AFFINE, self.TQ),
+                            (sphere_model(kappa=1.5, tau0=0.7), get_loss("exponential"))):
+            rows = dm.exact_surrogate_risk(model, loss, W)
+            assert rows.shape == (40,)
+            singles = [dm.exact_surrogate_risk(model, loss, w) for w in W]
+            assert all(isinstance(v, float) for v in singles)
+            np.testing.assert_allclose(rows, singles, rtol=0.0, atol=1e-15)
+            excess = dm.exact_excess_binary_risk(model, W)
+            singles = [dm.exact_excess_binary_risk(model, w) for w in W]
+            np.testing.assert_allclose(excess, singles, rtol=0.0, atol=1e-15)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        W = substream(4, "blocks").standard_normal((50, 2))
+        whole = dm.exact_surrogate_risk(self.AFFINE, self.TQ, W)
+        monkeypatch.setattr(dm, "_QUAD_CHUNK", 1000)  # a few hypotheses per block
+        np.testing.assert_array_equal(dm.exact_surrogate_risk(self.AFFINE, self.TQ, W), whole)
+
+    def test_excess_binary_risk_against_midpoint_rule(self):
+        model = sphere_model(kappa=1.5)
+        # on a cell edge, so the wedge edges ψ_w ± π/2 are cell edges too
+        theta = 2.0 * math.pi * (MIDPOINT_CELLS // 16 + 1000) / MIDPOINT_CELLS
+        w = np.array([math.cos(theta), math.sin(theta)])
+
+        def integrand(t, X):
+            wedge = (X @ w) * X[:, 0] < 0.0
+            return np.where(wedge, np.abs(2.0 * dm.eta_batch(model, X) - 1.0), 0.0)
+
+        got = dm.exact_excess_binary_risk(model, w)
+        assert got == pytest.approx(midpoint_mean(integrand), rel=0.0, abs=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=st.one_of(st.just(0.0), st.just(1.0), st.floats(-323.0, 150.0).map(lambda e: 10.0**e)),
+        direction=st.one_of(
+            st.sampled_from([(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]),
+            st.floats(0.0, 2.0 * math.pi).map(lambda a: (math.cos(a), math.sin(a))),
+        ),
+        loss_name=st.sampled_from(["truncated-quadratic", "exponential", "logistic"]),
+        conditional=st.sampled_from(["affine", "logistic", "powered-margin"]),
+    )
+    def test_edge_norms_are_finite_and_quiet(self, scale, direction, loss_name, conditional):
+        # w = 0, unit norm (the truncated-quadratic kinks coincide), tiny and huge norms
+        model = {"affine": self.AFFINE,
+                 "logistic": sphere_model("logistic", kappa=None),
+                 "powered-margin": sphere_model(kappa=1.5, tau0=0.5)}[conditional]
+        w = scale * np.asarray(direction)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            risk = dm.exact_surrogate_risk(model, get_loss(loss_name), w)
+            excess = dm.exact_excess_binary_risk(model, w)
+        assert math.isfinite(risk) and risk >= 0.0
+        assert math.isfinite(excess) and -1e-15 <= excess <= 1.0
 
 
 class TestDisagreementProbability:

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from halfspace_active import data_models as dm
 from halfspace_active import harness
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import ScheduleParams, ZeroOneUpdate
@@ -127,6 +128,29 @@ class TestEmpiricalProcessGap:
     def test_tiny_radius_tiny_gap(self):
         gap = empirical_process_gap(TQ, self.MODEL, 1e-4, 400, 5, 32, substream(2, "c"))
         assert gap < 1e-3
+
+    def test_one_quadrature_call_per_radius_per_trial(self, monkeypatch):
+        # the base risk once, then one batched call for every candidate set
+        calls = []
+        real = dm.exact_surrogate_risk
+
+        def counted(*args):
+            calls.append(np.shape(args[2]))
+            return real(*args)
+
+        for module in (dm, harness):
+            monkeypatch.setattr(module, "exact_surrogate_risk", counted)
+        empirical_process_gap_profile(
+            TQ, self.MODEL, [0.2, 0.4, 0.8], n=50, trials=4, candidates=16,
+            rng=substream(0, "count"),
+        )
+        assert calls == [(2,)] + [(16, 2)] * (4 * 3)
+
+    def test_margin_blocks_do_not_change_the_profile(self, monkeypatch):
+        args = (TQ, self.MODEL, [0.2, 0.4], 200, 3, 32)
+        whole = empirical_process_gap_profile(*args, rng=substream(5, "blocks"))
+        monkeypatch.setattr(harness, "_MARGIN_BLOCK", 1000)  # 5 candidates per block
+        assert empirical_process_gap_profile(*args, rng=substream(5, "blocks")) == whole
 
 
 class TestChecks:
