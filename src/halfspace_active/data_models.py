@@ -289,14 +289,14 @@ def exact_surrogate_risk(model: DataModel, loss, w):
     """ℓ_φ(w) = E[φ(y w·x)] by graded Gauss–Legendre quadrature on the circle.
 
     ``w`` is one vector (gives a float) or a (K, 2) stack (gives K values).
-    The truncated quadratic's curvature jumps where |w·x| = 1, at ψ_w ± a and
-    ψ_w + π ± a with a = acos(min(1, 1/‖w‖)); the arcs split there too.
+    A kinked loss's curvature jumps where |w·x| = c = ``loss.kink``, at ψ_w ± a
+    and ψ_w + π ± a with a = acos(min(1, c/‖w‖)); the arcs split there too.
     """
     W, single = _stack_of(model, w)
     extra = []
-    if loss.name == "truncated-quadratic":
+    if loss.kink is not None:
         psi = np.arctan2(W[:, 1], W[:, 0])
-        a = np.arccos(1.0 / np.maximum(np.hypot(W[:, 0], W[:, 1]), 1.0))
+        a = np.arccos(loss.kink / np.maximum(np.hypot(W[:, 0], W[:, 1]), loss.kink))
         extra = [np.stack([psi + a, psi - a, psi + math.pi + a, psi + math.pi - a], 1)]
 
     def integrand(eta, margins, mid, psi_w):

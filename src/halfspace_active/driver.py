@@ -25,7 +25,7 @@ from .data_models import (
     sample_unlabeled,
 )
 from .errors import DegenerateSolution, HalfspaceActiveError, ScheduleError, StreamExhausted
-from .geometry import HypothesisBall, UnitVector, chord_length, normalize, query_mask
+from .geometry import FULL_RADIUS, HypothesisBall, UnitVector, chord_length, normalize, query_mask
 from .losses import SurrogateLoss
 from .solvers import ConvexSolverParams, erm_convex, erm_zero_one_2d, erm_zero_one_search
 from .streams import substream
@@ -51,7 +51,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _SCAN_CHUNK = 4096
-FIRST_RADIUS = 2.0
 
 
 def radius_at(k: int) -> float:
@@ -313,109 +312,30 @@ class FinitePool:
                 raise ValueError("pool labels must match pool instances")
 
 
-class _CountingOracle:
-    """Label source wrapper; every label charged to the run passes through here."""
+def _collect_epoch(chunks, ball: HypothesisBall, n_k: int, labels):
+    """Scan ``chunks`` until n_k queried instances are labeled.
 
-    def __init__(self, fn):
-        self._fn = fn
-        self.count = 0
-
-    def __call__(self, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        self.count += X.shape[0]
-        return self._fn(X, idx)
-
-
-class _ModelSource:
-    """Inexhaustible i.i.d. stream: each epoch reads fresh substreams of the run seed."""
-
-    def __init__(self, model: DataModel, seed: int):
-        self.model = model
-        self.dim = model.dimension
-        self.seed = seed
-        self._rng = None
-
-    def start_epoch(self, k: int) -> None:
-        self._rng = substream(self.seed, "epoch", k, "scan")
-
-    def next_chunk(self):
-        X = sample_unlabeled(self.model, _SCAN_CHUNK, self._rng)
-        return X, np.arange(X.shape[0])
-
-    def give_back(self, count: int) -> None:
-        """Unread rows of a fresh draw are simply dropped."""
-
-    def oracle(self, k: int) -> _CountingOracle:
-        rng = substream(self.seed, "epoch", k, "labels")
-        model = self.model
-        return _CountingOracle(lambda X, idx: label_batch(model, X, rng))
-
-
-class _PoolSource(_ModelSource):
-    """Sequential cursor over a finite pool, persisting across epochs."""
-
-    def __init__(self, pool: FinitePool, seed: int):
-        self.pool = pool
-        self.model = pool.model
-        self.dim = pool.X.shape[1]
-        self.seed = seed
-        self.cursor = 0
-
-    def next_chunk(self):
-        if self.cursor >= self.pool.X.shape[0]:
-            return None
-        end = min(self.cursor + _SCAN_CHUNK, self.pool.X.shape[0])
-        idx = np.arange(self.cursor, end)
-        self.cursor = end
-        return self.pool.X[idx], idx
-
-    def give_back(self, count: int) -> None:
-        self.cursor -= count
-
-    def oracle(self, k: int) -> _CountingOracle:
-        pool_y = self.pool.y
-        if pool_y is None:
-            return super().oracle(k)
-        return _CountingOracle(lambda X, idx: pool_y[idx])
-
-
-def _collect_epoch(source, ball: HypothesisBall, n_k: int, oracle: _CountingOracle):
-    """Scan until n_k queried instances are labeled.
-
-    Returns (X, y, scanned, exhausted); scanning stops at the instance
-    that fills the budget, and the trailing chunk rows are handed back
-    to the source unread.
+    ``labels(rows, at)`` labels the queried rows found at positions ``at``
+    of this epoch's scan.  Returns (X, y, scanned): scanning stops at the
+    instance that fills the budget, so fewer than n_k labels means the
+    chunks ran out.
     """
-    xs, ys = [], []
-    scanned = 0
-    got = 0
-    while got < n_k:
-        chunk = source.next_chunk()
-        if chunk is None:
-            if xs:
-                X = np.vstack(xs)
-                y = np.concatenate(ys)
-            else:
-                X = np.empty((0, ball.dim))
-                y = np.empty(0)
-            return X, y, scanned, True
-        X_chunk, idx_chunk = chunk
-        mask = query_mask(X_chunk, ball)
-        positions = np.nonzero(mask)[0]
-        if got + positions.size >= n_k:
-            need = n_k - got
-            cut = int(positions[need - 1])
-            scanned += cut + 1
-            source.give_back(X_chunk.shape[0] - (cut + 1))
-            take = positions[:need]
-        else:
-            scanned += X_chunk.shape[0]
-            take = positions
+    xs, ys = [np.empty((0, ball.dim))], [np.empty(0)]
+    scanned = charged = 0
+    for rows in chunks:
+        take = np.nonzero(query_mask(rows, ball))[0][: n_k - charged]
         if take.size:
-            sel = X_chunk[take]
-            xs.append(sel)
-            ys.append(oracle(sel, idx_chunk[take]))
-            got += take.size
-    return np.vstack(xs), np.concatenate(ys), scanned, False
+            xs.append(rows[take])
+            ys.append(labels(xs[-1], scanned + take))
+            charged += take.size
+        if charged == n_k:
+            scanned += int(take[-1]) + 1
+            break
+        scanned += rows.shape[0]
+    y = np.concatenate(ys)
+    if charged != y.shape[0]:
+        raise AssertionError("label audit failed: labels charged != labels kept")
+    return np.vstack(xs), y, scanned
 
 
 def _mc_excess_risk(model: DataModel, w: np.ndarray, n: int, rng) -> float:
@@ -426,14 +346,12 @@ def _mc_excess_risk(model: DataModel, w: np.ndarray, n: int, rng) -> float:
     return float(np.mean((2.0 * e - 1.0) * flip))
 
 
-def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float | None, seed: int, k: int):
+def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int, k: int):
     if isinstance(update, ZeroOneUpdate):
         if X.shape[1] == 2:
             return erm_zero_one_2d((X, y), w_k, r_k)
         rng = substream(seed, "epoch", k, "search")
         return erm_zero_one_search((X, y), w_k, r_k, restarts=update.restarts, rng=rng)
-    if R is None:
-        raise ValueError("convex update needs the optimum's norm R")
     w_tilde = erm_convex(update.loss, (X, y), w_k, r_k, R, params=update.params)
     norm = float(np.linalg.norm(w_tilde))
     if norm <= 1e-12:
@@ -470,17 +388,38 @@ def run_active(
 ) -> RunRecord:
     """Run the full epoch loop and return its trace.
 
-    ``source`` is a DataModel (inexhaustible i.i.d. stream) or a
-    FinitePool, which raises StreamExhausted if it runs dry.  Any package
-    error raised mid-run carries the trace of the epochs recorded so far
-    as ``partial``.  Labels are only ever drawn for instances the query
-    rule selected (epoch 1 selects everything).
+    ``source`` is a DataModel or a FinitePool.  Epoch k of a DataModel scans
+    fresh draws from its "epoch", k, "scan" substream, which never run dry;
+    a FinitePool is scanned in order from where the previous epoch stopped,
+    and StreamExhausted is raised once its rows run out.  Labels are only
+    ever drawn for instances the query rule selected (epoch 1 selects
+    everything): the pool's ``y`` when it has one, else the model's
+    conditional on the "epoch", k, "labels" substream.  Any package error
+    raised mid-run carries the trace of the epochs recorded so far as
+    ``partial``.
     """
     if m < 1:
         raise ValueError("need at least one epoch")
-    source = (_ModelSource(source, seed) if isinstance(source, DataModel)
-              else _PoolSource(source, seed))
-    model = source.model
+    if isinstance(source, DataModel):
+        model, dim, pool_y = source, source.dimension, None
+
+        def chunks_of(k: int, start: int):
+            rng = substream(seed, "epoch", k, "scan")
+            while True:
+                yield sample_unlabeled(model, _SCAN_CHUNK, rng)
+    else:
+        model, dim, pool_X, pool_y = source.model, source.X.shape[1], source.X, source.y
+
+        def chunks_of(k: int, start: int):
+            for i in range(start, pool_X.shape[0], _SCAN_CHUNK):
+                yield pool_X[i:i + _SCAN_CHUNK]
+
+    def labels_of(k: int, start: int):
+        if pool_y is not None:
+            return lambda rows, at: pool_y[start + at]
+        rng = substream(seed, "epoch", k, "labels")
+        return lambda rows, at: label_batch(model, rows, rng)
+
     _check_pairing(model, update)
     if R is None and isinstance(update, ConvexUpdate):
         if model is None:
@@ -488,8 +427,9 @@ def run_active(
         R = model.R
 
     w_star_bar = None if model is None else model.w_star / np.linalg.norm(model.w_star)
-    w_k = normalize(substream(seed, "init").standard_normal(source.dim))
-    r_k = FIRST_RADIUS
+    w_k = normalize(substream(seed, "init").standard_normal(dim))
+    r_k = FULL_RADIUS
+    cursor = 0  # pool rows scanned by earlier epochs
     epochs: list[EpochRecord] = []
 
     def entry(k, n_k, labels, scanned):
@@ -517,19 +457,14 @@ def run_active(
     try:
         for k in range(1, m + 1):
             n_k = schedule.budget(k)
-            ball = HypothesisBall(w_k, r_k)
-            source.start_epoch(k)
-            oracle = source.oracle(k)
-            X, y, scanned, exhausted = _collect_epoch(source, ball, n_k, oracle)
-            if oracle.count != y.shape[0]:
-                raise AssertionError("label audit failed: oracle calls != labels kept")
+            X, y, scanned = _collect_epoch(
+                chunks_of(k, cursor), HypothesisBall(w_k, r_k), n_k, labels_of(k, cursor)
+            )
+            cursor += scanned
             epochs.append(entry(k, n_k, int(y.shape[0]), scanned))
-            if exhausted:
+            if y.shape[0] < n_k:
                 raise StreamExhausted(f"pool ran dry in epoch {k} after {y.shape[0]}/{n_k} labels")
-            if y.shape[0] == 0:
-                logger.warning("EmptyEpoch: no labeled examples in epoch %d, keeping center", k)
-            else:
-                w_k = _solve_epoch(update, X, y, w_k, r_k, R, seed, k)
+            w_k = _solve_epoch(update, X, y, w_k, r_k, R, seed, k)
             r_k = r_k / 2.0
     except HalfspaceActiveError as exc:
         if epochs:

@@ -60,7 +60,8 @@ class SurrogateLoss:
     interval and doubles as the strong-smoothness constant of the risk
     when instances satisfy ||x|| <= 1; it is None for non-smooth losses.
     ``psi_lower_a``/``psi_lower_gamma`` give the polynomial minorant
-    ψ(z) >= a z^γ on (0, 1].
+    ψ(z) >= a z^γ on (0, 1].  ``kink`` is |z| at φ's one kink, or None
+    for a smooth loss.
     """
 
     name: str
@@ -72,6 +73,7 @@ class SurrogateLoss:
     psi_lower_gamma: float
     smoothness: float | None = None
     psi_closed: Callable[[float], float] | None = None
+    kink: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,7 @@ def exponential_loss(R: float = 1.0) -> SurrogateLoss:
             psi_closed=lambda z: 1.0 - math.sqrt(max(0.0, 1.0 - z * z)),
             psi_lower_a=0.5,
             psi_lower_gamma=2.0,
+            kink=-EXP_CLAMP,
         )
     )
 
@@ -230,6 +233,7 @@ def truncated_quadratic_loss(R: float = 1.0) -> SurrogateLoss:
             psi_closed=lambda z: z * z,
             psi_lower_a=1.0,
             psi_lower_gamma=2.0,
+            kink=1.0,
         )
     )
 

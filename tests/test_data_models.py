@@ -212,11 +212,19 @@ class TestExactSurrogateRisk:
             assert dm.exact_surrogate_risk(self.AFFINE, self.TQ, w) == pytest.approx(
                 expected, rel=0.0, abs=1e-13)
 
-    @pytest.mark.parametrize("loss_name", ["truncated-quadratic", "logistic"])
-    def test_powered_margin_against_midpoint_rule(self, loss_name):
+    @pytest.mark.parametrize("loss_name, w, tolerance", [
+        # ||w|| > 1: the truncated quadratic kinks inside
+        pytest.param("truncated-quadratic", [1.7, -0.9], dict(rel=0.0, abs=1e-7),
+                     id="truncated-quadratic"),
+        pytest.param("logistic", [1.7, -0.9], dict(rel=0.0, abs=1e-7), id="logistic"),
+        # ||w|| > 50: the exponential's clamp at margin -50 kinks inside
+        pytest.param("exponential", [36.0, -48.0], dict(rel=1e-8), id="exponential-norm-60"),
+        pytest.param("exponential", [-120.0, 160.0], dict(rel=1e-8), id="exponential-norm-200"),
+    ])
+    def test_powered_margin_against_midpoint_rule(self, loss_name, w, tolerance):
         model = sphere_model(kappa=1.5, tau0=0.5)
         loss = get_loss(loss_name)
-        w = np.array([1.7, -0.9])  # ||w|| > 1: the truncated quadratic kinks inside
+        w = np.array(w)
 
         def integrand(t, X):
             e = dm.eta_batch(model, X)
@@ -224,7 +232,7 @@ class TestExactSurrogateRisk:
             return e * loss.phi(m) + (1.0 - e) * loss.phi(-m)
 
         got = dm.exact_surrogate_risk(model, loss, w)
-        assert got == pytest.approx(midpoint_mean(integrand), rel=0.0, abs=1e-7)
+        assert got == pytest.approx(midpoint_mean(integrand), **tolerance)
 
     def test_stack_rows_equal_single_calls(self):
         W = substream(3, "stack").standard_normal((40, 2)) * 1.5

@@ -246,14 +246,36 @@ class TestFinitePool:
         y = np.where(X @ model.w_star > 0, 1.0, -1.0)
         pool = FinitePool(X, y=y)
         ball = HypothesisBall(UnitVector(np.array([0.0, 1.0])), 0.5)
-        scan = driver._PoolSource(pool, seed=0)
-        scan.start_epoch(1)
-        oracle = driver._CountingOracle(lambda Xs, idx: y[idx])
-        Xq, yq, scanned, exhausted = driver._collect_epoch(scan, ball, 200, oracle)
-        assert not exhausted
-        assert oracle.count == 200 == Xq.shape[0]
+        chunks = (pool.X[i:i + 250] for i in range(0, 4000, 250))
+        charged = []
+
+        def labels(rows, at):
+            charged.extend(at)
+            return y[at]
+
+        Xq, yq, scanned = driver._collect_epoch(chunks, ball, 200, labels)
+        assert yq.shape[0] == 200  # not exhausted
+        assert len(charged) == 200 == Xq.shape[0]
         assert np.all(query_mask(Xq, ball))
+        np.testing.assert_array_equal(Xq, X[charged])
         assert scanned <= 4000
+
+    def test_label_audit_catches_a_lost_label(self):
+        X = np.random.default_rng(2).standard_normal((50, 2))
+        ball = HypothesisBall(UnitVector(np.array([1.0, 0.0])), 2.0)
+        with pytest.raises(AssertionError, match="label audit"):
+            driver._collect_epoch(iter([X]), ball, 10, lambda rows, at: np.ones(rows.shape[0] - 1))
+
+    def test_budget_filled_on_last_row_then_exhausted(self):
+        # epoch 1 (radius 2 queries everything) takes all 100 rows and is not
+        # exhausted; epoch 2 starts past the end and records an empty epoch
+        X = np.random.default_rng(1).standard_normal((100, 2))
+        pool = FinitePool(X, y=np.where(X[:, 0] > 0, 1.0, -1.0))
+        with pytest.raises(StreamExhausted) as ei:
+            run_active(pool, ZeroOneUpdate(), ScheduleParams(mode="fixed", n=100), m=3, seed=5)
+        partial = ei.value.partial
+        assert [(e.labels, e.scanned) for e in partial.epochs] == [(100, 100), (0, 0)]
+        assert partial.total_labels == 100
 
     def test_fixed_labels_pool(self):
         X = np.random.default_rng(0).standard_normal((500, 2))
