@@ -1,6 +1,6 @@
 """Convex surrogate losses and their binary-risk conversion calculus.
 
-A loss specification bundles φ, φ', a Lipschitz constant valid on the
+A loss specification bundles φ, φ', φ'', a Lipschitz constant valid on the
 margin range the algorithm can actually reach, an optional curvature
 bound, and the ψ-transform
 
@@ -61,7 +61,8 @@ class SurrogateLoss:
     when instances satisfy ||x|| <= 1; it is None for non-smooth losses.
     ``psi_lower_a``/``psi_lower_gamma`` give the polynomial minorant
     ψ(z) >= a z^γ on (0, 1].  ``kink`` is |z| at φ's one kink, or None
-    for a smooth loss.
+    for a smooth loss.  ``phi_second`` is φ'' (one-sided at a kink), which
+    the convex solver's Newton step needs; None for a loss without one.
     """
 
     name: str
@@ -74,6 +75,7 @@ class SurrogateLoss:
     smoothness: float | None = None
     psi_closed: Callable[[float], float] | None = None
     kink: float | None = None
+    phi_second: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,9 @@ def exponential_loss(R: float = 1.0) -> SurrogateLoss:
             phi_prime=lambda z: np.where(
                 np.asarray(z) > EXP_CLAMP, -np.exp(-np.maximum(z, EXP_CLAMP)), 0.0
             ),
+            phi_second=lambda z: np.where(
+                np.asarray(z) > EXP_CLAMP, np.exp(-np.maximum(z, EXP_CLAMP)), 0.0
+            ),
             lipschitz=math.exp(M),
             margin_bound=M,
             smoothness=math.exp(M),
@@ -227,6 +232,7 @@ def truncated_quadratic_loss(R: float = 1.0) -> SurrogateLoss:
             name="truncated-quadratic",
             phi=lambda z: np.square(np.maximum(0.0, 1.0 - z)),
             phi_prime=lambda z: -2.0 * np.maximum(0.0, 1.0 - z),
+            phi_second=lambda z: 2.0 * (np.asarray(z) < 1.0),
             lipschitz=2.0 * (1.0 + M),
             margin_bound=M,
             smoothness=2.0,
@@ -249,6 +255,11 @@ def logistic_loss(R: float = 1.0) -> SurrogateLoss:
             name="logistic",
             phi=lambda z: np.logaddexp(0.0, -np.asarray(z, dtype=float)),
             phi_prime=lambda z: -np.exp(-np.logaddexp(0.0, np.asarray(z, dtype=float))),
+            # σ(z)σ(-z), as one exponential of log-sigmoids
+            phi_second=lambda z: np.exp(
+                -np.logaddexp(0.0, np.asarray(z, dtype=float))
+                - np.logaddexp(0.0, -np.asarray(z, dtype=float))
+            ),
             lipschitz=1.0,
             margin_bound=M,
             smoothness=0.25,

@@ -161,7 +161,29 @@ class TestCmdRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
     def test_partial_trace_on_solver_failure(self, tmp_path, capsys):
-        # seed 172 of this config exhausts the convex solver's iterations in epoch 8
+        # damped Newton steps (a quarter of the Newton step at first) take 50
+        # or 51 iterations in the first three epochs of seed 172 and 58 in the
+        # fourth, so a cap of 54 raises MaxItersExceeded in epoch 4
+        path = write_config(
+            tmp_path,
+            model={"dimension": 2, "marginal": "uniform-sphere", "conditional": "affine",
+                   "w_star": [0.4, 0.0]},
+            update={"kind": "convex", "loss": "logistic"},
+            schedule={"mode": "fixed", "n": 500},
+            run={"epochs": 10, "seeds": [172]},
+            solver={"initial_step": 0.25, "max_iters": 54},
+        )
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "no convergence" in capsys.readouterr().err
+        lines = (tmp_path / "out" / "run_records.json").read_text().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert len(record["epochs"]) == 4
+        assert record["total_labels"] == sum(e["labels"] for e in record["epochs"])
+
+    def test_ill_conditioned_seed_converges(self, tmp_path, capsys):
+        # seed 172's last epochs have Hessian condition numbers near 1e4, where
+        # projected gradient ran out of iterations; Newton steps are indifferent
         path = write_config(
             tmp_path,
             model={"dimension": 2, "marginal": "uniform-sphere", "conditional": "affine",
@@ -170,13 +192,16 @@ class TestCmdRun:
             schedule={"mode": "fixed", "n": 500},
             run={"epochs": 10, "seeds": [172]},
         )
-        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
-        assert "no convergence" in capsys.readouterr().err
-        lines = (tmp_path / "out" / "run_records.json").read_text().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert len(record["epochs"]) == 8
-        assert record["total_labels"] == sum(e["labels"] for e in record["epochs"])
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "run_records.json").read_text())
+        assert len(record["epochs"]) == 10
+
+    def test_initial_step_past_newton_point_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, update={"kind": "convex", "loss": "truncated-quadratic"})
+        code = main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", "solver.initial_step=2"])
+        assert code == 2
+        assert "initial_step" in capsys.readouterr().err
 
 
 class TestCmdCurve:

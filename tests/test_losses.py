@@ -53,6 +53,23 @@ class TestPhi:
             fd = (loss.phi(zs + h) - loss.phi(zs - h)) / (2 * h)
             assert loss.phi_prime(zs) == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
+    def test_phi_second_matches_finite_differences(self):
+        h = 1e-6
+        rng = np.random.default_rng(1)
+        for loss in (EXP, TQ, LOGI):
+            zs = rng.uniform(-3.0, 3.0, size=200)
+            zs = zs[np.abs(zs - 1.0) > 1e-3]
+            fd = (loss.phi_prime(zs + h) - loss.phi_prime(zs - h)) / (2 * h)
+            assert loss.phi_second(zs) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+    def test_phi_second_saturates(self):
+        # zero below the exponential's clamp and from the quadratic's kink on;
+        # the logistic's tails underflow to zero where e^{-z}/(1+e^{-z})² overflows
+        assert EXP.phi_second(np.array([-60.0]))[0] == 0.0
+        assert TQ.phi_second(np.array([1.0, 3.0])).tolist() == [0.0, 0.0]
+        tails = LOGI.phi_second(np.array([-800.0, 800.0]))
+        assert np.all(np.isfinite(tails)) and np.all(tails >= 0.0)
+
 
 class TestPsi:
     def test_exponential_closed_form(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfspace_active import solvers
-from halfspace_active.errors import MaxItersExceeded, SolverDiverged
+from halfspace_active.errors import LossSpecError, MaxItersExceeded, SolverDiverged
 from halfspace_active.geometry import angle, normalize
-from halfspace_active.losses import exponential_loss, truncated_quadratic_loss
+from halfspace_active.losses import exponential_loss, logistic_loss, truncated_quadratic_loss
 from halfspace_active.data_models import stack_examples
 from halfspace_active.solvers import (
     ConvexSolverParams,
@@ -25,6 +26,7 @@ from halfspace_active.solvers import (
 
 EXP = exponential_loss()
 TQ = truncated_quadratic_loss()
+LOGI = logistic_loss()
 E1 = normalize([1.0, 0.0])
 
 
@@ -146,6 +148,69 @@ def _reference_search(data, w_k, r_k, restarts, rng):
         if c < best:
             best, best_w = c, w
     return normalize(best_w)
+
+
+def _reference_pg(loss, X, y, ball, params=ConvexSolverParams()):
+    """The projected-gradient form of the convex solver, kept as a reference.
+
+    Armijo backtracking on projected gradient steps, the step carried over
+    between iterations, and an exit after five accepted steps in a row that
+    leave the objective unchanged.
+    """
+    data = (X, y)
+    w = ball.center.copy()
+    f = surrogate_objective(loss, w, data)
+    step = params.initial_step
+    stalls = 0
+    for _ in range(params.max_iters):
+        g = surrogate_gradient(loss, w, data)
+        residual = np.linalg.norm(w - project_to_ball(w - g, ball))
+        if residual <= params.grad_tol * (1.0 + np.linalg.norm(g)):
+            return w
+        step = min(step / params.backtrack_factor, params.initial_step)
+        while True:
+            w_new = project_to_ball(w - step * g, ball)
+            f_new = surrogate_objective(loss, w_new, data)
+            if f_new <= f + params.armijo_c * float(g @ (w_new - w)):
+                break
+            step *= params.backtrack_factor
+            if step < 1e-18:
+                return w
+        if f_new == f:
+            stalls += 1
+            if stalls >= 5:
+                return w_new
+        else:
+            stalls = 0
+        w, f = w_new, f_new
+    g = surrogate_gradient(loss, w, data)
+    raise MaxItersExceeded(
+        "no convergence", best_w=w,
+        residual=np.linalg.norm(w - project_to_ball(w - g, ball)),
+    )
+
+
+def band_data(rng, n, w_k, r):
+    """n unit rows in the margin band of radius r around w_k, the epoch update's regime.
+
+    Labels follow the affine conditional P(y = 1 | x) = (1 + x·w*)/2 with
+    ||w*|| = 0.4, as in the deep convex benchmark, and w*'s direction
+    within chord r of w_k.
+    """
+    d = w_k.shape[0]
+    rows = np.empty((0, d))
+    while rows.shape[0] < n:
+        Z = rng.standard_normal((4 * n, d))
+        Z /= np.linalg.norm(Z, axis=1)[:, None]
+        rows = np.vstack([rows, Z[np.abs(Z @ w_k) <= r * math.sqrt(1.0 - r * r / 4.0)]])
+    X = rows[:n]
+    t = rng.standard_normal(d)
+    t -= (t @ w_k) * w_k
+    t /= np.linalg.norm(t)
+    turn = 2.0 * math.asin(r / 2.0) * rng.uniform()
+    w_star = 0.4 * (math.cos(turn) * w_k + math.sin(turn) * t)
+    y = np.where(rng.random(n) < (1.0 + X @ w_star) / 2.0, 1.0, -1.0)
+    return X, y
 
 
 class TestProjection:
@@ -304,6 +369,160 @@ class TestErmConvex:
             erm_convex(TQ, (X, y), E1, 1.0, 1.0, params=params)
         assert ei.value.best_w is not None
         assert ei.value.residual is not None
+
+    @pytest.mark.parametrize("loss", [TQ, EXP, LOGI], ids=lambda l: l.name)
+    def test_never_worse_than_projected_gradient(self, loss):
+        rng = np.random.default_rng(15)
+        for R in (0.4, 1.0):
+            for k in range(1, 9):
+                w_k = normalize(rng.standard_normal(2)).coords
+                X, y = band_data(rng, 500, w_k, 2.0**-k)
+                ball = SurrogateBall(R * w_k, R * 2.0**-k)
+                try:
+                    old = _reference_pg(loss, X, y, ball)
+                except MaxItersExceeded as exc:
+                    old = exc.best_w
+                new = solvers.minimize_in_ball(loss, X, y, ball)
+                f_old = surrogate_objective(loss, old, (X, y))
+                assert surrogate_objective(loss, new, (X, y)) <= f_old + 1e-12 * (1.0 + abs(f_old))
+                g = surrogate_gradient(loss, new, (X, y))
+                assert (np.linalg.norm(new - project_to_ball(new - g, ball))
+                        <= ConvexSolverParams().grad_tol * (1.0 + np.linalg.norm(g)))
+
+    def test_one_newton_step_solves_a_quadratic(self, monkeypatch):
+        # with R = 0.4 every margin stays below 1, where the truncated
+        # quadratic is exactly quadratic: one step, then the stopping check
+        calls = []
+        gradient = solvers.surrogate_gradient
+        monkeypatch.setattr(solvers, "surrogate_gradient",
+                            lambda *args: calls.append(1) or gradient(*args))
+        rng = np.random.default_rng(16)
+        for k in range(1, 9):
+            w_k = normalize(rng.standard_normal(2)).coords
+            X, y = band_data(rng, 500, w_k, 2.0**-k)
+            ball = SurrogateBall(0.4 * w_k, 0.4 * 2.0**-k)
+            calls.clear()
+            solvers.minimize_in_ball(TQ, X, y, ball)
+            assert len(calls) <= 3
+
+    def test_backtrack_tames_newton_overshoot(self):
+        # two opposite labels on one point: the logistic objective is
+        # log(2 + 2 cosh w1), minimized at w1 = 0, and the undamped Newton
+        # step w1 - sinh(w1) overshoots from |w1| > 2.2 on, so full steps
+        # would bounce between the ball's ends at w1 = -5 and 15
+        X = np.array([[1.0, 0.0], [1.0, 0.0]])
+        y = np.array([1.0, -1.0])
+        ball = SurrogateBall(np.array([5.0, 1.0]), 10.0)
+        w = solvers.minimize_in_ball(LOGI, X, y, ball)
+        np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-8)
+
+    def test_needs_second_derivative(self):
+        loss = dataclasses.replace(TQ, phi_second=None)
+        with pytest.raises(LossSpecError):
+            erm_convex(loss, (np.eye(2), np.ones(2)), E1, 1.0, 1.0)
+
+    def test_initial_step_at_most_one(self):
+        assert ConvexSolverParams(initial_step=1.0).initial_step == 1.0
+        for bad in (0.0, 1.5, 2.0):
+            with pytest.raises(ValueError, match="initial_step"):
+                ConvexSolverParams(initial_step=bad)
+
+
+def assert_kkt(H, b, rho, z, mu):
+    """(H + μI)z = -b, μ >= 0, ||z|| <= rho and μ(rho - ||z||) = 0: optimal for PSD H."""
+    size = np.linalg.norm(z)
+    assert size <= rho * (1.0 + 1e-12)
+    assert mu >= 0.0
+    scale = (np.linalg.norm(H, 2) + mu) * size + np.linalg.norm(b)
+    assert np.linalg.norm(H @ z + mu * z + b) <= 1e-12 * scale
+    assert mu * abs(rho - size) <= 1e-12 * mu * rho
+
+
+def psd(rng, eigenvalues):
+    """A symmetric matrix with the given spectrum and random eigenvectors."""
+    d = len(eigenvalues)
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    H = (Q * np.asarray(eigenvalues, dtype=float)) @ Q.T
+    return (H + H.T) / 2.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBallQP:
+    def test_interior_newton_point(self):
+        rng = np.random.default_rng(20)
+        for d in (2, 3, 10):
+            H = psd(rng, rng.uniform(1.0, 10.0, d))
+            b = rng.standard_normal(d)
+            rho = 2.0 * np.linalg.norm(np.linalg.solve(H, b))
+            z, mu = solvers._ball_qp(H, b, rho, np.zeros(d))
+            assert mu == 0.0
+            np.testing.assert_allclose(z, -np.linalg.solve(H, b), rtol=1e-12, atol=1e-15)
+            assert_kkt(H, b, rho, z, mu)
+
+    def test_boundary_optimum(self):
+        rng = np.random.default_rng(21)
+        for d in (2, 3, 10):
+            H = psd(rng, rng.uniform(1.0, 10.0, d))
+            b = rng.standard_normal(d)
+            rho = 0.5 * np.linalg.norm(np.linalg.solve(H, b))
+            z, mu = solvers._ball_qp(H, b, rho, np.zeros(d))
+            assert mu > 0.0
+            assert np.linalg.norm(z) == pytest.approx(rho, rel=1e-14)
+            assert_kkt(H, b, rho, z, mu)
+
+    def test_zero_hessian(self):
+        rng = np.random.default_rng(22)
+        for d in (2, 3, 10):
+            b = rng.standard_normal(d)
+            z, mu = solvers._ball_qp(np.zeros((d, d)), b, 0.3, np.zeros(d))
+            np.testing.assert_allclose(z, -0.3 * b / np.linalg.norm(b), rtol=1e-14)
+            assert mu == pytest.approx(np.linalg.norm(b) / 0.3, rel=1e-14)
+            assert_kkt(np.zeros((d, d)), b, 0.3, z, mu)
+            # no curvature and no slope: every point is optimal, the nearest is kept
+            near = 0.1 * rng.standard_normal(d)
+            z, mu = solvers._ball_qp(np.zeros((d, d)), np.zeros(d), 10.0, near)
+            assert mu == 0.0 and np.array_equal(z, near)
+
+    def test_rank_one_hard_case(self):
+        # b along H's range with the pseudo-inverse point inside the ball: the
+        # minimizers form a disc across the null space, and the one nearest
+        # `near` is returned, on the sphere when `near` is far out
+        rng = np.random.default_rng(23)
+        for d in (2, 3, 10):
+            a = rng.standard_normal(d)
+            H = np.outer(a, a)
+            b = 0.5 * a
+            inner = -b / (a @ a)
+            rho = 4.0 * np.linalg.norm(inner)
+            z, mu = solvers._ball_qp(H, b, rho, np.zeros(d))
+            assert mu == 0.0
+            np.testing.assert_allclose(z, inner, rtol=1e-12, atol=1e-15)
+            assert_kkt(H, b, rho, z, mu)
+            far = 100.0 * rho * rng.standard_normal(d)
+            z, mu = solvers._ball_qp(H, b, rho, far)
+            assert mu == 0.0
+            assert np.linalg.norm(z) == pytest.approx(rho, rel=1e-13)
+            along = far - (far @ a) / (a @ a) * a
+            np.testing.assert_allclose(z - inner, along * (np.linalg.norm(z - inner)
+                                                            / np.linalg.norm(along)), atol=1e-12)
+            assert_kkt(H, b, rho, z, mu)
+            # a part of b across the null space takes the answer to the sphere
+            t = rng.standard_normal(d)
+            t -= (t @ a) / (a @ a) * a
+            z, mu = solvers._ball_qp(H, b + 1e-3 * t, rho, np.zeros(d))
+            assert mu > 0.0
+            assert_kkt(H, b + 1e-3 * t, rho, z, mu)
+
+    @pytest.mark.parametrize("cond", [1e4, 1e6, 1e8, 1e10, 1e12])
+    def test_ill_conditioned(self, cond):
+        rng = np.random.default_rng(int(math.log10(cond)))
+        for d in (2, 3, 10):
+            H = psd(rng, np.geomspace(1000.0 / cond, 1000.0, d))
+            for _ in range(20):
+                b = rng.standard_normal(d) * 10.0 ** rng.uniform(-6, 2)
+                rho = 10.0 ** rng.uniform(-4, 1)
+                z, mu = solvers._ball_qp(H, b, rho, rng.standard_normal(d))
+                assert_kkt(H, b, rho, z, mu)
 
 
 class TestErmZeroOne2d:
