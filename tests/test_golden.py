@@ -19,7 +19,7 @@ from halfspace_active import cli
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
 
-CRITERION_11_RECORDS_SHA256 = "6e4f854416b9c6fb8d707549625eb048c4f1963be4fba72f4cd9a525c1671211"
+CRITERION_11_RECORDS_SHA256 = "0cb32d54de843c9f576d03160091bad6299a2374fcf5bb126bcd426063693802"
 ZERO_ONE_CURVE_CSV_SHA256 = "6220b270b2881149bcae01924d7d4a20737e4134a3069cd6f75b9d685676f6f8"
 ZERO_ONE_CURVE_RECORDS_SHA256 = "dbefe617a82c3f4ff138435a5ece3f45f33bb9dc45a71ddc136f19edaabe740b"
 ZERO_ONE_SEARCH_RECORDS_SHA256 = "288e65f640942bfedd30cf1f763a583ff0f82e8950d84e40e3e7e7c0c061e86d"
