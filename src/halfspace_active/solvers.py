@@ -127,19 +127,17 @@ def _stationarity(w: np.ndarray, g: np.ndarray, ball: SurrogateBall) -> float:
     return _norm(w - project_to_ball(w - g, ball))
 
 
-def _ball_qp(
-    H: np.ndarray, b: np.ndarray, rho: float, near: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _ball_qp(H: np.ndarray, b: np.ndarray, rho: float) -> tuple[np.ndarray, float]:
     """Minimize b·z + ½ zᵀHz over ||z|| <= rho, for symmetric positive semidefinite H.
 
     Returns (z, μ) with (H + μI) z = -b, μ >= 0 and μ (rho - ||z||) = 0,
     the optimality conditions of the problem (Moré & Sorensen 1983).  One
     eigendecomposition H = QΛQᵀ gives z(μ) = -Q (Λ + μI)⁻¹ Qᵀb.  If b has no
     part along H's null space and the pseudo-inverse point z(0) lies in the
-    ball, μ = 0; the minimizers then differ only along the null space (the
-    hard case), and the one nearest ``near`` is returned.  Otherwise μ > 0
-    solves the secular equation 1/||z(μ)|| = 1/rho by Newton's method from
-    a lower bound, which converges monotonically since 1/||z(μ)|| is concave.
+    ball, μ = 0 and z(0) is returned; for a singular H (the hard case) it is
+    the minimizer of least norm.  Otherwise μ > 0 solves the secular
+    equation 1/||z(μ)|| = 1/rho by Newton's method from a lower bound,
+    which converges monotonically since 1/||z(μ)|| is concave.
     """
     lam, Q = np.linalg.eigh(H)
     lam = np.maximum(lam, 0.0)  # rounding can leave -eps·||H|| on a PSD matrix
@@ -152,13 +150,8 @@ def _ball_qp(
     if not beta[null].any():
         coef = np.zeros_like(beta)
         coef[~null] = -beta[~null] / lam[~null]
-        room = rho * rho - float(coef @ coef)
-        if room >= 0.0:
-            free = np.where(null, Q.T @ near, 0.0)
-            size = _norm(free)
-            if size * size > room:
-                free *= math.sqrt(room) / size
-            return Q @ (coef + free), 0.0
+        if _norm(coef) <= rho:
+            return Q @ coef, 0.0
     keep = beta != 0.0
     lam, beta, Q = lam[keep], beta[keep], Q[:, keep]
     # ||z(μ)|| >= |β_i| / (λ_i + μ) and >= ||β|| / (λ_max + μ): μ below
@@ -218,7 +211,7 @@ def minimize_in_ball(
         u = w - ball.center
         # with z = w_new - center the model g·(z - u) + ½ (z - u)ᵀH(z - u) is
         # (g - Hu)·z + ½ zᵀHz up to a constant
-        z, _ = _ball_qp(H, g - H @ u, ball.radius, u)
+        z, _ = _ball_qp(H, g - H @ u, ball.radius)
         s = z - u
         slope = float(g @ s)
         if not slope < 0.0:
