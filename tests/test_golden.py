@@ -6,8 +6,9 @@ arms both refit by the exact 2-D 0-1 sweep, the active arm's first epoch on
 the whole circle (r = 2); the search digest belongs to d = 10 zero-one runs
 that refit by the restart search, from the whole sphere (r = 2) down to caps
 narrow enough that refined candidates are clipped back; the config digest
-is that of the built-in defaults; the pool record covers the finite-pool
-source, which no CLI command reaches.
+is that of the built-in defaults; the checks digest belongs to all six
+check suites at small sizes; the pool record covers the finite-pool source,
+which no CLI command reaches.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ CRITERION_11_RECORDS_SHA256 = "0cb32d54de843c9f576d03160091bad6299a2374fcf5bb126
 ZERO_ONE_CURVE_CSV_SHA256 = "6220b270b2881149bcae01924d7d4a20737e4134a3069cd6f75b9d685676f6f8"
 ZERO_ONE_CURVE_RECORDS_SHA256 = "dbefe617a82c3f4ff138435a5ece3f45f33bb9dc45a71ddc136f19edaabe740b"
 ZERO_ONE_SEARCH_RECORDS_SHA256 = "288e65f640942bfedd30cf1f763a583ff0f82e8950d84e40e3e7e7c0c061e86d"
+CHECKS_CSV_SHA256 = "77c508443a8a2fd502b1f7393f31b8be35afa4f5759316bdd0dc52331eb7d1f7"
 
 POOL_RECORD = (
     '{"config_digest":"pool","epochs":['
@@ -84,6 +86,19 @@ def test_zero_one_search_records_digest(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     data = (tmp_path / "out" / "run_records.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == ZERO_ONE_SEARCH_RECORDS_SHA256
+
+
+def test_checks_csv_digest(tmp_path, capsys):
+    config = {
+        "check": {"equivalence_samples": 3000, "pairs": 3, "n_mc": 20000,
+                  "gradient_triples": 20, "scaling_trials": 4, "scaling_n": 100,
+                  "scaling_candidates": 16},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / "checks.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CHECKS_CSV_SHA256
 
 
 def test_default_config_digest():
