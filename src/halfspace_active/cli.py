@@ -25,6 +25,7 @@ from .driver import (
     ScheduleParams,
     ZeroOneUpdate,
     kappa_threshold,
+    radius_at,
     run_active,
     total_label_bound,
 )
@@ -351,9 +352,9 @@ def cmd_budget(config: dict) -> int:
         budgets[mode] = [s.budget(k) for k in range(1, epochs + 1)]
     print(f"{'k':>3} {'r_k':>10} {'n_k (0-1)':>14} {'n_k (convex)':>14}")
     for k in range(1, epochs + 1):
-        print(f"{k:>3} {_fmt6(2.0 ** (2 - k)):>10} "
+        print(f"{k:>3} {_fmt6(radius_at(k)):>10} "
               f"{budgets['theory-nonconvex'][k - 1]:>14} {budgets['theory-convex'][k - 1]:>14}")
-    eps = 2.0 ** (1 - epochs)
+    eps = radius_at(epochs + 1)
     for label, alpha, n0 in (
         ("non-convex", alpha_ncx, budgets["theory-nonconvex"][0]),
         ("convex", alpha_cvx, budgets["theory-convex"][0]),

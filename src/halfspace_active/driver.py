@@ -25,9 +25,15 @@ from .data_models import (
     sample_unlabeled,
 )
 from .errors import DegenerateSolution, HalfspaceActiveError, ScheduleError, StreamExhausted
-from .geometry import FULL_RADIUS, HypothesisBall, UnitVector, chord_length, normalize, query_mask
+from .geometry import HypothesisBall, UnitVector, chord_length, normalize, query_mask
 from .losses import SurrogateLoss
-from .solvers import ConvexSolverParams, erm_convex, erm_zero_one_2d, erm_zero_one_search
+from .solvers import (
+    ConvexSolverParams,
+    SurrogateBall,
+    erm_zero_one_2d,
+    erm_zero_one_search,
+    minimize_in_ball,
+)
 from .streams import substream
 
 __all__ = [
@@ -352,7 +358,8 @@ def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int,
             return erm_zero_one_2d((X, y), w_k, r_k)
         rng = substream(seed, "epoch", k, "search")
         return erm_zero_one_search((X, y), w_k, r_k, restarts=update.restarts, rng=rng)
-    w_tilde = erm_convex(update.loss, (X, y), w_k, r_k, R, params=update.params)
+    ball = SurrogateBall(center=R * w_k.coords, radius=R * r_k)
+    w_tilde = minimize_in_ball(update.loss, X, y, ball, params=update.params)
     norm = float(np.linalg.norm(w_tilde))
     if norm <= 1e-12:
         raise DegenerateSolution("convex update returned a near-zero vector")
@@ -428,7 +435,6 @@ def run_active(
 
     w_star_bar = None if model is None else model.w_star / np.linalg.norm(model.w_star)
     w_k = normalize(substream(seed, "init").standard_normal(dim))
-    r_k = FULL_RADIUS
     cursor = 0  # pool rows scanned by earlier epochs
     epochs: list[EpochRecord] = []
 
@@ -456,6 +462,7 @@ def run_active(
 
     try:
         for k in range(1, m + 1):
+            r_k = radius_at(k)
             n_k = schedule.budget(k)
             X, y, scanned = _collect_epoch(
                 chunks_of(k, cursor), HypothesisBall(w_k, r_k), n_k, labels_of(k, cursor)
@@ -465,7 +472,6 @@ def run_active(
             if y.shape[0] < n_k:
                 raise StreamExhausted(f"pool ran dry in epoch {k} after {y.shape[0]}/{n_k} labels")
             w_k = _solve_epoch(update, X, y, w_k, r_k, R, seed, k)
-            r_k = r_k / 2.0
     except HalfspaceActiveError as exc:
         if epochs:
             exc.partial = record()

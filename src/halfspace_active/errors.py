@@ -22,7 +22,7 @@ class DimensionMismatch(HalfspaceActiveError):
 
 
 class UnsupportedRadius(HalfspaceActiveError):
-    """Query rule asked for a ball radius in (1, 2), which has no closed form."""
+    """Hypothesis-ball radius outside (0, 1] or 2; radii in (1, 2) have no closed-form query rule."""
 
 
 class UnsupportedMarginal(HalfspaceActiveError):

@@ -114,20 +114,29 @@ class HypothesisBall:
     """Unit vectors within chord distance ``radius`` of ``center``.
 
     The epoch schedule only ever produces radius 2 (first epoch, whole
-    sphere) and then halvings 1, 1/2, 1/4, ...; radii in (1, 2) are kept
-    constructible but the query rule refuses them.
+    sphere) and then halvings 1, 1/2, 1/4, ...; radii in (1, 2) have no
+    closed-form query rule and are refused.
     """
 
     center: UnitVector
     radius: float
 
     def __post_init__(self):
-        if not (0.0 < self.radius <= FULL_RADIUS):
-            raise UnsupportedRadius(f"radius must lie in (0, 2], got {self.radius!r}")
+        if not (0.0 < self.radius <= 1.0 or self.radius == FULL_RADIUS):
+            raise UnsupportedRadius(
+                f"radius must lie in (0, 1] or be exactly 2, got {self.radius!r}"
+            )
 
     @property
     def dim(self) -> int:
         return self.center.dim
+
+    @property
+    def half_angle(self) -> float:
+        """Angle from the center to the ball's edge, 2*arcsin(r/2); π at r = 2."""
+        if self.radius == FULL_RADIUS:
+            return math.pi
+        return 2.0 * math.asin(self.radius / 2.0)
 
 
 def normalize(v) -> UnitVector:
@@ -163,38 +172,27 @@ def margin_threshold(radius: float) -> float:
     return radius * math.sqrt(1.0 - radius * radius / 4.0)
 
 
-def _checked_radius(ball: HypothesisBall) -> float:
-    r = ball.radius
-    if r != FULL_RADIUS and r > 1.0:
-        raise UnsupportedRadius(
-            f"query rule is only defined for radius in (0, 1] or exactly 2, got {r!r}"
-        )
-    return r
-
-
 def should_query(x, ball: HypothesisBall) -> bool:
     """True iff some hypothesis in the ball disagrees with the center on x.
 
     Margin form of the arc condition: radius 2 queries everything, else
     |x̄·w| <= r*sqrt(1 - r^2/4) (ties query; the rule is inclusive).
     """
-    r = _checked_radius(ball)
     xbar = _unit_coords(x, "instance")
     _check_same_dim(xbar, ball.center.coords)
-    if r == FULL_RADIUS:
+    if ball.radius == FULL_RADIUS:
         return True
-    return abs(float(np.dot(xbar, ball.center.coords))) <= margin_threshold(r)
+    return abs(float(np.dot(xbar, ball.center.coords))) <= margin_threshold(ball.radius)
 
 
 def query_mask(X: np.ndarray, ball: HypothesisBall) -> np.ndarray:
     """Vectorized should_query over the rows of X (shape (n, d))."""
-    r = _checked_radius(ball)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != ball.dim:
         raise DimensionMismatch(f"expected shape (n, {ball.dim}), got {X.shape}")
-    if r == FULL_RADIUS:
+    if ball.radius == FULL_RADIUS:
         return np.ones(X.shape[0], dtype=bool)
-    return np.abs(_unit_margins(X, ball.center.coords)) <= margin_threshold(r)
+    return np.abs(_unit_margins(X, ball.center.coords)) <= margin_threshold(ball.radius)
 
 
 def disagreement_exists_oracle(x, ball: HypothesisBall) -> bool:
@@ -204,10 +202,9 @@ def disagreement_exists_oracle(x, ball: HypothesisBall) -> bool:
     around the center, so disagreement on x is possible exactly when
     θ(w, x̄) falls within that half-angle of π/2.
     """
-    r = _checked_radius(ball)
     xbar = _unit_coords(x, "instance")
     _check_same_dim(xbar, ball.center.coords)
-    if r == FULL_RADIUS:
+    if ball.radius == FULL_RADIUS:
         return True
     theta = angle(ball.center, xbar)
-    return abs(theta - math.pi / 2.0) <= 2.0 * math.asin(r / 2.0)
+    return abs(theta - math.pi / 2.0) <= ball.half_angle

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data_models import stack_examples
 from .errors import LossSpecError, MaxItersExceeded, SolverDiverged
-from .geometry import UnitVector, _vector_of, normalize
+from .geometry import HypothesisBall, UnitVector, _vector_of, normalize
 from .losses import EXP_CLAMP, SurrogateLoss
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -38,7 +38,6 @@ __all__ = [
     "surrogate_objective",
     "surrogate_gradient",
     "minimize_in_ball",
-    "erm_convex",
     "zero_one_objective",
     "erm_zero_one_2d",
     "erm_zero_one_search",
@@ -239,28 +238,6 @@ def minimize_in_ball(
     )
 
 
-def erm_convex(
-    loss: SurrogateLoss,
-    data,
-    w_k: UnitVector,
-    r_k: float,
-    R: float,
-    params: ConvexSolverParams = ConvexSolverParams(),
-) -> np.ndarray:
-    """Convex epoch update: minimize the surrogate sum over the ball around R·w_k.
-
-    Starts from the ball center (always feasible, the natural warm start);
-    the result is exactly feasible because every iterate is a projection.
-    """
-    if R <= 0:
-        raise ValueError("R must be positive (the optimum's norm is assumed known)")
-    X, y = stack_examples(data)
-    if X.shape[0] == 0:
-        raise ValueError("convex update needs at least one labeled example")
-    ball = SurrogateBall(center=R * w_k.coords, radius=R * r_k)
-    return minimize_in_ball(loss, X, y, ball, params=params)
-
-
 # ---------------------------------------------------------------------------
 # 0-1 loss minimization
 # ---------------------------------------------------------------------------
@@ -271,15 +248,6 @@ def zero_one_objective(w, data) -> int:
     X, y = stack_examples(data)
     wc = _vector_of(w)
     return int(np.count_nonzero(y * (X @ wc) <= 0.0))
-
-
-def _feasible_half_angle(r_k: float) -> float:
-    """Arc half-angle of the hypothesis ball; full circle at r_k = 2."""
-    if r_k == 2.0:
-        return math.pi
-    if not 0.0 < r_k <= 1.0:
-        raise ValueError(f"hypothesis radius must lie in (0, 1] or be 2, got {r_k!r}")
-    return 2.0 * math.asin(r_k / 2.0)
 
 
 def _wrap(delta: float) -> float:
@@ -306,7 +274,7 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
         raise ValueError("exact 0-1 ERM is only implemented for d = 2")
     if X.shape[0] == 0:
         raise ValueError("0-1 update needs at least one labeled example")
-    half = _feasible_half_angle(r_k)
+    half = HypothesisBall(w_k, r_k).half_angle
     psi_k = math.atan2(w_k.coords[1], w_k.coords[0])
     lo, hi = psi_k - half, psi_k + half
 
@@ -562,7 +530,7 @@ def erm_zero_one_search(
     X, y = stack_examples(data)
     if X.shape[0] == 0:
         raise ValueError("0-1 update needs at least one labeled example")
-    half = _feasible_half_angle(r_k)
+    half = HypothesisBall(w_k, r_k).half_angle
     wk = w_k.coords
     if rng is None:
         rng = np.random.default_rng(0)

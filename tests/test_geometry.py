@@ -222,7 +222,11 @@ class TestDisRegion:
         with pytest.raises(UnsupportedRadius):
             HypothesisBall(E1, 2.5)
         with pytest.raises(UnsupportedRadius):
-            query_mask(np.array([[0.0, 1.0]]), HypothesisBall(E1, 1.5))
+            HypothesisBall(E1, 1.5)
+
+    def test_half_angle(self):
+        assert HypothesisBall(E1, 2.0).half_angle == math.pi
+        assert HypothesisBall(E1, 1.0).half_angle == pytest.approx(math.pi / 3.0, abs=1e-15)
 
     def test_mask_agrees_with_scalar(self):
         rng = np.random.default_rng(6)

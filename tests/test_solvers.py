@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfspace_active import solvers
-from halfspace_active.errors import LossSpecError, MaxItersExceeded, SolverDiverged
+from halfspace_active.errors import LossSpecError, MaxItersExceeded, SolverDiverged, UnsupportedRadius
 from halfspace_active.geometry import angle, normalize
 from halfspace_active.losses import exponential_loss, logistic_loss, truncated_quadratic_loss
 from halfspace_active.data_models import stack_examples
 from halfspace_active.solvers import (
     ConvexSolverParams,
     SurrogateBall,
-    erm_convex,
     erm_zero_one_2d,
     erm_zero_one_search,
     project_to_ball,
@@ -279,7 +278,7 @@ class TestErmConvex:
     def test_single_point_boundary_optimum(self):
         # objective e^{-w1} decreases in w1, so the optimum is the far pole 2*e1
         data = (np.array([[1.0, 0.0]]), np.array([1.0]))
-        w = erm_convex(EXP, data, E1, 1.0, 1.0)
+        w = solvers.minimize_in_ball(EXP, *data, SurrogateBall(E1.coords, 1.0))
         np.testing.assert_allclose(w, [2.0, 0.0], atol=1e-6)
         f_opt = surrogate_objective(EXP, w, data)
         for t in np.linspace(0.0, 1.0, 50):
@@ -308,7 +307,7 @@ class TestErmConvex:
         # margin >= 1 is feasible: 5*e1 gives margins 5*|x1| which may be < 1;
         # use well-separated data instead
         X[:, 0] += np.sign(X[:, 0]) * 0.5
-        w = erm_convex(TQ, (X, y), E1, 2.0, 5.0)
+        w = solvers.minimize_in_ball(TQ, X, y, SurrogateBall(5.0 * E1.coords, 10.0))
         margins = y * (X @ w)
         assert surrogate_objective(TQ, w, (X, y)) <= 1e-10
         assert np.all(margins >= 1.0 - 1e-5)
@@ -319,15 +318,15 @@ class TestErmConvex:
         y = np.sign(rng.standard_normal(25))
         w_k = normalize([1.0, 1.0, 0.0])
         for r_k in (2.0, 1.0, 0.5):
-            w = erm_convex(EXP, (X, y), w_k, r_k, 1.5)
+            w = solvers.minimize_in_ball(EXP, X, y, SurrogateBall(1.5 * w_k.coords, 1.5 * r_k))
             assert np.linalg.norm(w - 1.5 * w_k.coords) <= 1.5 * r_k + 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((50, 2))
         y = np.sign(rng.standard_normal(50))
-        a = erm_convex(TQ, (X, y), E1, 0.5, 1.0)
-        b = erm_convex(TQ, (X, y), E1, 0.5, 1.0)
+        a = solvers.minimize_in_ball(TQ, X, y, SurrogateBall(E1.coords, 0.5))
+        b = solvers.minimize_in_ball(TQ, X, y, SurrogateBall(E1.coords, 0.5))
         assert np.array_equal(a, b)
 
     def test_objective_never_worse_than_start(self):
@@ -335,7 +334,7 @@ class TestErmConvex:
         for _ in range(10):
             X = rng.standard_normal((30, 2))
             y = np.sign(rng.standard_normal(30))
-            w = erm_convex(EXP, (X, y), E1, 1.0, 1.0)
+            w = solvers.minimize_in_ball(EXP, X, y, SurrogateBall(E1.coords, 1.0))
             assert surrogate_objective(EXP, w, (X, y)) <= surrogate_objective(
                 EXP, 1.0 * E1.coords, (X, y)
             ) + 1e-12
@@ -350,7 +349,7 @@ class TestErmConvex:
         y = np.sign(X @ np.array([1.0, 0.0]))
         w_k = normalize([0.0, 1.0])
         r_k = 0.25
-        w = erm_convex(TQ, (X, y), w_k, r_k, 1.0)
+        w = solvers.minimize_in_ball(TQ, X, y, SurrogateBall(w_k.coords, r_k))
         f = surrogate_objective(TQ, w, (X, y))
         best = np.inf
         for a in np.linspace(-r_k, r_k, 201):
@@ -366,7 +365,7 @@ class TestErmConvex:
         y = np.sign(rng.standard_normal(30))
         params = ConvexSolverParams(max_iters=2, grad_tol=1e-16)
         with pytest.raises(MaxItersExceeded) as ei:
-            erm_convex(TQ, (X, y), E1, 1.0, 1.0, params=params)
+            solvers.minimize_in_ball(TQ, X, y, SurrogateBall(E1.coords, 1.0), params=params)
         assert ei.value.best_w is not None
         assert ei.value.residual is not None
 
@@ -419,7 +418,7 @@ class TestErmConvex:
     def test_needs_second_derivative(self):
         loss = dataclasses.replace(TQ, phi_second=None)
         with pytest.raises(LossSpecError):
-            erm_convex(loss, (np.eye(2), np.ones(2)), E1, 1.0, 1.0)
+            solvers.minimize_in_ball(loss, np.eye(2), np.ones(2), SurrogateBall(E1.coords, 1.0))
 
     def test_initial_step_at_most_one(self):
         assert ConvexSolverParams(initial_step=1.0).initial_step == 1.0
@@ -578,6 +577,13 @@ class TestErmZeroOne2d:
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError):
             erm_zero_one_2d((np.zeros((3, 3)), np.ones(3)), normalize([1, 0, 0]), 1.0)
+
+    @pytest.mark.parametrize("solve", [erm_zero_one_2d, erm_zero_one_search],
+                             ids=lambda f: f.__name__)
+    def test_intermediate_radius_rejected(self, solve):
+        # the hypothesis ball has no arc form for radii in (1, 2)
+        with pytest.raises(UnsupportedRadius):
+            solve((np.array([[1.0, 0.0]]), np.ones(1)), E1, 1.5)
 
 
 class TestErmZeroOneSearch:
