@@ -337,22 +337,13 @@ def _binomial_estimate(hits: int, n: int) -> RiskEstimate:
 
 
 def disagreement_probability(
-    model: DataModel,
-    u,
-    v,
-    n_mc: int | None = None,
-    rng: np.random.Generator | None = None,
-    exact: bool = False,
+    model: DataModel, u, v, n_mc: int, rng: np.random.Generator
 ) -> RiskEstimate:
-    """Pr{sgn(u·X) != sgn(v·X)}; exactly θ(u, v)/π under rotation invariance."""
+    """Monte Carlo Pr{sgn(u·X) != sgn(v·X)}; exactly θ(u, v)/π under rotation invariance."""
     uc = normalize(u).coords
     vc = normalize(v).coords
-    if exact:
-        return RiskEstimate(mean=angle(uc, vc) / math.pi, std_error=0.0, n_mc=1)
-    if n_mc is None or n_mc < 100:
-        raise ValueError("Monte Carlo mode needs n_mc >= 100")
-    if rng is None:
-        rng = model.stream("disagreement")
+    if n_mc < 100:
+        raise ValueError("Monte Carlo estimate needs n_mc >= 100")
     hits = 0
     remaining = n_mc
     while remaining > 0:
@@ -404,7 +395,7 @@ def verify_tsybakov_exponent(model: DataModel, theta_grid) -> TsybakovFit:
     log_pr, log_ex, kept, dropped = [], [], [], []
     for theta in thetas:
         w = _rotated_from_w_star(model, theta)
-        pr = disagreement_probability(model, w, model.w_bar, exact=True).mean
+        pr = angle(normalize(w), model.w_bar) / math.pi
         excess = exact_excess_binary_risk(model, w)
         if excess <= 0.0 or pr <= 0.0:
             dropped.append(theta)

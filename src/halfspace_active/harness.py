@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -28,7 +29,7 @@ from .driver import (
     run_passive,
 )
 from .errors import ConfigError
-from .geometry import HypothesisBall, disagreement_exists_oracle, normalize, should_query
+from .geometry import HypothesisBall, angle, disagreement_exists_oracle, normalize, should_query
 from .losses import (
     SurrogateLoss,
     exponential_loss,
@@ -391,7 +392,7 @@ def angle_disagreement_report(
     for i in range(pair_count):
         u = normalize(rng.standard_normal(model.dimension))
         v = normalize(rng.standard_normal(model.dimension))
-        exact = dm.disagreement_probability(model, u, v, exact=True).mean
+        exact = angle(u, v) / math.pi
         est = dm.disagreement_probability(model, u, v, n_mc=n_mc, rng=rng)
         slack = 3.0 * est.std_error
         if sphere:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from halfspace_active import data_models as dm
 from halfspace_active.errors import AssumptionIIViolation, UnsupportedMarginal
-from halfspace_active.geometry import HypothesisBall, normalize, query_mask
+from halfspace_active.geometry import HypothesisBall, angle, normalize, query_mask
 from halfspace_active.losses import get_loss
 from halfspace_active.streams import substream
 
@@ -175,13 +175,13 @@ class TestExactRisk:
         assert abs(float(diff.mean()) - dm.exact_excess_binary_risk(model, w)) <= 3 * sigma
 
     def test_exact_flag(self):
+        # the exact disagreement is θ/π; the Monte Carlo estimate needs n_mc >= 100
         model = sphere_model(kappa=2.0)
         w = normalize([0.8, 0.6])
-        est = dm.disagreement_probability(model, w, model.w_bar, exact=True)
-        assert est.std_error == 0.0 and est.n_mc == 1
-        assert est.mean == pytest.approx(math.atan2(0.6, 0.8) / math.pi, abs=1e-15)
+        exact = angle(w, model.w_bar) / math.pi
+        assert exact == pytest.approx(math.atan2(0.6, 0.8) / math.pi, abs=1e-15)
         with pytest.raises(ValueError):
-            dm.disagreement_probability(model, w, model.w_bar)
+            dm.disagreement_probability(model, w, model.w_bar, n_mc=99, rng=model.stream("mc"))
 
     def test_unsupported_exact(self):
         model = sphere_model("logistic", kappa=None, d=2, marginal="gaussian")
@@ -294,8 +294,8 @@ class TestDisagreementProbability:
     def test_exact_values(self):
         model = sphere_model(d=3)
         u = normalize([1.0, 0.0, 0.0])
-        assert dm.disagreement_probability(model, u, [0.0, 1.0, 0.0], exact=True).mean == pytest.approx(0.5)
-        assert dm.disagreement_probability(model, u, [-1.0, 0.0, 0.0], exact=True).mean == pytest.approx(1.0)
+        assert angle(u, [0.0, 1.0, 0.0]) / math.pi == pytest.approx(0.5)
+        assert angle(u, [-1.0, 0.0, 0.0]) / math.pi == pytest.approx(1.0)
 
     def test_mc_matches_angle_over_pi(self):
         model = sphere_model(d=5, marginal="gaussian", seed=3)
@@ -311,7 +311,7 @@ class TestDisagreementProbability:
         for _ in range(10):
             u = normalize(rng.standard_normal(3))
             v = normalize(rng.standard_normal(3))
-            exact = dm.disagreement_probability(model, u, v, exact=True).mean
+            exact = angle(u, v) / math.pi
             est = dm.disagreement_probability(model, u, v, n_mc=100_000, rng=rng)
             assert abs(est.mean - exact) <= 3 * est.std_error + 1e-9
 
