@@ -48,7 +48,6 @@ __all__ = [
     "CheckRow",
     "label_complexity_curve",
     "curve_fits",
-    "empirical_process_gap",
     "empirical_process_gap_profile",
     "angle_disagreement_report",
     "check_query_rule_equivalence",
@@ -359,19 +358,6 @@ def empirical_process_gap_profile(
     return {r: s / trials for r, s in sums.items()}
 
 
-def empirical_process_gap(
-    loss: SurrogateLoss,
-    model: DataModel,
-    r: float,
-    n: int,
-    trials: int,
-    candidates: int,
-    rng: np.random.Generator,
-) -> float:
-    """Single-radius view of the profile above."""
-    return empirical_process_gap_profile(loss, model, [r], n, trials, candidates, rng)[float(r)]
-
-
 # ---------------------------------------------------------------------------
 # Inequality report and check suites
 # ---------------------------------------------------------------------------
@@ -568,12 +554,12 @@ def check_concentration_scaling(
         loss, model, [r, 2 * r], n, trials, candidates, substream(seed, "th4-radius")
     )
     ratio_r = prof[2 * r] / prof[r]
-    gap_small = empirical_process_gap(
-        loss, model, r, n, trials, candidates, substream(seed, "th4-n-small")
-    )
-    gap_large = empirical_process_gap(
-        loss, model, r, 4 * n, trials, candidates, substream(seed, "th4-n-large")
-    )
+    gap_small = empirical_process_gap_profile(
+        loss, model, [r], n, trials, candidates, substream(seed, "th4-n-small")
+    )[r]
+    gap_large = empirical_process_gap_profile(
+        loss, model, [r], 4 * n, trials, candidates, substream(seed, "th4-n-large")
+    )[r]
     ratio_n = gap_small / gap_large
     lo, hi = band
     return [

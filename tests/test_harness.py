@@ -17,7 +17,6 @@ from halfspace_active.harness import (
     check_psi_transform,
     check_query_rule_equivalence,
     curve_fits,
-    empirical_process_gap,
     empirical_process_gap_profile,
     export_results,
     label_complexity_curve,
@@ -121,13 +120,13 @@ class TestEmpiricalProcessGap:
         assert 0 < prof[0.2] <= prof[0.4] <= prof[0.8]
 
     def test_gap_shrinks_with_more_samples(self):
-        small = empirical_process_gap(TQ, self.MODEL, 0.4, 100, 20, 64, substream(1, "a"))
-        large = empirical_process_gap(TQ, self.MODEL, 0.4, 6400, 20, 64, substream(1, "b"))
-        assert large < small
+        small = empirical_process_gap_profile(TQ, self.MODEL, [0.4], 100, 20, 64, substream(1, "a"))
+        large = empirical_process_gap_profile(TQ, self.MODEL, [0.4], 6400, 20, 64, substream(1, "b"))
+        assert large[0.4] < small[0.4]
 
     def test_tiny_radius_tiny_gap(self):
-        gap = empirical_process_gap(TQ, self.MODEL, 1e-4, 400, 5, 32, substream(2, "c"))
-        assert gap < 1e-3
+        gap = empirical_process_gap_profile(TQ, self.MODEL, [1e-4], 400, 5, 32, substream(2, "c"))
+        assert gap[1e-4] < 1e-3
 
     def test_one_quadrature_call_per_radius_per_trial(self, monkeypatch):
         # the base risk once, then one batched call for every candidate set
