@@ -3,12 +3,13 @@
 Configuration is a single JSON tree (diffable, archivable) with dotted
 ``--set key=value`` overrides; unknown keys are rejected by name.  Exit
 codes: 0 success, 1 runtime failure (partial results are still written),
-2 usage or configuration errors.
+2 usage or configuration errors, caught before any work starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
@@ -148,6 +149,15 @@ def _loss_name(name) -> str:
     return name
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Report a bad value met while building objects from the config as ConfigError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_model(config: dict) -> DataModel:
     mc = config["model"]
     kind = mc["conditional"]
@@ -204,32 +214,32 @@ def _print_epoch_table(record) -> None:
 
 
 def cmd_run(config: dict) -> int:
-    model = build_model(config)
-    update = build_update(config, R=model.R)
-    schedule = build_schedule(config)
+    rc = config["run"]
+    with _config_values():
+        model = build_model(config)
+        update = build_update(config, R=model.R)
+        schedule = build_schedule(config)
+        epochs, excess_risk_mc = int(rc["epochs"]), int(rc["excess_risk_mc"])
+        seeds = [int(seed) for seed in rc["seeds"]]
+        master_seed = int(config["seed"])
+    if epochs < 1:
+        raise ConfigError(f"run.epochs must be at least 1, got {epochs}")
     digest = config_digest(config)
     records = []
     failure = None
-    for seed in config["run"]["seeds"]:
+    for seed in seeds:
         try:
-            rec = run_active(
-                model,
-                update,
-                schedule,
-                m=int(config["run"]["epochs"]),
-                seed=int(seed),
-                excess_risk_mc=int(config["run"]["excess_risk_mc"]),
-                config_digest=digest,
-            )
-        except HalfspaceActiveError as exc:
-            if exc.partial is not None:
+            rec = run_active(model, update, schedule, m=epochs, seed=seed,
+                             excess_risk_mc=excess_risk_mc, config_digest=digest)
+        except (HalfspaceActiveError, ValueError) as exc:
+            if getattr(exc, "partial", None) is not None:
                 records.append(exc.partial)
             failure = exc
             break
         records.append(rec)
         _print_epoch_table(rec)
     export_results(records, None, [], config["out"], config_digest=digest,
-                   master_seed=int(config["seed"]))
+                   master_seed=master_seed)
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 1
@@ -237,22 +247,24 @@ def cmd_run(config: dict) -> int:
 
 
 def cmd_curve(config: dict) -> int:
-    model = build_model(config)
     cc = config["curve"]
-    experiment = ExperimentConfig(
-        model=model,
-        update=build_update(config, R=model.R),
-        schedule=build_schedule(config),
-        epsilons=tuple(float(e) for e in cc["epsilons"]),
-        seeds=tuple(int(s) for s in cc["seeds"]),
-        passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
-        passive_cap=int(cc["passive_cap"]),
-    )
+    with _config_values():
+        model = build_model(config)
+        experiment = ExperimentConfig(
+            model=model,
+            update=build_update(config, R=model.R),
+            schedule=build_schedule(config),
+            epsilons=tuple(float(e) for e in cc["epsilons"]),
+            seeds=tuple(int(s) for s in cc["seeds"]),
+            passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
+            passive_cap=int(cc["passive_cap"]),
+        )
+        master_seed = int(config["seed"])
     digest = config_digest(config)
     result = label_complexity_curve(experiment)
     paths = export_results(
         result.records, result, [], config["out"],
-        config_digest=digest, master_seed=int(config["seed"]),
+        config_digest=digest, master_seed=master_seed,
     )
     print(f"{'epsilon':>8} {'active_med':>11} {'passive_med':>12} {'censored':>9}")
     for p in result.points:
@@ -307,12 +319,14 @@ def _selected_checks(cc: dict) -> list[str]:
 
 def cmd_check(config: dict) -> int:
     names = _selected_checks(config["check"])
+    with _config_values():
+        seed = int(config["seed"])
     # digested as the set of suites that ran, however check.only spelled it
     only = None if len(names) == len(CHECKS) else names
     config = {**config, "check": {**config["check"], "only": only}}
-    rows = [row for name in names for row in CHECKS[name](config["check"], int(config["seed"]))]
+    rows = [row for name in names for row in CHECKS[name](config["check"], seed)]
     export_results([], None, rows, config["out"],
-                   config_digest=config_digest(config), master_seed=int(config["seed"]))
+                   config_digest=config_digest(config), master_seed=seed)
     failed = [r for r in rows if not r.passed]
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
@@ -337,19 +351,19 @@ def cmd_psi_table(loss_name: str, step: float) -> int:
 
 
 def cmd_budget(config: dict) -> int:
-    schedule = build_schedule(config)
     sc = config["schedule"]
-    gamma = float(sc["gamma"])
-    alpha_ncx = float(sc["gamma_minus"]) - float(sc["gamma_plus"]) / float(sc["kappa"])
-    alpha_cvx = gamma * float(sc["gamma_minus"]) - gamma * float(sc["gamma_plus"]) / float(sc["kappa"]) - 1.0
-    epochs = int(sc["m"])
+    with _config_values():
+        schedule = build_schedule(config)
+        # both theory schedules are built before any output: they validate gamma and m
+        theory = {mode: replace(schedule, mode=mode, n=None)
+                  for mode in ("theory-nonconvex", "theory-convex")}
+        gamma = float(sc["gamma"])
+        alpha_ncx = float(sc["gamma_minus"]) - float(sc["gamma_plus"]) / float(sc["kappa"])
+        alpha_cvx = gamma * float(sc["gamma_minus"]) - gamma * float(sc["gamma_plus"]) / float(sc["kappa"]) - 1.0
+        epochs = int(sc["m"])
+    budgets = {mode: [s.budget(k) for k in range(1, epochs + 1)] for mode, s in theory.items()}
     print(f"kappa_threshold(gamma={_fmt6(gamma)}) = {kappa_threshold(gamma):.6f}")
     print(f"alpha (non-convex) = {_fmt6(alpha_ncx)}   alpha (convex) = {_fmt6(alpha_cvx)}")
-    modes = ("theory-nonconvex", "theory-convex")
-    budgets = {}
-    for mode in modes:
-        s = replace(schedule, mode=mode, n=None)
-        budgets[mode] = [s.budget(k) for k in range(1, epochs + 1)]
     print(f"{'k':>3} {'r_k':>10} {'n_k (0-1)':>14} {'n_k (convex)':>14}")
     for k in range(1, epochs + 1):
         print(f"{k:>3} {_fmt6(radius_at(k)):>10} "
@@ -407,10 +421,10 @@ def main(argv=None) -> int:
         # looked up per call: the commands are module globals that may be rebound
         commands = {"run": cmd_run, "curve": cmd_curve, "check": cmd_check, "budget": cmd_budget}
         return commands[args.command](config)
-    except (ConfigError, ScheduleError, ValueError) as exc:
+    except (ConfigError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HalfspaceActiveError as exc:
+    except (HalfspaceActiveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

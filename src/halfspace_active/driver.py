@@ -402,8 +402,8 @@ def run_active(
     ever drawn for instances the query rule selected (epoch 1 selects
     everything): the pool's ``y`` when it has one, else the model's
     conditional on the "epoch", k, "labels" substream.  Any package error
-    raised mid-run carries the trace of the epochs recorded so far as
-    ``partial``.
+    or ValueError (numpy's LinAlgError is one) raised mid-run carries the
+    trace of the epochs recorded so far as ``partial``.
     """
     if m < 1:
         raise ValueError("need at least one epoch")
@@ -472,7 +472,7 @@ def run_active(
             if y.shape[0] < n_k:
                 raise StreamExhausted(f"pool ran dry in epoch {k} after {y.shape[0]}/{n_k} labels")
             w_k = _solve_epoch(update, X, y, w_k, r_k, R, seed, k)
-    except HalfspaceActiveError as exc:
+    except (HalfspaceActiveError, ValueError) as exc:
         if epochs:
             exc.partial = record()
         raise

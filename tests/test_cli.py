@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+import numpy as np
+
 import halfspace_active
-from halfspace_active import cli, harness
+from halfspace_active import cli, driver, harness
 from halfspace_active.cli import main
 from halfspace_active.errors import ConfigError
 
@@ -180,6 +182,31 @@ class TestCmdRun:
         record = json.loads(lines[0])
         assert len(record["epochs"]) == 4
         assert record["total_labels"] == sum(e["labels"] for e in record["epochs"])
+
+    def test_linalg_error_mid_run_exits_one_with_partial_trace(self, tmp_path, capsys, monkeypatch):
+        # a numpy fault inside a run is a runtime failure, not a usage error
+        solve = driver._solve_epoch
+
+        def fail_in_epoch_two(update, X, y, w_k, r_k, R, seed, k):
+            if k == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(update, X, y, w_k, r_k, R, seed, k)
+
+        monkeypatch.setattr(driver, "_solve_epoch", fail_in_epoch_two)
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "Eigenvalues did not converge" in capsys.readouterr().err
+        record = json.loads((tmp_path / "out" / "run_records.json").read_text())
+        assert [e["k"] for e in record["epochs"]] == [1, 2]
+        assert record["total_labels"] == 80
+
+    @pytest.mark.parametrize("setting", ["run.seeds=5", "model.dimension=[2]", "run.epochs=0"])
+    def test_bad_run_values_exit_two_before_any_run(self, tmp_path, capsys, setting):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", setting]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_ill_conditioned_seed_converges(self, tmp_path, capsys):
         # seed 172's last epochs have Hessian condition numbers near 1e4, where
