@@ -127,15 +127,25 @@ class DataModel:
         return substream(self.seed, "model", *labels)
 
 
+class _Examples(tuple):
+    """An (X, y) pair that stack_examples has already checked."""
+
+
 def stack_examples(data) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce an (X, y) pair into float arrays, checking shapes and labels."""
+    """Coerce an (X, y) pair into float arrays, checking shapes and labels.
+
+    The pair comes back marked as checked, and a marked pair is returned
+    as it is, so a solver checks its data once, not on every evaluation.
+    """
+    if isinstance(data, _Examples):
+        return data
     X = np.asarray(data[0], dtype=np.float64)
     y = np.asarray(data[1], dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError(f"inconsistent dataset shapes {X.shape} / {y.shape}")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
-    return X, y
+    return _Examples((X, y))
 
 
 # ---------------------------------------------------------------------------

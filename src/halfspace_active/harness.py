@@ -18,7 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import data_models as dm
-from .data_models import DataModel, exact_surrogate_risk, label_batch, sample_unlabeled
+from .data_models import (
+    DataModel,
+    exact_surrogate_risk,
+    label_batch,
+    sample_unlabeled,
+    stack_examples,
+)
 from .driver import (
     ConvexUpdate,
     RunRecord,
@@ -512,14 +518,14 @@ def check_gradient_finite_difference(
         near_kink = np.abs(margins - 1.0) < 1e-4
         if np.any(near_kink):
             X[near_kink] *= 1.01
-        g = surrogate_gradient(loss, w, (X, y))
+        data = stack_examples((X, y))
+        g = surrogate_gradient(loss, w, data)
         fd = np.empty(d)
         for i in range(d):
             e = np.zeros(d)
             e[i] = h
             fd[i] = (
-                surrogate_objective(loss, w + e, (X, y))
-                - surrogate_objective(loss, w - e, (X, y))
+                surrogate_objective(loss, w + e, data) - surrogate_objective(loss, w - e, data)
             ) / (2.0 * h)
         rel = float(np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g)))
         worst = max(worst, rel)

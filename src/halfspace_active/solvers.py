@@ -196,11 +196,12 @@ def minimize_in_ball(
     trial above 1e-18 of it satisfies Armijo), which leaves w stationary
     to float64 precision.  Raises MaxItersExceeded (carrying the last
     iterate and its residual) if the iteration cap is hit first.
-    Deterministic: no randomness anywhere.
+    Checks (X, y) once, by stack_examples; every objective and gradient
+    evaluation reuses the checked pair.  Deterministic: no randomness anywhere.
     """
     if loss.phi_second is None:
         raise LossSpecError(f"{loss.name}: the Newton solver needs phi_second")
-    data = (X, y)
+    X, y = data = stack_examples((X, y))
     w = ball.center.copy()
     f = surrogate_objective(loss, w, data)
     for _ in range(params.max_iters):

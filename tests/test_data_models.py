@@ -429,3 +429,7 @@ class TestStackExamples:
     def test_bad_labels(self):
         with pytest.raises(ValueError):
             dm.stack_examples((np.eye(2), np.array([1.0, 0.0])))
+
+    def test_checked_pair_is_not_checked_again(self):
+        data = dm.stack_examples((np.eye(2), np.array([1.0, -1.0])))
+        assert dm.stack_examples(data) is data

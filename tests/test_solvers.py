@@ -415,6 +415,17 @@ class TestErmConvex:
         w = solvers.minimize_in_ball(LOGI, X, y, ball)
         np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-8)
 
+    def test_checks_its_data_once(self, monkeypatch):
+        checks = []
+        stack = solvers.stack_examples
+        monkeypatch.setattr(solvers, "stack_examples",
+                            lambda data: checks.append(type(data)) or stack(data))
+        X, y = band_data(np.random.default_rng(17), 200, E1.coords, 0.25)
+        solvers.minimize_in_ball(TQ, X, y, SurrogateBall(0.4 * E1.coords, 0.1))
+        assert checks.count(tuple) == 1 and len(checks) > 2
+        with pytest.raises(ValueError, match="labels"):
+            solvers.minimize_in_ball(TQ, X, 0.0 * y, SurrogateBall(0.4 * E1.coords, 0.1))
+
     def test_needs_second_derivative(self):
         loss = dataclasses.replace(TQ, phi_second=None)
         with pytest.raises(LossSpecError):
