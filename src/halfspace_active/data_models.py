@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionIIViolation, UnsupportedMarginal
-from .geometry import UnitVector, _unit_margins, _vector_of, angle, normalize
+from .geometry import (
+    HypothesisBall,
+    UnitVector,
+    _unit_margins,
+    _vector_of,
+    angle,
+    margin_threshold,
+    normalize,
+)
 from .streams import substream
 
 __all__ = [
@@ -30,6 +38,7 @@ __all__ = [
     "RiskEstimate",
     "TsybakovFit",
     "sample_unlabeled",
+    "sample_in_band",
     "eta_batch",
     "label_batch",
     "bayes_tau",
@@ -174,6 +183,56 @@ def sample_unlabeled(model: DataModel, n: int, rng: np.random.Generator) -> np.n
         return sphere
     radii = rng.random((n, 1)) ** (1.0 / d)
     return sphere * radii
+
+
+def _band_margins(ball: HypothesisBall, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of s = x̄·w for x̄ uniform on the sphere, conditioned on the band.
+
+    s has density ∝ (1-s²)^((d-3)/2) on |s| <= t = margin_threshold(r).
+    At d = 2, x̄ sits at an angle ±π/2 + φ from w with φ uniform on
+    [-a, a], a = ball.half_angle, so s = ∓sin φ; at d = 3, s is uniform
+    (Archimedes); above, uniform proposals are kept with probability
+    (1-s²)^((d-3)/2) >= (1-t²)^((d-3)/2).
+    """
+    d = ball.dim
+    if d == 2:
+        return np.sin(ball.half_angle * (2.0 * rng.random(n) - 1.0))
+    t = margin_threshold(ball.radius)
+    kept, need = [], n
+    while need:
+        s = t * (2.0 * rng.random(need) - 1.0)
+        if d > 3:
+            s = s[rng.random(need) < (1.0 - s * s) ** (0.5 * (d - 3))]
+        kept.append(s)
+        need -= s.size
+    return np.concatenate(kept)
+
+
+def sample_in_band(
+    model: DataModel, ball: HypothesisBall, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n i.i.d. draws from the marginal conditioned on the ball's query band.
+
+    Every marginal is a uniform direction x̄ times an independent radius,
+    and the band (ball.radius <= 1) constrains x̄ alone: x̄ = s·w +
+    √(1-s²)·v with s from _band_margins and v uniform on the unit sphere
+    orthogonal to the center w.  The radius is then drawn as the marginal
+    draws it: 1, χ_d, or U^(1/d).  Rounding can put a row with |s| near t
+    a last bit outside the band; callers filter by query_mask and redraw.
+    """
+    if ball.radius > 1.0:
+        raise ValueError("sample_in_band needs a band: ball radius at most 1")
+    w, d = ball.center.coords, ball.dim
+    s = _band_margins(ball, n, rng)
+    g = rng.standard_normal((n, d))
+    g -= np.outer(g @ w, w)
+    v = g / np.linalg.norm(g, axis=1, keepdims=True)
+    X = s[:, None] * w + np.sqrt(1.0 - s * s)[:, None] * v
+    if model.marginal == "gaussian":
+        X *= np.sqrt(rng.chisquare(d, (n, 1)))
+    elif model.marginal == "uniform-ball":
+        X *= rng.random((n, 1)) ** (1.0 / d)
+    return X
 
 
 def eta_batch(model: DataModel, X: np.ndarray) -> np.ndarray:

@@ -1,11 +1,17 @@
-"""The epoch loop: scan, query, fit, normalize, halve the radius.
+"""The epoch loop: collect the queried rows, label, fit, normalize, halve the radius.
 
 Each run starts from a random unit vector with the whole sphere as its
 hypothesis ball (radius 2, every instance queried), fits by the chosen
 update on the labels collected that epoch, and halves the ball radius.
-Budgets per epoch come from a fixed/geometric schedule or from the
-theoretical formulas, which are implemented for verification but are far
-too conservative for desk-scale experiments.
+A finite pool is scanned in order.  A model epoch is rejection sampling
+from the likelier proposal: at r = 2, and on wide bands in d >= 4, it
+scans fresh marginal draws; every narrower band draws its queried rows
+directly from the marginal conditioned on the band, and draws the count
+``scanned`` from its exact law instead of counting it, so the epoch costs
+O(n_k) however narrow its band.  Budgets per epoch come from a
+fixed/geometric schedule or from the theoretical formulas, which are
+implemented for verification but are far too conservative for desk-scale
+experiments.
 """
 
 from __future__ import annotations
@@ -22,10 +28,19 @@ from .data_models import (
     DataModel,
     eta_batch,
     label_batch,
+    sample_in_band,
     sample_unlabeled,
 )
 from .errors import DegenerateSolution, HalfspaceActiveError, ScheduleError, StreamExhausted
-from .geometry import HypothesisBall, UnitVector, chord_length, normalize, query_mask
+from .geometry import (
+    FULL_RADIUS,
+    HypothesisBall,
+    UnitVector,
+    chord_length,
+    margin_threshold,
+    normalize,
+    query_mask,
+)
 from .losses import SurrogateLoss
 from .solvers import (
     ConvexSolverParams,
@@ -299,7 +314,10 @@ class FinitePool:
     """A fixed instance pool scanned sequentially across epochs.
 
     Labels come from ``y`` when given, else from the model's conditional.
-    Used to exercise StreamExhausted; the generative sources never run dry.
+    A pool is always scanned row by row, so its ``scanned`` is counted,
+    never drawn.  It exercises StreamExhausted, and a pool of pre-drawn
+    marginal rows with ``model`` is the scan that a model epoch's direct
+    draw must match in law.  The generative sources never run dry.
     """
 
     X: np.ndarray
@@ -319,29 +337,73 @@ class FinitePool:
 
 
 def _collect_epoch(chunks, ball: HypothesisBall, n_k: int, labels):
-    """Scan ``chunks`` until n_k queried instances are labeled.
+    """Scan ``chunks`` until n_k queried instances are found, then label them.
 
-    ``labels(rows, at)`` labels the queried rows found at positions ``at``
-    of this epoch's scan.  Returns (X, y, scanned): scanning stops at the
-    instance that fills the budget, so fewer than n_k labels means the
-    chunks ran out.
+    ``labels(rows, at)`` labels all the queried rows in one call, given
+    their positions ``at`` in this epoch's scan.  Returns (X, y, scanned):
+    scanning stops at the instance that fills the budget, so fewer than n_k
+    labels means the chunks ran out.
     """
-    xs, ys = [np.empty((0, ball.dim))], [np.empty(0)]
+    xs, ats = [np.empty((0, ball.dim))], [np.empty(0, dtype=np.intp)]
     scanned = charged = 0
     for rows in chunks:
         take = np.nonzero(query_mask(rows, ball))[0][: n_k - charged]
         if take.size:
             xs.append(rows[take])
-            ys.append(labels(xs[-1], scanned + take))
+            ats.append(scanned + take)
             charged += take.size
         if charged == n_k:
             scanned += int(take[-1]) + 1
             break
         scanned += rows.shape[0]
-    y = np.concatenate(ys)
-    if charged != y.shape[0]:
+    X = np.vstack(xs)
+    y = labels(X, np.concatenate(ats)) if charged else np.empty(0)
+    if y.shape[0] != charged:
         raise AssertionError("label audit failed: labels charged != labels kept")
-    return np.vstack(xs), y, scanned
+    return X, y, scanned
+
+
+def _direct_acceptance(ball: HypothesisBall) -> float:
+    """Share of sample_in_band's proposals that it keeps.
+
+    1 up to d = 3; above, it keeps uniform margins on [-t, t] with
+    probability (1-s²)^((d-3)/2), whose mean is p_k·B(½, (d-1)/2)/(2t).
+    """
+    if ball.dim <= 3:
+        return 1.0
+    d, t = ball.dim, margin_threshold(ball.radius)
+    log_beta = math.lgamma(0.5) + math.lgamma(0.5 * (d - 1)) - math.lgamma(0.5 * d)
+    return ball.band_probability * math.exp(log_beta) / (2.0 * t)
+
+
+def _forever(draw, *args):
+    while True:
+        yield draw(*args)
+
+
+def _model_epoch(model: DataModel, ball: HypothesisBall, n_k: int, rng, labels):
+    """One epoch of a DataModel: rejection sampling by the likelier proposal.
+
+    The scan proposes marginal rows and keeps the band's share, p_k =
+    ``ball.band_probability``; it stays for r = 2 and for wide bands in
+    d >= 4.  Every narrower band proposes rows from the band itself
+    (sample_in_band), which keeps more.  query_mask filters both, so both
+    hand on i.i.d. marginal rows conditioned on the band.  The scan counts
+    ``scanned``; the direct draw draws it from its exact law, the position
+    of the scan's n_k-th hit: n_k + NegBin(n_k, p_k).  All draws come from
+    ``rng``.
+    """
+    if ball.radius == FULL_RADIUS or _direct_acceptance(ball) <= ball.band_probability:
+        chunks = _forever(sample_unlabeled, model, _SCAN_CHUNK, rng)
+        return _collect_epoch(chunks, ball, n_k, labels)
+    X, y, _ = _collect_epoch(_forever(sample_in_band, model, ball, n_k, rng), ball, n_k, labels)
+    return X, y, n_k + int(rng.negative_binomial(n_k, ball.band_probability))
+
+
+def _pool_epoch(pool: FinitePool, start: int, ball: HypothesisBall, n_k: int, labels):
+    """One epoch's scan of the pool's rows from ``start`` on, until they run out."""
+    chunks = (pool.X[i:i + _SCAN_CHUNK] for i in range(start, pool.X.shape[0], _SCAN_CHUNK))
+    return _collect_epoch(chunks, ball, n_k, labels)
 
 
 def _mc_excess_risk(model: DataModel, w: np.ndarray, n: int, rng) -> float:
@@ -395,14 +457,17 @@ def run_active(
 ) -> RunRecord:
     """Run the full epoch loop and return its trace.
 
-    ``source`` is a DataModel or a FinitePool.  Epoch k of a DataModel scans
-    fresh draws from its "epoch", k, "scan" substream, which never run dry;
-    a FinitePool is scanned in order from where the previous epoch stopped,
-    and StreamExhausted is raised once its rows run out.  Labels are only
-    ever drawn for instances the query rule selected (epoch 1 selects
-    everything): the pool's ``y`` when it has one, else the model's
-    conditional on the "epoch", k, "labels" substream.  Any package error
-    or ValueError (numpy's LinAlgError is one) raised mid-run carries the
+    ``source`` is a DataModel or a FinitePool.  Epoch k of a DataModel
+    takes every draw from its "epoch", k, "scan" substream, which never
+    runs dry: at r = 2 and on wide bands in d >= 4 it scans fresh marginal
+    draws, and on every narrower band it draws the queried rows directly
+    and ``scanned`` from its law (see _model_epoch).  A FinitePool is
+    scanned in order from where the previous epoch stopped, and
+    StreamExhausted is raised once its rows run out.  Labels are only ever
+    drawn for instances the query rule selected (epoch 1 selects
+    everything), once per epoch: the pool's ``y`` when it has one, else the
+    model's conditional on the "epoch", k, "labels" substream.  Any package
+    error or ValueError (numpy's LinAlgError is one) raised mid-run carries the
     trace of the epochs recorded so far as ``partial``.
     """
     if m < 1:
@@ -410,22 +475,19 @@ def run_active(
     if isinstance(source, DataModel):
         model, dim, pool_y = source, source.dimension, None
 
-        def chunks_of(k: int, start: int):
+        def collect(k: int, ball: HypothesisBall, n_k: int):
             rng = substream(seed, "epoch", k, "scan")
-            while True:
-                yield sample_unlabeled(model, _SCAN_CHUNK, rng)
+            return _model_epoch(model, ball, n_k, rng, labels_of(k, 0))
     else:
-        model, dim, pool_X, pool_y = source.model, source.X.shape[1], source.X, source.y
+        model, dim, pool_y = source.model, source.X.shape[1], source.y
 
-        def chunks_of(k: int, start: int):
-            for i in range(start, pool_X.shape[0], _SCAN_CHUNK):
-                yield pool_X[i:i + _SCAN_CHUNK]
+        def collect(k: int, ball: HypothesisBall, n_k: int):
+            return _pool_epoch(source, cursor, ball, n_k, labels_of(k, cursor))
 
     def labels_of(k: int, start: int):
         if pool_y is not None:
             return lambda rows, at: pool_y[start + at]
-        rng = substream(seed, "epoch", k, "labels")
-        return lambda rows, at: label_batch(model, rows, rng)
+        return lambda rows, at: label_batch(model, rows, substream(seed, "epoch", k, "labels"))
 
     _check_pairing(model, update)
     if R is None and isinstance(update, ConvexUpdate):
@@ -464,9 +526,7 @@ def run_active(
         for k in range(1, m + 1):
             r_k = radius_at(k)
             n_k = schedule.budget(k)
-            X, y, scanned = _collect_epoch(
-                chunks_of(k, cursor), HypothesisBall(w_k, r_k), n_k, labels_of(k, cursor)
-            )
+            X, y, scanned = collect(k, HypothesisBall(w_k, r_k), n_k)
             cursor += scanned
             epochs.append(entry(k, n_k, int(y.shape[0]), scanned))
             if y.shape[0] < n_k:

@@ -138,6 +138,30 @@ class HypothesisBall:
             return math.pi
         return 2.0 * math.asin(self.radius / 2.0)
 
+    @property
+    def band_probability(self) -> float:
+        """Pr(query) for x̄ uniform on the sphere: I_{t²}(½, (d-1)/2), t = margin_threshold(r).
+
+        The share of any rotation-invariant marginal that the query rule
+        selects, since the rule reads only x̄.  The margin s = x̄·w has
+        density ∝ (1-s²)^((d-3)/2), so this is (2/π)·asin(t) = (4/π)·asin(r/2)
+        at d = 2 and t at d = 3; each step d -> d + 2 adds
+        t·(1-t²)^((d-1)/2) / (((d-1)/2)·B(½, (d-1)/2)), the half-integer
+        recurrence of the regularized incomplete beta function.
+        """
+        if self.radius == FULL_RADIUS:
+            return 1.0
+        t = margin_threshold(self.radius)
+        if self.dim % 2 == 0:
+            p, b, beta = 4.0 / math.pi * math.asin(self.radius / 2.0), 0.5, math.pi
+        else:
+            p, b, beta = t, 1.0, 2.0
+        while 2.0 * b + 1.0 < self.dim:  # p is the value at d = 2b + 1
+            p += t * (1.0 - t * t) ** b / (b * beta)
+            beta *= b / (b + 0.5)
+            b += 1.0
+        return min(p, 1.0)
+
 
 def normalize(v) -> UnitVector:
     """Return v / ||v|| as a UnitVector; zero vectors raise NormalizationError."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfspace_active import driver
-from halfspace_active.data_models import DataModel
+from halfspace_active.data_models import DataModel, label_batch, sample_in_band, sample_unlabeled
 from halfspace_active.driver import (
     ConvexUpdate,
     EpochRecord,
@@ -23,7 +23,13 @@ from halfspace_active.driver import (
     total_label_bound,
 )
 from halfspace_active.errors import ScheduleError, StreamExhausted
-from halfspace_active.geometry import HypothesisBall, UnitVector, query_mask
+from halfspace_active.geometry import (
+    HypothesisBall,
+    UnitVector,
+    margin_threshold,
+    normalize,
+    query_mask,
+)
 from halfspace_active.losses import truncated_quadratic_loss
 
 TQ = truncated_quadratic_loss()
@@ -331,3 +337,137 @@ class TestRunRecord:
         assert set(obj["epochs"][0]) == {
             "k", "r_k", "n_k", "labels", "scanned", "chord_error", "excess_risk_est"
         }
+
+
+class CountingRng:
+    """A Generator that counts the random values its draws return."""
+
+    def __init__(self, rng):
+        self.rng, self.values = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.values += np.size(out)
+            return out
+
+        return draw
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov–Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+class TestEpochCost:
+    """A model epoch draws O(n_k) random values, however narrow its band."""
+
+    def test_d20_sphere_run_down_to_r_2_minus_10(self, monkeypatch):
+        d, n = 20, 1000
+        model = DataModel(d, "uniform-sphere", "affine", np.eye(d)[0] * 0.4)
+        streams, substream = {}, driver.substream
+
+        def counted(seed, *labels):
+            streams[labels] = CountingRng(substream(seed, *labels))
+            return streams[labels]
+
+        monkeypatch.setattr(driver, "substream", counted)
+        rec = run_active(model, ConvexUpdate(TQ), ScheduleParams(mode="fixed", n=n), m=12, seed=3)
+        assert rec.epochs[-1].r_k == 2.0**-10
+        drawn = [streams["epoch", e.k, "scan"].values for e in rec.epochs]
+        # a scan at r = 2^-10 would draw n / p_k = 286,000 rows of 20 values
+        p = HypothesisBall(normalize(rec.final_w), 2.0**-10).band_probability
+        assert rec.epochs[-1].scanned > 0.9 * n / p
+        assert max(drawn) <= 10 * d * n
+
+    def test_theory_budget_epoch_at_r_2_minus_6(self):
+        # epoch 8 of the kappa = 1.5 theory-nonconvex budget; scanning its
+        # band (p_k = 0.99 %) would take about 34 M rows
+        n_k = ScheduleParams(mode="theory-nonconvex", kappa=1.5, m=8).budget(8)
+        assert n_k == 337_398
+        model = circle_model(kappa=1.5, seed=17)
+        ball = HypothesisBall(normalize([0.6, 0.8]), radius_at(8))
+        rng = CountingRng(np.random.default_rng(8))
+        X, y, scanned = driver._model_epoch(
+            model, ball, n_k, rng, lambda rows, at: np.ones(rows.shape[0])
+        )
+        assert X.shape == (n_k, 2) and y.shape == (n_k,)
+        assert rng.values <= 10 * n_k
+        p = ball.band_probability
+        assert abs(scanned - n_k / p) <= 4.0 * math.sqrt(n_k * (1.0 - p)) / p
+
+
+class TestDirectBandDraw:
+    """The direct draw hands on what the scan of the same model would.
+
+    The scan is the pool path: pre-drawn marginal rows in a FinitePool.
+    """
+
+    N = 2000
+
+    @pytest.mark.parametrize("marginal", ["uniform-sphere", "gaussian", "uniform-ball"])
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    def test_same_law_as_the_scan(self, d, marginal):
+        n = self.N
+        w_star = np.zeros(d)
+        w_star[0] = 2.0
+        model = DataModel(d, marginal, "logistic", w_star, seed=d)
+        center = normalize(np.arange(1.0, d + 1.0))
+        for i, r in enumerate((1.0, 2.0**-3, 2.0**-8)):
+            ball = HypothesisBall(center, r)
+            p = ball.band_probability
+            size = int(1.2 * n / p) + 4096
+            pool = FinitePool(sample_unlabeled(model, size, model.stream("pool", i)), model=model)
+
+            def labels(rows, at, rng=model.stream("labels", i)):
+                return label_batch(model, rows, rng)
+
+            runs = [driver._pool_epoch(pool, 0, ball, n, labels),
+                    driver._model_epoch(model, ball, n, model.stream("direct", i), labels)]
+            (Xs, ys, scan_s), (Xd, yd, scan_d) = runs
+            assert Xs.shape == Xd.shape == (n, d)
+            crit = 2.15 * math.sqrt(2.0 / n)  # KS at the 1e-4 level
+            s_scan, s_direct = (np.abs(X @ center.coords) / np.linalg.norm(X, axis=1) for X in (Xs, Xd))
+            assert ks_statistic(s_scan, s_direct) <= crit
+            norms = [np.linalg.norm(X, axis=1) for X in (Xs, Xd)]
+            if marginal == "uniform-sphere":
+                np.testing.assert_allclose(np.concatenate(norms), 1.0, rtol=1e-12)
+            else:
+                assert ks_statistic(*norms) <= crit
+            rates = [np.mean(y > 0) for y in (ys, yd)]
+            q = 0.5 * sum(rates)
+            assert abs(rates[0] - rates[1]) <= 4.0 * math.sqrt(2.0 * q * (1.0 - q) / n)
+            for scanned in (scan_s, scan_d):
+                assert abs(scanned - n / p) <= 4.0 * math.sqrt(n * (1.0 - p)) / p
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 10, 20])
+    def test_margin_law_matches_band_probability(self, d):
+        # Pr(|s| <= u | band) = p(u) / p(t), where p(u) is the band
+        # probability of the radius whose margin threshold is u
+        model = DataModel(d, "uniform-sphere", "logistic", np.eye(d)[0])
+        rng = np.random.default_rng(30 + d)
+        n = 50_000
+        for r in (1.0, 0.25):
+            ball = HypothesisBall(normalize(rng.standard_normal(d)), r)
+            X = sample_in_band(model, ball, n, rng)
+            s = np.sort(np.abs(X @ ball.center.coords))
+            u = np.linspace(0.02, 0.98, 25) * margin_threshold(r)
+            exact = [HypothesisBall(ball.center, math.sqrt(2.0 - 2.0 * math.sqrt(1.0 - v * v)))
+                     .band_probability / ball.band_probability for v in u]
+            empirical = np.searchsorted(s, u, side="right") / n
+            assert np.max(np.abs(empirical - exact)) <= 2.15 / math.sqrt(n)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 10])
+    def test_query_mask_keeps_direct_rows(self, d):
+        model = DataModel(d, "gaussian", "logistic", np.eye(d)[0])
+        rng = np.random.default_rng(d)
+        for r in (1.0, 2.0**-3, 2.0**-8, 2.0**-30):
+            ball = HypothesisBall(normalize(rng.standard_normal(d)), r)
+            X = sample_in_band(model, ball, 5000, rng)
+            assert np.count_nonzero(~query_mask(X, ball)) <= 1

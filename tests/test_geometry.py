@@ -228,6 +228,28 @@ class TestDisRegion:
         assert HypothesisBall(E1, 2.0).half_angle == math.pi
         assert HypothesisBall(E1, 1.0).half_angle == pytest.approx(math.pi / 3.0, abs=1e-15)
 
+    def test_band_probability_closed_forms(self):
+        for r in (1.0, 0.5, 2.0**-8):
+            t = geometry.margin_threshold(r)
+            ball = {d: HypothesisBall(unit_at(0.3, d), r) for d in (2, 3, 4, 5)}
+            assert ball[2].band_probability == pytest.approx(4.0 / math.pi * math.asin(r / 2.0))
+            assert ball[3].band_probability == pytest.approx(t)
+            assert ball[4].band_probability == pytest.approx(
+                2.0 / math.pi * (math.asin(t) + t * math.sqrt(1.0 - t * t)))
+            assert ball[5].band_probability == pytest.approx((3.0 * t - t**3) / 2.0)
+        assert HypothesisBall(unit_at(0.3, 7), 2.0).band_probability == 1.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 20])
+    def test_band_probability_matches_query_rate(self, d):
+        # the rule reads x̄ only, so any rotation-invariant marginal will do
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((200_000, d))
+        for r in (1.0, 0.25, 2.0**-6):
+            ball = HypothesisBall(normalize(rng.standard_normal(d)), r)
+            p = ball.band_probability
+            rate = np.mean(query_mask(X, ball))
+            assert abs(rate - p) <= 3.0 * math.sqrt(p * (1.0 - p) / X.shape[0])
+
     def test_mask_agrees_with_scalar(self):
         rng = np.random.default_rng(6)
         ball = HypothesisBall(normalize(rng.standard_normal(3)), 0.2)
