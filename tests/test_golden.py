@@ -20,10 +20,10 @@ from halfspace_active import cli
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
 
-CRITERION_11_RECORDS_SHA256 = "0cb32d54de843c9f576d03160091bad6299a2374fcf5bb126bcd426063693802"
+CRITERION_11_RECORDS_SHA256 = "088eff8225439f9993ef044854f2d465dcabc291f598a8c38dc91a7dda7c2a4d"
 ZERO_ONE_CURVE_CSV_SHA256 = "6220b270b2881149bcae01924d7d4a20737e4134a3069cd6f75b9d685676f6f8"
-ZERO_ONE_CURVE_RECORDS_SHA256 = "dbefe617a82c3f4ff138435a5ece3f45f33bb9dc45a71ddc136f19edaabe740b"
-ZERO_ONE_SEARCH_RECORDS_SHA256 = "288e65f640942bfedd30cf1f763a583ff0f82e8950d84e40e3e7e7c0c061e86d"
+ZERO_ONE_CURVE_RECORDS_SHA256 = "f7a08d4d51513d221a5597fbd53fdaaf301547996144ba1b2483a04840f2f278"
+ZERO_ONE_SEARCH_RECORDS_SHA256 = "5efaaa48818a3d2d7f92dcc84958c41c8c10b156053951adf037404872a5e48a"
 CHECKS_CSV_SHA256 = "77c508443a8a2fd502b1f7393f31b8be35afa4f5759316bdd0dc52331eb7d1f7"
 
 POOL_RECORD = (
