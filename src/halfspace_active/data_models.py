@@ -198,7 +198,7 @@ def _band_margins(ball: HypothesisBall, n: int, rng: np.random.Generator) -> np.
     if d == 2:
         return np.sin(ball.half_angle * (2.0 * rng.random(n) - 1.0))
     t = margin_threshold(ball.radius)
-    kept, need = [], n
+    kept, need = [np.empty(0)], n
     while need:
         s = t * (2.0 * rng.random(need) - 1.0)
         if d > 3:

@@ -471,3 +471,4 @@ class TestDirectBandDraw:
             ball = HypothesisBall(normalize(rng.standard_normal(d)), r)
             X = sample_in_band(model, ball, 5000, rng)
             assert np.count_nonzero(~query_mask(X, ball)) <= 1
+            assert sample_in_band(model, ball, 0, rng).shape == (0, d)
