@@ -3,12 +3,11 @@
 Each run starts from a random unit vector with the whole sphere as its
 hypothesis ball (radius 2, every instance queried), fits by the chosen
 update on the labels collected that epoch, and halves the ball radius.
-A finite pool is scanned in order.  A model epoch is rejection sampling
-from the likelier proposal: at r = 2, and on wide bands in d >= 4, it
-scans fresh marginal draws; every narrower band draws its queried rows
-directly from the marginal conditioned on the band, and draws the count
-``scanned`` from its exact law instead of counting it, so the epoch costs
-O(n_k) however narrow its band.  Budgets per epoch come from a
+A finite pool is scanned in order.  A model epoch at r = 2 scans fresh
+marginal draws; every narrower band draws its queried rows directly from
+the marginal conditioned on the band, and draws the count ``scanned``
+from its exact law instead of counting it, so the epoch costs O(n_k)
+however narrow its band.  Budgets per epoch come from a
 fixed/geometric schedule or from the theoretical formulas, which are
 implemented for verification but are far too conservative for desk-scale
 experiments.
@@ -37,7 +36,6 @@ from .geometry import (
     HypothesisBall,
     UnitVector,
     chord_length,
-    margin_threshold,
     normalize,
     query_mask,
 )
@@ -336,26 +334,28 @@ class FinitePool:
                 raise ValueError("pool labels must match pool instances")
 
 
-def _collect_epoch(chunks, ball: HypothesisBall, n_k: int, labels):
-    """Scan ``chunks`` until n_k queried instances are found, then label them.
+def _collect_epoch(draw, ball: HypothesisBall, n_k: int, labels):
+    """Scan rows from ``draw`` until n_k queried instances are found, then label them.
 
-    ``labels(rows, at)`` labels all the queried rows in one call, given
-    their positions ``at`` in this epoch's scan.  Returns (X, y, scanned):
-    scanning stops at the instance that fills the budget, so fewer than n_k
-    labels means the chunks ran out.
+    ``draw(need)`` returns the next rows, given how many queried rows are
+    still missing, or None once the source has run out.  ``labels(rows,
+    at)`` labels all the queried rows in one call, given their positions
+    ``at`` in this epoch's scan.  Returns (X, y, scanned): scanning stops
+    at the instance that fills the budget, so fewer than n_k labels means
+    the source ran out.
     """
     xs, ats = [np.empty((0, ball.dim))], [np.empty(0, dtype=np.intp)]
     scanned = charged = 0
-    for rows in chunks:
+    while charged < n_k:
+        rows = draw(n_k - charged)
+        if rows is None:
+            break
         take = np.nonzero(query_mask(rows, ball))[0][: n_k - charged]
         if take.size:
             xs.append(rows[take])
             ats.append(scanned + take)
             charged += take.size
-        if charged == n_k:
-            scanned += int(take[-1]) + 1
-            break
-        scanned += rows.shape[0]
+        scanned += int(take[-1]) + 1 if charged == n_k else rows.shape[0]
     X = np.vstack(xs)
     y = labels(X, np.concatenate(ats)) if charged else np.empty(0)
     if y.shape[0] != charged:
@@ -363,47 +363,31 @@ def _collect_epoch(chunks, ball: HypothesisBall, n_k: int, labels):
     return X, y, scanned
 
 
-def _direct_acceptance(ball: HypothesisBall) -> float:
-    """Share of sample_in_band's proposals that it keeps.
-
-    1 up to d = 3; above, it keeps uniform margins on [-t, t] with
-    probability (1-s²)^((d-3)/2), whose mean is p_k·B(½, (d-1)/2)/(2t).
-    """
-    if ball.dim <= 3:
-        return 1.0
-    d, t = ball.dim, margin_threshold(ball.radius)
-    log_beta = math.lgamma(0.5) + math.lgamma(0.5 * (d - 1)) - math.lgamma(0.5 * d)
-    return ball.band_probability * math.exp(log_beta) / (2.0 * t)
-
-
-def _forever(draw, *args):
-    while True:
-        yield draw(*args)
-
-
 def _model_epoch(model: DataModel, ball: HypothesisBall, n_k: int, rng, labels):
-    """One epoch of a DataModel: rejection sampling by the likelier proposal.
+    """One epoch of a DataModel, by rejection sampling through query_mask.
 
-    The scan proposes marginal rows and keeps the band's share, p_k =
-    ``ball.band_probability``; it stays for r = 2 and for wide bands in
-    d >= 4.  Every narrower band proposes rows from the band itself
-    (sample_in_band), which keeps more.  query_mask filters both, so both
-    hand on i.i.d. marginal rows conditioned on the band.  The scan counts
-    ``scanned``; the direct draw draws it from its exact law, the position
-    of the scan's n_k-th hit: n_k + NegBin(n_k, p_k).  All draws come from
-    ``rng``.
+    At r = 2 every row is queried, so the epoch scans fresh marginal rows
+    and counts ``scanned``.  Every narrower band proposes rows from the
+    band itself (sample_in_band), which costs O(n_k) however narrow the
+    band, and draws ``scanned`` from its exact law, the position of a
+    scan's n_k-th hit: n_k + NegBin(n_k, p_k), p_k =
+    ``ball.band_probability``.  query_mask still filters the direct rows;
+    one it drops (rounded a last bit out of the band) is redrawn, alone.
+    So both hand on i.i.d. marginal rows conditioned on the band.  All
+    draws come from ``rng``.
     """
-    if ball.radius == FULL_RADIUS or _direct_acceptance(ball) <= ball.band_probability:
-        chunks = _forever(sample_unlabeled, model, _SCAN_CHUNK, rng)
-        return _collect_epoch(chunks, ball, n_k, labels)
-    X, y, _ = _collect_epoch(_forever(sample_in_band, model, ball, n_k, rng), ball, n_k, labels)
+    if ball.radius == FULL_RADIUS:
+        return _collect_epoch(
+            lambda need: sample_unlabeled(model, _SCAN_CHUNK, rng), ball, n_k, labels
+        )
+    X, y, _ = _collect_epoch(lambda need: sample_in_band(model, ball, need, rng), ball, n_k, labels)
     return X, y, n_k + int(rng.negative_binomial(n_k, ball.band_probability))
 
 
 def _pool_epoch(pool: FinitePool, start: int, ball: HypothesisBall, n_k: int, labels):
     """One epoch's scan of the pool's rows from ``start`` on, until they run out."""
     chunks = (pool.X[i:i + _SCAN_CHUNK] for i in range(start, pool.X.shape[0], _SCAN_CHUNK))
-    return _collect_epoch(chunks, ball, n_k, labels)
+    return _collect_epoch(lambda need: next(chunks, None), ball, n_k, labels)
 
 
 def _mc_excess_risk(model: DataModel, w: np.ndarray, n: int, rng) -> float:
@@ -459,9 +443,9 @@ def run_active(
 
     ``source`` is a DataModel or a FinitePool.  Epoch k of a DataModel
     takes every draw from its "epoch", k, "scan" substream, which never
-    runs dry: at r = 2 and on wide bands in d >= 4 it scans fresh marginal
-    draws, and on every narrower band it draws the queried rows directly
-    and ``scanned`` from its law (see _model_epoch).  A FinitePool is
+    runs dry: at r = 2 it scans fresh marginal draws, and on every
+    narrower band it draws the queried rows directly and ``scanned`` from
+    its law (see _model_epoch).  A FinitePool is
     scanned in order from where the previous epoch stopped, and
     StreamExhausted is raised once its rows run out.  Labels are only ever
     drawn for instances the query rule selected (epoch 1 selects

@@ -259,7 +259,7 @@ class TestFinitePool:
             charged.extend(at)
             return y[at]
 
-        Xq, yq, scanned = driver._collect_epoch(chunks, ball, 200, labels)
+        Xq, yq, scanned = driver._collect_epoch(lambda need: next(chunks, None), ball, 200, labels)
         assert yq.shape[0] == 200  # not exhausted
         assert len(charged) == 200 == Xq.shape[0]
         assert np.all(query_mask(Xq, ball))
@@ -270,7 +270,8 @@ class TestFinitePool:
         X = np.random.default_rng(2).standard_normal((50, 2))
         ball = HypothesisBall(UnitVector(np.array([1.0, 0.0])), 2.0)
         with pytest.raises(AssertionError, match="label audit"):
-            driver._collect_epoch(iter([X]), ball, 10, lambda rows, at: np.ones(rows.shape[0] - 1))
+            driver._collect_epoch(lambda need: X, ball, 10,
+                                  lambda rows, at: np.ones(rows.shape[0] - 1))
 
     def test_budget_filled_on_last_row_then_exhausted(self):
         # epoch 1 (radius 2 queries everything) takes all 100 rows and is not
@@ -462,6 +463,26 @@ class TestDirectBandDraw:
                      .band_probability / ball.band_probability for v in u]
             empirical = np.searchsorted(s, u, side="right") / n
             assert np.max(np.abs(empirical - exact)) <= 2.15 / math.sqrt(n)
+
+    def test_dropped_direct_row_is_redrawn_alone(self, monkeypatch):
+        # a direct row query_mask drops costs one more row, not a new batch
+        model = DataModel(3, "uniform-sphere", "logistic", np.eye(3)[0])
+        ball = HypothesisBall(normalize([0.0, 0.6, 0.8]), 0.25)
+        asked = []
+
+        def one_off_band(model, ball, n, rng):
+            asked.append(n)
+            X = sample_in_band(model, ball, n, rng)
+            if len(asked) == 1:
+                X[0] = ball.center.coords  # |s| = 1, outside every band
+            return X
+
+        monkeypatch.setattr(driver, "sample_in_band", one_off_band)
+        X, y, _ = driver._model_epoch(
+            model, ball, 500, np.random.default_rng(4), lambda rows, at: np.ones(rows.shape[0])
+        )
+        assert asked == [500, 1]
+        assert X.shape == (500, 3) and np.all(query_mask(X, ball))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 10])
     def test_query_mask_keeps_direct_rows(self, d):
