@@ -23,7 +23,7 @@ from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, r
 CRITERION_11_RECORDS_SHA256 = "088eff8225439f9993ef044854f2d465dcabc291f598a8c38dc91a7dda7c2a4d"
 ZERO_ONE_CURVE_CSV_SHA256 = "6220b270b2881149bcae01924d7d4a20737e4134a3069cd6f75b9d685676f6f8"
 ZERO_ONE_CURVE_RECORDS_SHA256 = "f7a08d4d51513d221a5597fbd53fdaaf301547996144ba1b2483a04840f2f278"
-ZERO_ONE_SEARCH_RECORDS_SHA256 = "5efaaa48818a3d2d7f92dcc84958c41c8c10b156053951adf037404872a5e48a"
+ZERO_ONE_SEARCH_RECORDS_SHA256 = "e3ad814f9824ece9ae63947906b5afa725eff5acc44bdbd3b4ae553514a5ba2a"
 CHECKS_CSV_SHA256 = "77c508443a8a2fd502b1f7393f31b8be35afa4f5759316bdd0dc52331eb7d1f7"
 
 POOL_RECORD = (
