@@ -3,7 +3,9 @@
 The run-records digest belongs to acceptance criterion 11's config; the
 curve digests belong to a small criterion-07 curve whose active and passive
 arms both refit by the exact 2-D 0-1 sweep, the active arm's first epoch on
-the whole circle (r = 2); the search digest belongs to d = 10 zero-one runs
+the whole circle (r = 2); the ball-curve digests belong to a curve on the
+uniform ball whose passive probes run past the first 4,096-row chunk of
+each seed's stream, up to a cap of 12,000; the search digest belongs to d = 10 zero-one runs
 that refit by the restart search, from the whole sphere (r = 2) down to caps
 narrow enough that refined candidates are clipped back; the config digest
 is that of the built-in defaults; the checks digest belongs to all six
@@ -23,6 +25,8 @@ from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, r
 CRITERION_11_RECORDS_SHA256 = "088eff8225439f9993ef044854f2d465dcabc291f598a8c38dc91a7dda7c2a4d"
 ZERO_ONE_CURVE_CSV_SHA256 = "6220b270b2881149bcae01924d7d4a20737e4134a3069cd6f75b9d685676f6f8"
 ZERO_ONE_CURVE_RECORDS_SHA256 = "f7a08d4d51513d221a5597fbd53fdaaf301547996144ba1b2483a04840f2f278"
+BALL_CURVE_CSV_SHA256 = "702bec82c8f8e85f54fddd462ac1e4067338644669c19e2489e45d58319c945e"
+BALL_CURVE_RECORDS_SHA256 = "0111d95f8a8fb4f77ab6666c5c754a9d87f1cceb8d9a8824a3850ec2dce4ad55"
 ZERO_ONE_SEARCH_RECORDS_SHA256 = "e3ad814f9824ece9ae63947906b5afa725eff5acc44bdbd3b4ae553514a5ba2a"
 CHECKS_CSV_SHA256 = "77c508443a8a2fd502b1f7393f31b8be35afa4f5759316bdd0dc52331eb7d1f7"
 
@@ -70,6 +74,25 @@ def test_zero_one_curve_digests(tmp_path, capsys):
     records = (tmp_path / "out" / "run_records.json").read_bytes()
     assert hashlib.sha256(curve).hexdigest() == ZERO_ONE_CURVE_CSV_SHA256
     assert hashlib.sha256(records).hexdigest() == ZERO_ONE_CURVE_RECORDS_SHA256
+
+
+def test_ball_curve_digests(tmp_path, capsys):
+    config = {
+        "model": {"dimension": 2, "marginal": "uniform-ball",
+                  "conditional": "powered-margin", "w_star": [1.0, 0.0],
+                  "kappa": 1.5, "seed": 7},
+        "update": {"kind": "zero-one"},
+        "schedule": {"mode": "fixed", "n": 50},
+        "curve": {"epsilons": [0.05, 0.01], "seeds": [0, 1, 2, 3],
+                  "passive_update": "zero-one", "passive_cap": 12000},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["curve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    curve = (tmp_path / "out" / "curve.csv").read_bytes()
+    records = (tmp_path / "out" / "run_records.json").read_bytes()
+    assert hashlib.sha256(curve).hexdigest() == BALL_CURVE_CSV_SHA256
+    assert hashlib.sha256(records).hexdigest() == BALL_CURVE_RECORDS_SHA256
 
 
 def test_zero_one_search_records_digest(tmp_path, capsys):
