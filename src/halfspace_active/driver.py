@@ -65,6 +65,7 @@ __all__ = [
     "total_label_bound",
     "run_active",
     "run_passive",
+    "passive_prefix",
 ]
 
 logger = logging.getLogger(__name__)
@@ -390,6 +391,11 @@ def _pool_epoch(pool: FinitePool, start: int, ball: HypothesisBall, n_k: int, la
     return _collect_epoch(lambda need: next(chunks, None), ball, n_k, labels)
 
 
+def _model_labels(model: DataModel, seed: int, k: int):
+    """Epoch k's label rule: the model's conditional on the "epoch", k, "labels" substream."""
+    return lambda rows, at: label_batch(model, rows, substream(seed, "epoch", k, "labels"))
+
+
 def _mc_excess_risk(model: DataModel, w: np.ndarray, n: int, rng) -> float:
     """Monte Carlo excess binary risk using the known conditional directly."""
     X = sample_unlabeled(model, n, rng)
@@ -471,7 +477,7 @@ def run_active(
     def labels_of(k: int, start: int):
         if pool_y is not None:
             return lambda rows, at: pool_y[start + at]
-        return lambda rows, at: label_batch(model, rows, substream(seed, "epoch", k, "labels"))
+        return _model_labels(model, seed, k)
 
     _check_pairing(model, update)
     if R is None and isinstance(update, ConvexUpdate):
@@ -543,3 +549,21 @@ def run_passive(
     return run_active(
         source, update, schedule, m=1, seed=seed, R=R, config_digest=config_digest
     )
+
+
+def passive_prefix(model: DataModel, n: int, seed: int) -> FinitePool:
+    """The first n rows and labels of seed's passive stream, as a labelled pool.
+
+    n is rounded up to whole scan chunks.  The rows are drawn as
+    run_passive(model, update, n_total, seed) draws them, by the same r = 2
+    epoch on the "epoch", 1, "scan" and "epoch", 1, "labels" substreams.
+    Rows come in whole chunks and labels one per row in scan order, so
+    run_passive(pool, update, n_total, seed) returns the same record bit
+    for bit for every n_total up to the pool's size.
+    """
+    rows = -(-n // _SCAN_CHUNK) * _SCAN_CHUNK
+    ball = HypothesisBall(model.w_bar, FULL_RADIUS)
+    X, y, _ = _model_epoch(
+        model, ball, rows, substream(seed, "epoch", 1, "scan"), _model_labels(model, seed, 1)
+    )
+    return FinitePool(X, model=model, y=y)

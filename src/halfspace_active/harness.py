@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
 import os
 from dataclasses import dataclass, replace
@@ -30,7 +31,9 @@ from .driver import (
     RunRecord,
     ScheduleParams,
     ZeroOneUpdate,
+    FinitePool,
     epochs_for_target,
+    passive_prefix,
     run_active,
     run_passive,
 )
@@ -75,6 +78,8 @@ CURVE_HEADER = [
 ]
 CHECKS_HEADER = ["check_name", "parameter", "observed", "bound_or_target", "sigma", "pass"]
 
+logger = logging.getLogger(__name__)
+
 # Entries of the (n, candidates) margin matrix that the gap profile holds at once.
 _MARGIN_BLOCK = 1 << 18
 
@@ -94,6 +99,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.seeds) < 1:
             raise ConfigError("need at least one seed")
+        if self.passive_cap < 1:
+            raise ConfigError(f"passive_cap must be at least 1, got {self.passive_cap!r}")
         eps = tuple(float(e) for e in self.epsilons)
         if not eps or any(not 0.0 < e < 2.0 for e in eps):
             raise ConfigError("epsilon targets must lie in (0, 2)")
@@ -149,42 +156,55 @@ def _quartiles(values) -> tuple[float, float, float]:
 
 
 class _PassiveProbe:
-    """Caches passive runs: one probe evaluates every seed at a given n_total."""
+    """Caches passive runs: one probe evaluates every seed at a given n_total.
+
+    A passive run at n_total labels the first n_total rows of its seed's
+    stream, so each seed's stream is drawn and labelled once, as a pool,
+    and every probe fits a prefix of it.  A pool is redrawn, longer, only
+    when a probe needs more rows than it holds.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.update = config.passive_update if config.passive_update is not None else config.update
         self.w_bar = config.model.w_bar.coords
         self.cache: dict[int, np.ndarray] = {}
+        self.pools: dict[int, FinitePool] = {}
+
+    def run(self, seed: int, n: int) -> RunRecord:
+        pool = self.pools.get(seed)
+        if pool is None or pool.X.shape[0] < n:
+            pool = self.pools[seed] = passive_prefix(self.config.model, n, seed)
+        return run_passive(pool, self.update, n, seed=seed)
 
     def errors(self, n: int) -> np.ndarray:
         if n not in self.cache:
-            errs = []
-            for seed in self.config.seeds:
-                rec = run_passive(self.config.model, self.update, n, seed=seed)
-                errs.append(float(np.linalg.norm(np.asarray(rec.final_w) - self.w_bar)))
-            self.cache[n] = np.asarray(errs)
+            self.cache[n] = np.asarray([
+                float(np.linalg.norm(np.asarray(self.run(seed, n).final_w) - self.w_bar))
+                for seed in self.config.seeds
+            ])
         return self.cache[n]
 
     def statistic(self, n: int, percentile: float) -> float:
         return float(np.percentile(self.errors(n), percentile))
 
+    def rows_held(self) -> int:
+        return sum(pool.X.shape[0] for pool in self.pools.values())
+
 
 def _bisect_labels(probe: _PassiveProbe, epsilon: float, percentile: float, cap: int) -> int:
-    """Smallest n_total whose seed-percentile error is <= epsilon.
+    """Smallest n_total <= cap whose seed-percentile error is <= epsilon.
 
-    Doubling then bisection; the statistic is only statistically monotone
-    in n, so this is the usual practical approximation.  Returns the cap
-    itself when even the cap fails (callers treat that as censored).
+    Doubling from min(8, cap) then bisection, never probing above the cap;
+    the statistic is only statistically monotone in n, so this is the
+    usual practical approximation.  Returns the cap itself when even the
+    cap fails (callers treat that as censored).
     """
-    hi = 8
+    hi = min(8, cap)
     while probe.statistic(hi, percentile) > epsilon:
-        hi *= 2
         if hi >= cap:
-            if probe.statistic(cap, percentile) > epsilon:
-                return cap
-            hi = cap
-            break
+            return cap
+        hi = min(2 * hi, cap)
     lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -219,6 +239,10 @@ def label_complexity_curve(config: ExperimentConfig) -> CurveResult:
         # lower-quartile error crosses earlier, so it bounds the IQR below
         lp_q1 = _bisect_labels(probe, eps, 25.0, cap)
         lp_q3 = _bisect_labels(probe, eps, 75.0, cap)
+        logger.info(
+            "epsilon=%r: %d passive probes evaluated so far, %d stream rows held over %d seeds",
+            eps, len(probe.cache), probe.rows_held(), len(probe.pools),
+        )
         la = _quartiles(labels)
         points.append(
             CurvePoint(

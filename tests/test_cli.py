@@ -247,6 +247,14 @@ class TestCmdCurve:
         path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": []})
         assert main(["curve", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_passive_cap_below_one_exits_two_before_any_run(self, tmp_path, capsys, cap):
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0, 1]})
+        assert main(["curve", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", f"curve.passive_cap={cap}"]) == 2
+        assert "passive_cap" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdCheck:
     def test_subset_runs_and_passes(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from halfspace_active import data_models as dm
 from halfspace_active import harness
 from halfspace_active.data_models import DataModel
-from halfspace_active.driver import ScheduleParams, ZeroOneUpdate
+from halfspace_active.driver import ConvexUpdate, ScheduleParams, ZeroOneUpdate, run_passive
 from halfspace_active.errors import ConfigError
 from halfspace_active.harness import (
     CheckRow,
@@ -59,6 +60,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             curve_config(seeds=())
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_passive_cap_at_least_one(self, cap):
+        with pytest.raises(ConfigError, match="passive_cap"):
+            dataclasses.replace(curve_config(), passive_cap=cap)
+
 
 class TestLabelComplexityCurve:
     def test_points_and_audit_identity(self):
@@ -100,6 +106,26 @@ class TestLabelComplexityCurve:
         result = label_complexity_curve(config)
         assert result.points[0].censored
 
+    def test_no_probe_above_a_small_cap(self):
+        # doubling used to start at 8 whatever the cap, and reported 7 labels
+        # at a cap of 4, with q3 below the median
+        config = dataclasses.replace(curve_config(epsilons=(0.6,)), passive_cap=4)
+        result = label_complexity_curve(config)
+        assert max(n for n, _ in result.passive_errors) <= 4
+        p = result.points[0]
+        assert p.labels_passive_q1 <= p.labels_passive_med <= p.labels_passive_q3 <= 4
+
+    def test_logs_probes_and_cached_rows_per_target(self, caplog):
+        config = curve_config(seeds=range(3))
+        with caplog.at_level(logging.INFO, logger="halfspace_active.harness"):
+            result = label_complexity_curve(config)
+        lines = [r.getMessage() for r in caplog.records if r.name == "halfspace_active.harness"]
+        assert len(lines) == len(config.epsilons)
+        probes = len(result.passive_errors)
+        rows = 3 * 4096 * -(-result.passive_errors[-1][0] // 4096)
+        assert f"{probes} passive probes evaluated" in lines[-1]
+        assert f"{rows} stream rows held over 3 seeds" in lines[-1]
+
     def test_fits(self):
         result = label_complexity_curve(curve_config(epsilons=(0.4, 0.2, 0.1)))
         fits = curve_fits(result, bootstrap=100, seed=1)
@@ -107,6 +133,32 @@ class TestLabelComplexityCurve:
         assert fits.passive_slope > 0
         lo, hi = fits.passive_slope_ci
         assert lo <= fits.passive_slope <= hi
+
+
+class TestPassiveProbe:
+    """Probes fit prefixes of each seed's cached stream, with the bits of fresh runs."""
+
+    @pytest.mark.parametrize("marginal,conditional,update", [
+        ("uniform-sphere", "powered-margin", ZeroOneUpdate()),
+        ("uniform-ball", "powered-margin", ZeroOneUpdate()),
+        ("gaussian", "powered-margin", ZeroOneUpdate()),
+        ("uniform-sphere", "affine", ConvexUpdate(TQ)),
+        ("uniform-ball", "affine", ConvexUpdate(TQ)),
+        # the affine conditional needs bounded support
+        ("gaussian", "logistic", ConvexUpdate(TQ)),
+    ])
+    def test_prefix_runs_match_fresh_runs(self, marginal, conditional, update):
+        model = DataModel(2, marginal, conditional, np.array([0.4, 0.0]), seed=3, kappa=1.5)
+        config = dataclasses.replace(curve_config(seeds=(5,)), model=model, update=update,
+                                     passive_update=update)
+        probe = harness._PassiveProbe(config)
+        held = []
+        # large, then small, then larger: the pool is regrown twice
+        for n in (4096, 1, 7, 4095, 4097, 9001):
+            fresh = run_passive(model, update, n, seed=5)
+            assert probe.run(5, n).to_json_line() == fresh.to_json_line()
+            held.append(probe.rows_held())
+        assert held == [4096] * 4 + [8192, 12288]
 
 
 class TestEmpiricalProcessGap:
