@@ -28,10 +28,10 @@ from .data_models import (
 )
 from .driver import (
     ConvexUpdate,
+    FinitePool,
     RunRecord,
     ScheduleParams,
     ZeroOneUpdate,
-    FinitePool,
     epochs_for_target,
     passive_prefix,
     run_active,
