@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,10 +251,8 @@ class TestExport:
             config_digest="deadbeef", master_seed=7,
         )
         for key in paths1:
-            b1 = open(paths1[key], "rb").read()
-            b2 = open(paths2[key], "rb").read()
-            assert b1 == b2
-        head = open(paths1["curve"]).readline()
+            assert Path(paths1[key]).read_bytes() == Path(paths2[key]).read_bytes()
+        head = Path(paths1["curve"]).read_text(encoding="utf-8").splitlines()[0]
         assert "config_digest=deadbeef" in head and "master_seed=7" in head
 
     def test_curve_csv_round_trip(self, tmp_path):
@@ -270,14 +269,15 @@ class TestExport:
 
     def test_empty_exports_have_headers(self, tmp_path):
         paths = export_results([], None, [], str(tmp_path))
-        curve_lines = open(paths["curve"]).read().splitlines()
-        checks_lines = open(paths["checks"]).read().splitlines()
+        curve_lines = Path(paths["curve"]).read_text(encoding="utf-8").splitlines()
+        checks_lines = Path(paths["checks"]).read_text(encoding="utf-8").splitlines()
         assert curve_lines[1].split(",") == harness.CURVE_HEADER
         assert checks_lines[1].split(",") == harness.CHECKS_HEADER
-        assert open(paths["run_records"]).read() == ""
+        assert Path(paths["run_records"]).read_text(encoding="utf-8") == ""
 
     def test_single_point_single_row(self, tmp_path):
         result = label_complexity_curve(curve_config(epsilons=(0.4,)))
         paths = export_results([], result, [], str(tmp_path))
-        rows = [l for l in open(paths["curve"]).read().splitlines() if not l.startswith("#")]
+        lines = Path(paths["curve"]).read_text(encoding="utf-8").splitlines()
+        rows = [l for l in lines if not l.startswith("#")]
         assert len(rows) == 2  # header + one data row
