@@ -195,17 +195,18 @@ class _PassiveProbe:
 def _bisect_labels(probe: _PassiveProbe, epsilon: float, percentile: float, cap: int) -> int:
     """Smallest n_total <= cap whose seed-percentile error is <= epsilon.
 
-    Doubling from min(8, cap) then bisection, never probing above the cap;
+    Doubling from min(8, cap), never above the cap, then bisection from
+    half the last probe, or from 1 when the first probe meets epsilon;
     the statistic is only statistically monotone in n, so this is the
     usual practical approximation.  Returns the cap itself when even the
     cap fails (callers treat that as censored).
     """
-    hi = min(8, cap)
+    hi, lo = min(8, cap), 1
     while probe.statistic(hi, percentile) > epsilon:
         if hi >= cap:
             return cap
         hi = min(2 * hi, cap)
-    lo = max(1, hi // 2)
+        lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
         if probe.statistic(mid, percentile) <= epsilon:
