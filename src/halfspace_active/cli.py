@@ -64,7 +64,7 @@ DEFAULT_CONFIG = {
         "epsilons": [0.2, 0.1],
         "seeds": [0, 1, 2, 3, 4],
         "passive_update": "zero-one",
-        "passive_cap": 200000,
+        "passive_cap": ExperimentConfig.passive_cap,
         "bootstrap": 500,
     },
     "check": {
@@ -173,7 +173,7 @@ def build_model(config: dict) -> DataModel:
     )
 
 
-def build_update(config: dict, kind: str | None = None, R: float = 1.0):
+def build_update(config: dict, R: float, kind: str | None = None):
     uc = config["update"]
     kind = uc["kind"] if kind is None else kind
     loss_name = _loss_name(uc["loss"])  # checked whatever the kind, as it is digested

@@ -439,6 +439,15 @@ class TsybakovFit:
     dropped: tuple[float, ...]
 
 
+def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ≈ slope·x + intercept: (slope, intercept, R²)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum((y - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
+
+
 def _rotated_from_w_star(model: DataModel, theta: float) -> np.ndarray:
     """Unit vector at angle theta from w̄*, in a fixed deterministic plane."""
     wb = model.w_bar.coords
@@ -474,17 +483,12 @@ def verify_tsybakov_exponent(model: DataModel, theta_grid) -> TsybakovFit:
         log_ex.append(math.log(excess))
     if len(kept) < 2:
         raise ValueError("fewer than two usable grid points; enlarge the grid")
-    x = np.asarray(log_ex)
-    y = np.asarray(log_pr)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _linfit(np.asarray(log_ex), np.asarray(log_pr))
     if slope <= 0:
         raise ValueError(f"non-positive fitted slope {slope!r}; data violates the noise model")
     return TsybakovFit(
-        kappa_hat=1.0 / float(slope),
-        mu_hat=math.exp(float(intercept)),
+        kappa_hat=1.0 / slope,
+        mu_hat=math.exp(intercept),
         r_squared=r2,
         angles=tuple(kept),
         dropped=tuple(dropped),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -267,6 +267,9 @@ class EpochRecord:
     excess_risk_est: float | None
 
 
+_EPOCH_JSON_FIELDS = tuple(f.name for f in fields(EpochRecord) if f.name != "w_k")
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """Full trace of one run; radius halving and label totals are enforced."""
@@ -285,24 +288,13 @@ class RunRecord:
             raise ValueError("total_labels must equal the sum of per-epoch labels")
 
     def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "epochs": [
-                {
-                    "k": e.k,
-                    "r_k": e.r_k,
-                    "n_k": e.n_k,
-                    "labels": e.labels,
-                    "scanned": e.scanned,
-                    "chord_error": e.chord_error,
-                    "excess_risk_est": e.excess_risk_est,
-                }
-                for e in self.epochs
-            ],
-            "total_labels": self.total_labels,
-            "final_w": list(self.final_w),
-        }
+        """Every field of the record and its epochs, except each epoch's w_k."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["epochs"] = [
+            {name: getattr(e, name) for name in _EPOCH_JSON_FIELDS} for e in self.epochs
+        ]
+        obj["final_w"] = list(self.final_w)
+        return obj
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -441,7 +433,6 @@ def run_active(
     schedule: ScheduleParams,
     m: int,
     seed: int,
-    R: float | None = None,
     excess_risk_mc: int = 0,
     config_digest: str = "",
 ) -> RunRecord:
@@ -456,7 +447,9 @@ def run_active(
     StreamExhausted is raised once its rows run out.  Labels are only ever
     drawn for instances the query rule selected (epoch 1 selects
     everything), once per epoch: the pool's ``y`` when it has one, else the
-    model's conditional on the "epoch", k, "labels" substream.  Any package
+    model's conditional on the "epoch", k, "labels" substream.  A convex
+    update needs R, the known norm of the model's w_star, so on a pool
+    without a model it raises ValueError before any epoch.  Any package
     error or ValueError (numpy's LinAlgError is one) raised mid-run carries the
     trace of the epochs recorded so far as ``partial``.
     """
@@ -480,10 +473,9 @@ def run_active(
         return _model_labels(model, seed, k)
 
     _check_pairing(model, update)
-    if R is None and isinstance(update, ConvexUpdate):
-        if model is None:
-            raise ValueError("convex update needs R when the source has no model")
-        R = model.R
+    if model is None and isinstance(update, ConvexUpdate):
+        raise ValueError("convex update needs a model: R is the norm of the model's w_star")
+    R = None if model is None else model.R
 
     w_star_bar = None if model is None else model.w_star / np.linalg.norm(model.w_star)
     w_k = normalize(substream(seed, "init").standard_normal(dim))
@@ -529,14 +521,7 @@ def run_active(
     return record()
 
 
-def run_passive(
-    source,
-    update,
-    n_total: int,
-    seed: int,
-    R: float | None = None,
-    config_digest: str = "",
-) -> RunRecord:
+def run_passive(source, update, n_total: int, seed: int) -> RunRecord:
     """Label the first n_total instances unconditionally and fit once.
 
     Equivalent to a single epoch at radius 2: the 0-1 update sweeps the
@@ -546,9 +531,7 @@ def run_passive(
     if n_total < 1:
         raise ValueError("passive run needs n_total >= 1")
     schedule = ScheduleParams(mode="fixed", n=n_total)
-    return run_active(
-        source, update, schedule, m=1, seed=seed, R=R, config_digest=config_digest
-    )
+    return run_active(source, update, schedule, m=1, seed=seed)
 
 
 def passive_prefix(model: DataModel, n: int, seed: int) -> FinitePool:

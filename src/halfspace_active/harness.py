@@ -21,6 +21,7 @@ import numpy as np
 from . import data_models as dm
 from .data_models import (
     DataModel,
+    _linfit,
     exact_surrogate_risk,
     label_batch,
     sample_unlabeled,
@@ -278,14 +279,6 @@ class CurveFits:
     passive_slope_ci: tuple[float, float]
 
 
-def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((y - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
-
-
 def curve_fits(result: CurveResult, bootstrap: int = 500, seed: int = 0) -> CurveFits:
     """Fit both label-complexity trends, with a bootstrap CI on the passive slope.
 
@@ -429,13 +422,9 @@ def angle_disagreement_report(
     return rows
 
 
-def check_query_rule_equivalence(
-    total: int = 100_000,
-    dims=(2, 3, 10),
-    radii=(2.0, 1.0, 0.5, 0.25, 0.125),
-    seed: int = 0,
-) -> list[CheckRow]:
+def check_query_rule_equivalence(total: int = 100_000, seed: int = 0) -> list[CheckRow]:
     """Margin rule vs. arc oracle on random (x, w, r): agreement must be exact."""
+    dims, radii = (2, 3, 10), (2.0, 1.0, 0.5, 0.25, 0.125)
     rng = substream(seed, "query-rule-equivalence")
     per_cell = max(1, total // (len(dims) * len(radii)))
     rows = []
@@ -460,8 +449,9 @@ def check_query_rule_equivalence(
     return rows
 
 
-def check_psi_transform(tol: float = 1e-6) -> list[CheckRow]:
+def check_psi_transform() -> list[CheckRow]:
     """Closed-form ψ vs. the numeric double infimum, plus the z²/2 minorant."""
+    tol = 1e-6
     grid = [round(0.05 * i, 2) for i in range(1, 20)]
     rows = []
     for loss in (exponential_loss(), truncated_quadratic_loss()):
@@ -571,7 +561,6 @@ def check_concentration_scaling(
     n: int = 400,
     r: float = 0.4,
     candidates: int = 128,
-    band=(1.4, 2.8),
     seed: int = 0,
 ) -> list[CheckRow]:
     """Gap ratios under radius doubling and sample quadrupling.
@@ -592,7 +581,7 @@ def check_concentration_scaling(
         loss, model, [r], 4 * n, trials, candidates, substream(seed, "th4-n-large")
     )[r]
     ratio_n = gap_small / gap_large
-    lo, hi = band
+    lo, hi = 1.4, 2.8
     return [
         CheckRow(
             check_name="concentration-scaling",

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import LossSpecError, NotSmooth
+from .geometry import FULL_RADIUS
 
 __all__ = [
     "SurrogateLoss",
@@ -46,9 +47,9 @@ EXP_CLAMP = -50.0
 PSI_SEARCH_HALF_WIDTH = 50.0
 
 
-def working_margin_bound(R: float, r1: float = 2.0) -> float:
+def working_margin_bound(R: float) -> float:
     """Largest |y w·x| reachable with ||x|| <= 1 and w in the epoch-1 ball, plus slack."""
-    return R * (1.0 + r1) + 1.0
+    return R * (1.0 + FULL_RADIUS) + 1.0
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,13 @@ class SurrogateLoss:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Minimum value of a convex f on [lo, hi] by golden-section search."""
+def _golden_min(f, lo: float, hi: float) -> float:
+    """Minimum value of a convex f on [lo, hi] by golden-section search to width 1e-9."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-9:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -179,10 +180,10 @@ def lower_bound_constants(mu: float, kappa: float, c: float = 1.0 / math.pi) -> 
 # ---------------------------------------------------------------------------
 
 
-def _validate(loss: SurrogateLoss, n_grid: int = 101) -> SurrogateLoss:
-    """Grid spot-checks of the declared properties; raises LossSpecError."""
+def _validate(loss: SurrogateLoss) -> SurrogateLoss:
+    """Spot-checks of the declared properties on 101 margins; raises LossSpecError."""
     M = loss.margin_bound
-    zs = np.linspace(-M, M, n_grid)
+    zs = np.linspace(-M, M, 101)
     vals = np.asarray(loss.phi(zs), dtype=float)
     if np.any(vals < -1e-12):
         raise LossSpecError(f"{loss.name}: phi is negative on the working interval")

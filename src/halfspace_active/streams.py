@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["substream", "substream_seed"]
+__all__ = ["substream"]
 
 _KEY_BYTES = 8
 
@@ -24,18 +24,13 @@ def _label_key(label) -> int:
     return int.from_bytes(digest[:_KEY_BYTES], "little")
 
 
-def substream_seed(master_seed: int, *labels) -> np.random.SeedSequence:
-    """SeedSequence for the substream addressed by ``labels`` under ``master_seed``."""
-    return np.random.SeedSequence(
-        entropy=int(master_seed) & 0xFFFFFFFFFFFFFFFF,
-        spawn_key=tuple(_label_key(lbl) for lbl in labels),
-    )
-
-
 def substream(master_seed: int, *labels) -> np.random.Generator:
     """Independent generator for the named substream.
 
     Same (seed, labels) always yields byte-identical draw sequences;
     distinct label paths are statistically independent.
     """
-    return np.random.default_rng(substream_seed(master_seed, *labels))
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=int(master_seed) & 0xFFFFFFFFFFFFFFFF,
+        spawn_key=tuple(_label_key(lbl) for lbl in labels),
+    ))

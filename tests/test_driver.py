@@ -291,6 +291,17 @@ class TestFinitePool:
         rec = run_active(pool, ZeroOneUpdate(), ScheduleParams(mode="fixed", n=200), m=1, seed=3)
         assert rec.total_labels == 200
 
+    def test_convex_update_without_a_model_fails_before_any_epoch(self, monkeypatch):
+        # R, the radius scale of the convex ball, is the norm of the model's w_star
+        X = np.random.default_rng(0).standard_normal((500, 2))
+        pool = FinitePool(X, y=np.where(X[:, 0] > 0, 1.0, -1.0))
+        scans = []
+        monkeypatch.setattr(driver, "_pool_epoch", lambda *args: scans.append(args))
+        with pytest.raises(ValueError, match="norm of the model's w_star") as ei:
+            run_active(pool, ConvexUpdate(TQ), ScheduleParams(mode="fixed", n=200), m=2, seed=3)
+        assert scans == []
+        assert getattr(ei.value, "partial", None) is None
+
 
 class TestRunPassive:
     def test_needs_positive_budget(self):
