@@ -119,16 +119,15 @@ class TestLabelComplexityCurve:
     def test_bisection_reaches_below_four_when_the_first_probe_meets_epsilon(self):
         # statistic 1/n meets 0.5 from n = 2 on; the search used to bisect
         # only [4, 8] and report 4
-        class Stub:
-            probed = []
+        probed = []
 
+        class Stub:
             def statistic(self, n, percentile):
-                self.probed.append(n)
+                probed.append(n)
                 return 1.0 / n
 
-        stub = Stub()
-        assert harness._bisect_labels(stub, 0.5, 50.0, cap=200_000) == 2
-        assert stub.probed == [8, 4, 2, 1]
+        assert harness._bisect_labels(Stub(), 0.5, 50.0, cap=200_000) == 2
+        assert probed == [8, 4, 2, 1]
 
     def test_logs_probes_and_cached_rows_per_target(self, caplog):
         config = curve_config(seeds=range(3))
