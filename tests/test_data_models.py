@@ -315,6 +315,48 @@ class TestDisagreementProbability:
             est = dm.disagreement_probability(model, u, v, n_mc=100_000, rng=rng)
             assert abs(est.mean - exact) <= 3 * est.std_error + 1e-9
 
+    @staticmethod
+    def _marginal_row_fraction(model, u, v, n_mc, rng):
+        """Reference: the disagreement fraction counted on ``sample_unlabeled``
+        rows, drawn in ``_MC_CHUNK``-row chunks."""
+        uc, vc = normalize(u).coords, normalize(v).coords
+        hits, remaining = 0, n_mc
+        while remaining > 0:
+            chunk = min(remaining, dm._MC_CHUNK)
+            X = dm.sample_unlabeled(model, chunk, rng)
+            hits += int(np.count_nonzero((X @ uc) * (X @ vc) < 0.0))
+            remaining -= chunk
+        return hits / n_mc
+
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("marginal", dm.MARGINALS)
+    def test_bitwise_equal_to_counting_marginal_rows(self, marginal, d):
+        model = sphere_model(d=d, marginal=marginal, seed=7)
+        pick = np.random.default_rng(d)
+        u, v = pick.standard_normal(d), pick.standard_normal(d)
+        n_mc = 2 * dm._MC_CHUNK + 7  # crosses two chunk boundaries
+        rng, ref_rng = model.stream("mc"), model.stream("mc")
+        est = dm.disagreement_probability(model, u, v, n_mc=n_mc, rng=rng)
+        assert est.mean == self._marginal_row_fraction(model, u, v, n_mc, ref_rng)
+        # the generator ends where the reference left it, so later draws stay in step
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    # The ball's radii are drawn after each chunk's normals, so its stream
+    # depends on the chunk size; the other two marginals draw normals only.
+    @pytest.mark.parametrize("d", [2, 5])
+    @pytest.mark.parametrize("marginal", ["uniform-sphere", "gaussian"])
+    def test_chunk_size_does_not_change_the_estimate(self, monkeypatch, marginal, d):
+        model = sphere_model(d=d, marginal=marginal, seed=5)
+        u, v = np.random.default_rng(d).standard_normal((2, d))
+        n_mc = 20_007
+        rng = model.stream("mc")
+        whole = dm.disagreement_probability(model, u, v, n_mc=n_mc, rng=rng)
+        monkeypatch.setattr(dm, "_MC_CHUNK", 1_000)
+        small_rng = model.stream("mc")
+        chunked = dm.disagreement_probability(model, u, v, n_mc=n_mc, rng=small_rng)
+        assert chunked.mean == whole.mean
+        assert small_rng.bit_generator.state == rng.bit_generator.state
+
 
 class TestTsybakovExponent:
     GRID = np.linspace(0.08, math.pi / 4, 10)
