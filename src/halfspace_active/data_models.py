@@ -58,7 +58,7 @@ SUPPORTED_PAIRINGS = {
     ("truncated-quadratic", "affine"),
 }
 
-_MC_CHUNK = 1 << 18
+_MC_CHUNK = 1 << 16
 _QUAD_CHUNK = 1 << 13  # quadrature nodes per block of hypotheses; blocks stay in cache
 
 
@@ -408,17 +408,28 @@ def _binomial_estimate(hits: int, n: int) -> RiskEstimate:
 def disagreement_probability(
     model: DataModel, u, v, n_mc: int, rng: np.random.Generator
 ) -> RiskEstimate:
-    """Monte Carlo Pr{sgn(u·X) != sgn(v·X)}; exactly θ(u, v)/π under rotation invariance."""
-    uc = normalize(u).coords
-    vc = normalize(v).coords
+    """Monte Carlo Pr{sgn(u·X) != sgn(v·X)}; exactly θ(u, v)/π under rotation invariance.
+
+    Every marginal row is a standard-normal row g times a positive factor
+    (1/‖g‖ on the sphere, 1 for the Gaussian, U^(1/d)/‖g‖ in the ball),
+    which cannot flip a sign, so the signs are read off g itself; they
+    could differ only when g·u or g·v rounds to 0.  The ball's radii are
+    still drawn and discarded, chunk by chunk as ``sample_unlabeled``
+    draws them, so the generator ends where sampling the rows would leave
+    it.  One difference has probability zero: ``sample_unlabeled``
+    redraws an all-zero normal row, while here it counts as agreement.
+    """
+    UV = np.column_stack((normalize(u).coords, normalize(v).coords))
     if n_mc < 100:
         raise ValueError("Monte Carlo estimate needs n_mc >= 100")
     hits = 0
     remaining = n_mc
     while remaining > 0:
         chunk = min(remaining, _MC_CHUNK)
-        X = sample_unlabeled(model, chunk, rng)
-        hits += int(np.count_nonzero((X @ uc) * (X @ vc) < 0.0))
+        P = rng.standard_normal((chunk, model.dimension)) @ UV
+        if model.marginal == "uniform-ball":
+            rng.random((chunk, 1))
+        hits += int(np.count_nonzero(P[:, 0] * P[:, 1] < 0.0))
         remaining -= chunk
     return _binomial_estimate(hits, n_mc)
 
