@@ -303,8 +303,11 @@ def _selected_checks(cc: dict) -> list[str]:
     """Names in ``check.only`` (a comma-separated string or a list; None
     selects them all) in table order, once the sized settings are checked."""
     for key, least in _CHECK_MINIMA.items():
-        if isinstance(cc[key], bool) or not isinstance(cc[key], (int, float)) or not cc[key] >= least:
-            raise ConfigError(f"check.{key} must be a number >= {least}, got {cc[key]!r}")
+        value = cc[key]
+        # CHECKS truncates with int(), so a float must be finite and whole
+        if (isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= least
+                or isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"check.{key} must be a number >= {least} and whole, got {value!r}")
     only = cc["only"]
     if isinstance(only, str):
         only = only.split(",")

@@ -315,6 +315,18 @@ class TestCmdCheck:
         assert f"check.{setting.split('=')[0]} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting", ["n_mc=Infinity", "pairs=1.5"])
+    def test_sizes_that_are_not_whole_exit_two_before_any_suite(self, tmp_path, capsys,
+                                                                monkeypatch, setting):
+        ran = []
+        monkeypatch.setattr(harness, "check_psi_transform", lambda: ran.append("psi") or [])
+        path = write_config(tmp_path)
+        code = main(["check", "--config", path, "--out", str(tmp_path / "out"),
+                     "--only", "psi", "--set", f"check.{setting}"])
+        assert code == 2 and ran == []
+        assert f"check.{setting.split('=')[0]} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failing_rows_exit_one(self, tmp_path, capsys, monkeypatch):
         bad = harness.CheckRow("psi-closed-vs-numeric", "forced", 1.0, "0.0", 0.0, False)
         monkeypatch.setattr(harness, "check_psi_transform", lambda: [bad])
