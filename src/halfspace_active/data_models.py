@@ -413,7 +413,8 @@ def disagreement_probability(
     Every marginal row is a standard-normal row g times a positive factor
     (1/‖g‖ on the sphere, 1 for the Gaussian, U^(1/d)/‖g‖ in the ball),
     which cannot flip a sign, so the signs are read off g itself; they
-    could differ only when g·u or g·v rounds to 0.  The ball's radii are
+    could differ only when g·u or g·v is within rounding of 0, or when a
+    ball's U is exactly 0, each about 1e-16 per row.  The ball's radii are
     still drawn and discarded, chunk by chunk as ``sample_unlabeled``
     draws them, so the generator ends where sampling the rows would leave
     it.  One difference has probability zero: ``sample_unlabeled``

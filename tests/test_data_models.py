@@ -332,8 +332,7 @@ class TestDisagreementProbability:
     @pytest.mark.parametrize("marginal", dm.MARGINALS)
     def test_bitwise_equal_to_counting_marginal_rows(self, marginal, d):
         model = sphere_model(d=d, marginal=marginal, seed=7)
-        pick = np.random.default_rng(d)
-        u, v = pick.standard_normal(d), pick.standard_normal(d)
+        u, v = np.random.default_rng(d).standard_normal((2, d))
         n_mc = 2 * dm._MC_CHUNK + 7  # crosses two chunk boundaries
         rng, ref_rng = model.stream("mc"), model.stream("mc")
         est = dm.disagreement_probability(model, u, v, n_mc=n_mc, rng=rng)
