@@ -32,7 +32,14 @@ from .driver import (
 )
 from .errors import ConfigError, HalfspaceActiveError, ScheduleError
 from .harness import ExperimentConfig, export_results, label_complexity_curve
-from .losses import BUILTIN_LOSSES, get_loss, psi, psi_numeric
+from .losses import (
+    BUILTIN_LOSSES,
+    get_loss,
+    lower_bound_constants,
+    psi,
+    psi_numeric,
+    upper_bound_constants,
+)
 from .solvers import ConvexSolverParams
 
 __all__ = ["main", "load_config", "config_digest", "DEFAULT_CONFIG"]
@@ -54,7 +61,18 @@ DEFAULT_CONFIG = {
         "restarts": ZeroOneUpdate().restarts,
     },
     "solver": asdict(ConvexSolverParams()),
-    "schedule": asdict(ScheduleParams(mode="fixed", n=500)),
+    # the theory budgets' other constants come from the model, the loss and
+    # the epoch count (build_schedule, run_active)
+    "schedule": {
+        "mode": "fixed",
+        "n": 500,
+        "n0": None,
+        "ratio": None,
+        "mu": 1.0,
+        "theta_eps": 1.0,
+        "delta": 0.1,
+        "floor_enabled": False,
+    },
     "run": {
         "epochs": 6,
         "seeds": [0],
@@ -154,7 +172,7 @@ def _config_values():
     """Report a bad value met while building objects from the config as ConfigError."""
     try:
         yield
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -189,12 +207,27 @@ def build_update(config: dict, R: float, kind: str | None = None):
     raise ConfigError(f"unknown update kind {kind!r}")
 
 
-def build_schedule(config: dict) -> ScheduleParams:
+def build_schedule(config: dict, model: DataModel) -> ScheduleParams:
+    """The ``schedule`` settings, with every other budget constant taken from
+    where the program already holds it.
+
+    d and R are the model's, κ is its noise exponent, L, a and γ are the
+    update loss's at norm R, and the excess-risk sandwich comes from
+    upper_bound_constants and lower_bound_constants.  m is left to
+    run_active, which budgets for the epochs that actually run.
+    """
     sc = config["schedule"]
-    kwargs = {f.name: sc[f.name] for f in fields(ScheduleParams)}
-    if kwargs["n"] is not None:
-        kwargs["n"] = int(kwargs["n"])
-    return ScheduleParams(**kwargs)
+    R, kappa, mu = model.R, model.noise_exponent, sc["mu"]
+    loss = get_loss(_loss_name(config["update"]["loss"]), R=R)
+    ell_plus, gamma_plus = upper_bound_constants(loss, R)
+    ell_minus, gamma_minus = lower_bound_constants(mu, kappa)
+    return ScheduleParams(
+        mode=sc["mode"], n=None if sc["n"] is None else int(sc["n"]), n0=sc["n0"],
+        ratio=sc["ratio"], mu=mu, theta_eps=sc["theta_eps"], delta=sc["delta"],
+        floor_enabled=sc["floor_enabled"], d=model.dimension, R=R, kappa=kappa,
+        L=loss.lipschitz, a=loss.psi_lower_a, gamma=loss.psi_lower_gamma,
+        ell_plus=ell_plus, gamma_plus=gamma_plus, ell_minus=ell_minus, gamma_minus=gamma_minus,
+    )
 
 
 def _fmt6(value) -> str:
@@ -218,7 +251,7 @@ def cmd_run(config: dict) -> int:
     with _config_values():
         model = build_model(config)
         update = build_update(config, R=model.R)
-        schedule = build_schedule(config)
+        schedule = build_schedule(config, model)
         epochs, excess_risk_mc = int(rc["epochs"]), int(rc["excess_risk_mc"])
         seeds = [int(seed) for seed in rc["seeds"]]
         master_seed = int(config["seed"])
@@ -253,7 +286,7 @@ def cmd_curve(config: dict) -> int:
         experiment = ExperimentConfig(
             model=model,
             update=build_update(config, R=model.R),
-            schedule=build_schedule(config),
+            schedule=build_schedule(config, model),
             epsilons=tuple(float(e) for e in cc["epsilons"]),
             seeds=tuple(int(s) for s in cc["seeds"]),
             passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
@@ -324,9 +357,11 @@ def cmd_check(config: dict) -> int:
     names = _selected_checks(config["check"])
     with _config_values():
         seed = int(config["seed"])
-    # digested as the set of suites that ran, however check.only spelled it
+    # digested as the work that ran: the set of suites, however check.only
+    # spelled it, and each sized setting as the int that CHECKS runs
+    cc = config["check"]
     only = None if len(names) == len(CHECKS) else names
-    config = {**config, "check": {**config["check"], "only": only}}
+    config = {**config, "check": {**cc, "only": only, **{key: int(cc[key]) for key in _CHECK_MINIMA}}}
     rows = [row for name in names for row in CHECKS[name](config["check"], seed)]
     export_results([], None, rows, config["out"],
                    config_digest=config_digest(config), master_seed=seed)
@@ -354,18 +389,24 @@ def cmd_psi_table(loss_name: str, step: float) -> int:
 
 
 def cmd_budget(config: dict) -> int:
-    sc = config["schedule"]
     with _config_values():
-        schedule = build_schedule(config)
-        # both theory schedules are built before any output: they validate gamma and m
-        theory = {mode: replace(schedule, mode=mode, n=None)
+        model = build_model(config)
+        schedule = build_schedule(config, model)
+        epochs = int(config["run"]["epochs"])
+        # both theory schedules are built before any output: they validate delta and m
+        theory = {mode: replace(schedule, mode=mode, n=None, m=epochs)
                   for mode in ("theory-nonconvex", "theory-convex")}
-        gamma = float(sc["gamma"])
-        alpha_ncx = float(sc["gamma_minus"]) - float(sc["gamma_plus"]) / float(sc["kappa"])
-        alpha_cvx = gamma * float(sc["gamma_minus"]) - gamma * float(sc["gamma_plus"]) / float(sc["kappa"]) - 1.0
-        epochs = int(sc["m"])
-    budgets = {mode: [s.budget(k) for k in range(1, epochs + 1)] for mode, s in theory.items()}
-    print(f"kappa_threshold(gamma={_fmt6(gamma)}) = {kappa_threshold(gamma):.6f}")
+    s = theory["theory-convex"]
+    alpha_ncx = s.gamma_minus - s.gamma_plus / s.kappa
+    alpha_cvx = s.gamma * alpha_ncx - 1.0
+    budgets = {mode: [t.budget(k) for k in range(1, epochs + 1)] for mode, t in theory.items()}
+    print(f"constants: d={s.d} R={_fmt6(s.R)} (model), kappa={_fmt6(s.kappa)} (model noise "
+          f"exponent), m={s.m} (run.epochs), L={_fmt6(s.L)} a={_fmt6(s.a)} gamma={_fmt6(s.gamma)} "
+          f"(loss {config['update']['loss']}), ell_plus={_fmt6(s.ell_plus)} "
+          f"gamma_plus={_fmt6(s.gamma_plus)} (upper_bound_constants), "
+          f"ell_minus={_fmt6(s.ell_minus)} gamma_minus={_fmt6(s.gamma_minus)} "
+          f"(lower_bound_constants of schedule.mu and kappa)")
+    print(f"kappa_threshold(gamma={_fmt6(s.gamma)}) = {kappa_threshold(s.gamma):.6f}")
     print(f"alpha (non-convex) = {_fmt6(alpha_ncx)}   alpha (convex) = {_fmt6(alpha_cvx)}")
     print(f"{'k':>3} {'r_k':>10} {'n_k (0-1)':>14} {'n_k (convex)':>14}")
     for k in range(1, epochs + 1):

@@ -131,6 +131,12 @@ class DataModel:
     def w_bar(self) -> UnitVector:
         return normalize(self.w_star)
 
+    @property
+    def noise_exponent(self) -> float:
+        """Tsybakov exponent κ: powered-margin's own, else 2, since the logistic
+        and affine η - 1/2 are linear in the margin near the boundary."""
+        return self.kappa if self.conditional == "powered-margin" else 2.0
+
     def stream(self, *labels) -> np.random.Generator:
         """Named substream anchored at the model's own seed."""
         return substream(self.seed, "model", *labels)

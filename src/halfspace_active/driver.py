@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -451,10 +451,13 @@ def run_active(
     update needs R, the known norm of the model's w_star, so on a pool
     without a model it raises ValueError before any epoch.  Any package
     error or ValueError (numpy's LinAlgError is one) raised mid-run carries the
-    trace of the epochs recorded so far as ``partial``.
+    trace of the epochs recorded so far as ``partial``.  The schedule budgets
+    for the m epochs that run: its own m is replaced by this one.
     """
     if m < 1:
         raise ValueError("need at least one epoch")
+    if schedule.m != m:
+        schedule = replace(schedule, m=m)
     if isinstance(source, DataModel):
         model, dim, pool_y = source, source.dimension, None
 

@@ -1,9 +1,11 @@
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +14,7 @@ import numpy as np
 import halfspace_active
 from halfspace_active import cli, driver, harness
 from halfspace_active.cli import main
+from halfspace_active.driver import ScheduleParams
 from halfspace_active.errors import ConfigError
 
 
@@ -114,7 +117,24 @@ class TestConfig:
         assert a == b and len(a) == 16
 
 
+# The budget constants of the truncated quadratic at R = 1: margins reach
+# M = 3R + 1 = 4, so L = 2(1 + M) = 10; psi(z) = z^2 gives a = 1 and gamma = 2;
+# curvature 2 gives ell_plus = (2 R^2 / 2a)^(1/2) = 1 and gamma_plus = 2/gamma = 1.
+TQ_CONSTANTS = dict(R=1.0, L=10.0, a=1.0, gamma=2.0, ell_plus=1.0, gamma_plus=1.0)
+
+
 class TestCmdRun:
+    def test_theory_budget_for_the_epochs_that_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, schedule={"mode": "theory-nonconvex", "theta_eps": 0.05})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        rec = json.loads((tmp_path / "out" / "run_records.json").read_text().splitlines()[0])
+        # write_config's 2-D kappa = 1 model, 3 epochs, and the default loss
+        s = ScheduleParams(mode="theory-nonconvex", theta_eps=0.05, d=2, kappa=1.0, m=3,
+                           ell_minus=1.0 / math.pi, gamma_minus=1.0, **TQ_CONSTANTS)
+        assert s.budget(1) != replace(s, m=1).budget(1)
+        assert [e["n_k"] for e in rec["epochs"]] == [s.budget(k) for k in (1, 2, 3)]
+        assert all(e["labels"] == e["n_k"] for e in rec["epochs"])
+
     def test_epoch_table_and_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
@@ -199,6 +219,14 @@ class TestCmdRun:
         record = json.loads((tmp_path / "out" / "run_records.json").read_text())
         assert [e["k"] for e in record["epochs"]] == [1, 2]
         assert record["total_labels"] == 80
+
+    def test_loss_constants_that_overflow_exit_two(self, tmp_path, capsys):
+        # the exponential loss's constants are e^(3R + 1), past float range for R = 300
+        path = write_config(tmp_path, update={"kind": "convex", "loss": "exponential"})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", "model.w_star=[300, 0]"]) == 2
+        assert "math range error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("setting", ["run.seeds=5", "model.dimension=[2]", "run.epochs=0"])
     def test_bad_run_values_exit_two_before_any_run(self, tmp_path, capsys, setting):
@@ -301,6 +329,17 @@ class TestCmdCheck:
             digests.append((out / "checks.csv").read_text().splitlines()[0])
         assert digests[0] != digests[1]
 
+    def test_whole_float_size_digested_as_its_int(self, tmp_path, capsys):
+        # CHECKS runs int(check.pairs), so 20.0 and 20 are the same work
+        path = write_config(tmp_path)
+        csvs = []
+        for i, pairs in enumerate(("20.0", "20")):
+            out = tmp_path / f"out{i}"
+            assert main(["check", "--config", path, "--out", str(out), "--only", "psi",
+                         "--set", f"check.pairs={pairs}"]) == 0
+            csvs.append((out / "checks.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     @pytest.mark.parametrize("setting", [
         "scaling_trials=0", "scaling_candidates=1", "scaling_n=0", "pairs=0", "n_mc=99",
         "equivalence_samples=0", "gradient_triples=0", "pairs=\"many\"",
@@ -364,14 +403,29 @@ class TestCmdBudget:
         assert "kappa_threshold" in out
         assert "1.280776" in out
 
-    def test_golden_ratio_threshold(self, capsys):
-        assert main(["budget", "--set", "schedule.gamma=1.0"]) == 0
-        assert "1.618034" in capsys.readouterr().out
-
     def test_log_branch_printed(self, capsys):
-        assert main(["budget", "--set", "schedule.m=4"]) == 0
+        assert main(["budget", "--set", "run.epochs=4"]) == 0
         out = capsys.readouterr().out
         assert "log branch" in out
 
     def test_inconsistent_params_exit_two(self, capsys):
         assert main(["budget", "--set", "schedule.delta=1.5"]) == 2
+
+    @pytest.mark.parametrize("key", ["d", "R", "kappa", "m", "L", "a", "gamma", "ell_plus",
+                                     "gamma_plus", "ell_minus", "gamma_minus"])
+    def test_derived_constant_is_not_a_setting(self, capsys, key):
+        assert main(["budget", "--set", f"schedule.{key}=1"]) == 2
+        assert f"schedule.{key}" in capsys.readouterr().err
+
+    def test_constants_from_model_loss_and_epochs(self, capsys):
+        w_star = json.dumps([1.0] + [0.0] * 9)
+        assert main(["budget", "--set", "model.dimension=10", "--set", f"model.w_star={w_star}",
+                     "--set", "model.kappa=1.5", "--set", "run.epochs=5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if "n_k (0-1)" in line)
+        rows = [[int(v) for v in line.split()[2:]] for line in lines[header + 1:header + 6]]
+        constants = dict(d=10, kappa=1.5, m=5, ell_minus=(1.0 / math.pi) ** 1.5,
+                         gamma_minus=1.5, **TQ_CONSTANTS)
+        ncx = ScheduleParams(mode="theory-nonconvex", **constants)
+        cvx = ScheduleParams(mode="theory-convex", **constants)
+        assert rows == [[ncx.budget(k), cvx.budget(k)] for k in range(1, 6)]

@@ -367,9 +367,13 @@ class TestTsybakovExponent:
         assert fit.r_squared > 0.999
 
     def test_quadratic_noise_gives_kappa_two(self):
-        model = sphere_model(kappa=2.0)
-        fit = dm.verify_tsybakov_exponent(model, self.GRID)
-        assert 1.7 <= fit.kappa_hat <= 2.3
+        # eta - 1/2 is linear in the margin for affine and logistic too, so
+        # their noise_exponent is 2
+        for model in (sphere_model(kappa=2.0), sphere_model("affine", R=0.4),
+                      sphere_model("logistic", scale=4.0)):
+            fit = dm.verify_tsybakov_exponent(model, self.GRID)
+            assert 1.7 <= fit.kappa_hat <= 2.3
+            assert model.noise_exponent == 2.0
 
     def test_logistic_reports_without_assertion(self):
         model = sphere_model("logistic", kappa=None, scale=4.0, seed=2)
