@@ -22,13 +22,13 @@ from halfspace_active import cli
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
 
-CRITERION_11_RECORDS_SHA256 = "088eff8225439f9993ef044854f2d465dcabc291f598a8c38dc91a7dda7c2a4d"
-ZERO_ONE_CURVE_CSV_SHA256 = "6220b270b2881149bcae01924d7d4a20737e4134a3069cd6f75b9d685676f6f8"
+CRITERION_11_RECORDS_SHA256 = "86ac6d19669f8ee8ce9eec0125f8b6a953194996cdeaec186a568278ff636001"
+ZERO_ONE_CURVE_CSV_SHA256 = "e0e2a424fd398fdbc69ddf8cac0fae2018409e1f7c919722a4b624e92f6c302e"
 ZERO_ONE_CURVE_RECORDS_SHA256 = "f7a08d4d51513d221a5597fbd53fdaaf301547996144ba1b2483a04840f2f278"
-BALL_CURVE_CSV_SHA256 = "702bec82c8f8e85f54fddd462ac1e4067338644669c19e2489e45d58319c945e"
+BALL_CURVE_CSV_SHA256 = "b8caba5d7972ffbeafad181a2d9b5137f9a767e10ba8bec21ef5578417f91c46"
 BALL_CURVE_RECORDS_SHA256 = "0111d95f8a8fb4f77ab6666c5c754a9d87f1cceb8d9a8824a3850ec2dce4ad55"
-ZERO_ONE_SEARCH_RECORDS_SHA256 = "e3ad814f9824ece9ae63947906b5afa725eff5acc44bdbd3b4ae553514a5ba2a"
-CHECKS_CSV_SHA256 = "77c508443a8a2fd502b1f7393f31b8be35afa4f5759316bdd0dc52331eb7d1f7"
+ZERO_ONE_SEARCH_RECORDS_SHA256 = "c47d0c1bcba5920224174be1d1ed28462dd1e318785bb72247c9b18de89eb611"
+CHECKS_CSV_SHA256 = "3eac9c102cb6cc07be7e1b87a2d2c6d2e9358e89e2dfbbabd01022edfd9a5043"
 
 POOL_RECORD = (
     '{"config_digest":"pool","epochs":['
@@ -125,7 +125,7 @@ def test_checks_csv_digest(tmp_path, capsys):
 
 
 def test_default_config_digest():
-    assert cli.config_digest(cli.DEFAULT_CONFIG) == "36e1545893b947c5"
+    assert cli.config_digest(cli.DEFAULT_CONFIG) == "8712c2a06a2d3306"
 
 
 def test_finite_pool_record():
