@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .losses import (
     psi_numeric,
     upper_bound_constants,
 )
-from .solvers import ConvexSolverParams
 
 __all__ = ["main", "load_config", "config_digest", "DEFAULT_CONFIG"]
 
@@ -60,7 +59,6 @@ DEFAULT_CONFIG = {
         "loss": "truncated-quadratic",
         "restarts": ZeroOneUpdate().restarts,
     },
-    "solver": asdict(ConvexSolverParams()),
     # the theory budgets' other constants come from the model, the loss and
     # the epoch count (build_schedule, run_active)
     "schedule": {
@@ -198,12 +196,7 @@ def build_update(config: dict, R: float, kind: str | None = None):
     if kind == "zero-one":
         return ZeroOneUpdate(restarts=int(uc["restarts"]))
     if kind == "convex":
-        sc = config["solver"]
-        # coerce each value to its default's type (max_iters int, the rest float)
-        params = ConvexSolverParams(**{
-            f.name: type(f.default)(sc[f.name]) for f in fields(ConvexSolverParams)
-        })
-        return ConvexUpdate(loss=get_loss(loss_name, R=R), params=params)
+        return ConvexUpdate(loss=get_loss(loss_name, R=R))
     raise ConfigError(f"unknown update kind {kind!r}")
 
 

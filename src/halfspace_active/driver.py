@@ -41,7 +41,6 @@ from .geometry import (
 )
 from .losses import SurrogateLoss
 from .solvers import (
-    ConvexSolverParams,
     SurrogateBall,
     erm_zero_one_2d,
     erm_zero_one_search,
@@ -252,7 +251,6 @@ class ZeroOneUpdate:
 @dataclass(frozen=True)
 class ConvexUpdate:
     loss: SurrogateLoss
-    params: ConvexSolverParams = ConvexSolverParams()
 
 
 @dataclass(frozen=True)
@@ -403,7 +401,7 @@ def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int,
         rng = substream(seed, "epoch", k, "search")
         return erm_zero_one_search((X, y), w_k, r_k, restarts=update.restarts, rng=rng)
     ball = SurrogateBall(center=R * w_k.coords, radius=R * r_k)
-    w_tilde = minimize_in_ball(update.loss, X, y, ball, params=update.params)
+    w_tilde = minimize_in_ball(update.loss, X, y, ball)
     norm = float(np.linalg.norm(w_tilde))
     if norm <= 1e-12:
         raise DegenerateSolution("convex update returned a near-zero vector")

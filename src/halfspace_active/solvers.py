@@ -31,8 +31,14 @@ from .losses import EXP_CLAMP, SurrogateLoss
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# minimize_in_ball's fixed settings; its docstring says how each is used
+MAX_ITERS = 20_000
+GRAD_TOL = 1e-8
+INITIAL_STEP = 1.0
+BACKTRACK_FACTOR = 0.5
+ARMIJO_C = 1e-4
+
 __all__ = [
-    "ConvexSolverParams",
     "SurrogateBall",
     "project_to_ball",
     "surrogate_objective",
@@ -42,28 +48,6 @@ __all__ = [
     "erm_zero_one_2d",
     "erm_zero_one_search",
 ]
-
-
-@dataclass(frozen=True)
-class ConvexSolverParams:
-    max_iters: int = 20_000
-    grad_tol: float = 1e-8
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_c <= 0.5:
-            raise ValueError("armijo_c must lie in (0, 0.5]")
-        if not 0.0 < self.initial_step <= 1.0:
-            # a trial step past the Newton point could leave the ball
-            raise ValueError("initial_step must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -179,23 +163,22 @@ def minimize_in_ball(
     X: np.ndarray,
     y: np.ndarray,
     ball: SurrogateBall,
-    params: ConvexSolverParams = ConvexSolverParams(),
 ) -> np.ndarray:
     """Projected Newton descent inside the ball, with Armijo backtracking.
 
     Starts from the ball center.  Each iteration builds the Hessian
     H = Σ_t φ''(m_t) x_t x_tᵀ at the iterate w, finds the minimizer w + s of
     the quadratic model g·s + ½ sᵀHs over the ball (see _ball_qp), and
-    backtracks from w + initial_step·s by ``backtrack_factor`` until the
-    Armijo condition with ``armijo_c`` holds; the segment stays feasible
-    because the ball is convex.  Stops once ||w - P(w - g)|| <= grad_tol *
-    (1 + ||g||), after that iteration's step: the rule alone can leave a
+    backtracks from w + INITIAL_STEP·s (the full step) by BACKTRACK_FACTOR
+    until the Armijo condition with ARMIJO_C holds; the segment stays
+    feasible because the ball is convex.  Stops once ||w - P(w - g)|| <=
+    GRAD_TOL·(1 + ||g||), after that iteration's step: the rule alone can leave a
     boundary optimum's objective about ||g||·residual²/radius above the
     minimum, and one more Newton step squares the error.  Also stops at w
     when no step descends (the model's minimizer does not lower g·s, or no
     trial above 1e-18 of it satisfies Armijo), which leaves w stationary
     to float64 precision.  Raises MaxItersExceeded (carrying the last
-    iterate and its residual) if the iteration cap is hit first.
+    iterate and its residual) if MAX_ITERS iterations pass first.
     Checks (X, y) once, by stack_examples; every objective and gradient
     evaluation reuses the checked pair.  Deterministic: no randomness anywhere.
     """
@@ -204,9 +187,9 @@ def minimize_in_ball(
     X, y = data = stack_examples((X, y))
     w = ball.center.copy()
     f = surrogate_objective(loss, w, data)
-    for _ in range(params.max_iters):
+    for _ in range(MAX_ITERS):
         g = surrogate_gradient(loss, w, data)
-        done = _stationarity(w, g, ball) <= params.grad_tol * (1.0 + _norm(g))
+        done = _stationarity(w, g, ball) <= GRAD_TOL * (1.0 + _norm(g))
         H = (X * loss.phi_second(_margins(loss, w, X, y))[:, None]).T @ X
         u = w - ball.center
         # with z = w_new - center the model g·(z - u) + ½ (z - u)ᵀH(z - u) is
@@ -219,13 +202,13 @@ def minimize_in_ball(
         # f is a sum of rounded terms: a rise below its rounding level is
         # noise and does not block the step
         slack = 8.0 * _EPS * abs(f)
-        t = params.initial_step
+        t = INITIAL_STEP
         while True:
             w_new = project_to_ball(w + t * s, ball)
             f_new = surrogate_objective(loss, w_new, data)
-            if f_new <= f + params.armijo_c * t * slope + slack:
+            if f_new <= f + ARMIJO_C * t * slope + slack:
                 break
-            t *= params.backtrack_factor
+            t *= BACKTRACK_FACTOR
             if t < 1e-18:
                 return w
         if done:
@@ -233,7 +216,7 @@ def minimize_in_ball(
         w, f = w_new, f_new
     g = surrogate_gradient(loss, w, data)
     raise MaxItersExceeded(
-        f"no convergence within {params.max_iters} iterations",
+        f"no convergence within {MAX_ITERS} iterations",
         best_w=w,
         residual=_stationarity(w, g, ball),
     )

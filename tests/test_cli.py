@@ -12,7 +12,7 @@ import pytest
 import numpy as np
 
 import halfspace_active
-from halfspace_active import cli, driver, harness
+from halfspace_active import cli, driver, harness, solvers
 from halfspace_active.cli import main
 from halfspace_active.driver import ScheduleParams
 from halfspace_active.errors import ConfigError
@@ -182,18 +182,17 @@ class TestCmdRun:
         # does not expose, so this just documents exit 0 here
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
-    def test_partial_trace_on_solver_failure(self, tmp_path, capsys):
-        # damped Newton steps (a quarter of the Newton step at first) take 51
-        # and 50 iterations in the first two epochs of seed 172 and 53 in the
-        # third, so a cap of 52 raises MaxItersExceeded in epoch 3
+    def test_partial_trace_on_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # seed 39's first two epochs take 3 Newton iterations each and its
+        # third takes 4, so a cap of 3 raises MaxItersExceeded in epoch 3
+        monkeypatch.setattr(solvers, "MAX_ITERS", 3)
         path = write_config(
             tmp_path,
             model={"dimension": 2, "marginal": "uniform-sphere", "conditional": "affine",
                    "w_star": [0.4, 0.0]},
-            update={"kind": "convex", "loss": "logistic"},
+            update={"kind": "convex", "loss": "exponential"},
             schedule={"mode": "fixed", "n": 500},
-            run={"epochs": 10, "seeds": [172]},
-            solver={"initial_step": 0.25, "max_iters": 52},
+            run={"epochs": 10, "seeds": [39]},
         )
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert "no convergence" in capsys.readouterr().err
@@ -251,12 +250,14 @@ class TestCmdRun:
         record = json.loads((tmp_path / "out" / "run_records.json").read_text())
         assert len(record["epochs"]) == 10
 
-    def test_initial_step_past_newton_point_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key", ["max_iters", "grad_tol", "initial_step", "backtrack_factor", "armijo_c"])
+    def test_removed_solver_key_is_not_a_setting(self, tmp_path, capsys, key):
         path = write_config(tmp_path, update={"kind": "convex", "loss": "truncated-quadratic"})
-        code = main(["run", "--config", path, "--out", str(tmp_path / "out"),
-                     "--set", "solver.initial_step=2"])
-        assert code == 2
-        assert "initial_step" in capsys.readouterr().err
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", f"solver.{key}=1"]) == 2
+        assert "unknown config key 'solver'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCmdCurve:

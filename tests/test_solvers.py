@@ -13,7 +13,6 @@ from halfspace_active.geometry import angle, normalize
 from halfspace_active.losses import exponential_loss, logistic_loss, truncated_quadratic_loss
 from halfspace_active.data_models import stack_examples
 from halfspace_active.solvers import (
-    ConvexSolverParams,
     SurrogateBall,
     erm_zero_one_2d,
     erm_zero_one_search,
@@ -149,30 +148,30 @@ def _reference_search(data, w_k, r_k, restarts, rng):
     return normalize(best_w)
 
 
-def _reference_pg(loss, X, y, ball, params=ConvexSolverParams()):
+def _reference_pg(loss, X, y, ball):
     """The projected-gradient form of the convex solver, kept as a reference.
 
     Armijo backtracking on projected gradient steps, the step carried over
     between iterations, and an exit after five accepted steps in a row that
-    leave the objective unchanged.
+    leave the objective unchanged.  It reads the Newton solver's settings.
     """
     data = (X, y)
     w = ball.center.copy()
     f = surrogate_objective(loss, w, data)
-    step = params.initial_step
+    step = solvers.INITIAL_STEP
     stalls = 0
-    for _ in range(params.max_iters):
+    for _ in range(solvers.MAX_ITERS):
         g = surrogate_gradient(loss, w, data)
         residual = np.linalg.norm(w - project_to_ball(w - g, ball))
-        if residual <= params.grad_tol * (1.0 + np.linalg.norm(g)):
+        if residual <= solvers.GRAD_TOL * (1.0 + np.linalg.norm(g)):
             return w
-        step = min(step / params.backtrack_factor, params.initial_step)
+        step = min(step / solvers.BACKTRACK_FACTOR, solvers.INITIAL_STEP)
         while True:
             w_new = project_to_ball(w - step * g, ball)
             f_new = surrogate_objective(loss, w_new, data)
-            if f_new <= f + params.armijo_c * float(g @ (w_new - w)):
+            if f_new <= f + solvers.ARMIJO_C * float(g @ (w_new - w)):
                 break
-            step *= params.backtrack_factor
+            step *= solvers.BACKTRACK_FACTOR
             if step < 1e-18:
                 return w
         if f_new == f:
@@ -359,13 +358,14 @@ class TestErmConvex:
                     best = min(best, surrogate_objective(TQ, cand, (X, y)))
         assert f <= best + 1e-6
 
-    def test_max_iters_raises_with_iterate(self):
+    def test_max_iters_raises_with_iterate(self, monkeypatch):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((30, 2))
         y = np.sign(rng.standard_normal(30))
-        params = ConvexSolverParams(max_iters=2, grad_tol=1e-16)
+        monkeypatch.setattr(solvers, "MAX_ITERS", 2)
+        monkeypatch.setattr(solvers, "GRAD_TOL", 1e-16)
         with pytest.raises(MaxItersExceeded) as ei:
-            solvers.minimize_in_ball(TQ, X, y, SurrogateBall(E1.coords, 1.0), params=params)
+            solvers.minimize_in_ball(TQ, X, y, SurrogateBall(E1.coords, 1.0))
         assert ei.value.best_w is not None
         assert ei.value.residual is not None
 
@@ -386,7 +386,7 @@ class TestErmConvex:
                 assert surrogate_objective(loss, new, (X, y)) <= f_old + 1e-12 * (1.0 + abs(f_old))
                 g = surrogate_gradient(loss, new, (X, y))
                 assert (np.linalg.norm(new - project_to_ball(new - g, ball))
-                        <= ConvexSolverParams().grad_tol * (1.0 + np.linalg.norm(g)))
+                        <= solvers.GRAD_TOL * (1.0 + np.linalg.norm(g)))
 
     def test_one_newton_step_solves_a_quadratic(self, monkeypatch):
         # with R = 0.4 every margin stays below 1, where the truncated
@@ -430,12 +430,6 @@ class TestErmConvex:
         loss = dataclasses.replace(TQ, phi_second=None)
         with pytest.raises(LossSpecError):
             solvers.minimize_in_ball(loss, np.eye(2), np.ones(2), SurrogateBall(E1.coords, 1.0))
-
-    def test_initial_step_at_most_one(self):
-        assert ConvexSolverParams(initial_step=1.0).initial_step == 1.0
-        for bad in (0.0, 1.5, 2.0):
-            with pytest.raises(ValueError, match="initial_step"):
-                ConvexSolverParams(initial_step=bad)
 
 
 def assert_kkt(H, b, rho, z, mu):
