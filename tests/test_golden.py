@@ -22,13 +22,13 @@ from halfspace_active import cli
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
 
-CRITERION_11_RECORDS_SHA256 = "86ac6d19669f8ee8ce9eec0125f8b6a953194996cdeaec186a568278ff636001"
-ZERO_ONE_CURVE_CSV_SHA256 = "e0e2a424fd398fdbc69ddf8cac0fae2018409e1f7c919722a4b624e92f6c302e"
+CRITERION_11_RECORDS_SHA256 = "68688a94bd9e00feba7c433c1143c42525af6e9eeec8c7eaab2a6035d8a7645c"
+ZERO_ONE_CURVE_CSV_SHA256 = "ec7e3de2ecb9d5c2ba65a2071929e8aef893586f39f0fd73133c5bad56e95556"
 ZERO_ONE_CURVE_RECORDS_SHA256 = "f7a08d4d51513d221a5597fbd53fdaaf301547996144ba1b2483a04840f2f278"
-BALL_CURVE_CSV_SHA256 = "b8caba5d7972ffbeafad181a2d9b5137f9a767e10ba8bec21ef5578417f91c46"
+BALL_CURVE_CSV_SHA256 = "1f592888ae0f15f60db2aebb2e3e111d975fabd509dc5a596b0b72a9e6698ef7"
 BALL_CURVE_RECORDS_SHA256 = "0111d95f8a8fb4f77ab6666c5c754a9d87f1cceb8d9a8824a3850ec2dce4ad55"
-ZERO_ONE_SEARCH_RECORDS_SHA256 = "c47d0c1bcba5920224174be1d1ed28462dd1e318785bb72247c9b18de89eb611"
-CHECKS_CSV_SHA256 = "3eac9c102cb6cc07be7e1b87a2d2c6d2e9358e89e2dfbbabd01022edfd9a5043"
+ZERO_ONE_SEARCH_RECORDS_SHA256 = "1efb59d1a2665fd410f0f113c0b9e9e9415807e457bb802808ac35579701431f"
+CHECKS_CSV_SHA256 = "fd3ad2ee23234cbb163adb9d0021d7c1a3f6b14cb662a40eb14fb8dcdb68b122"
 
 POOL_RECORD = (
     '{"config_digest":"pool","epochs":['
@@ -125,7 +125,7 @@ def test_checks_csv_digest(tmp_path, capsys):
 
 
 def test_default_config_digest():
-    assert cli.config_digest(cli.DEFAULT_CONFIG) == "8712c2a06a2d3306"
+    assert cli.config_digest(cli.DEFAULT_CONFIG) == "c1702b14545532af"
 
 
 def test_finite_pool_record():
