@@ -165,6 +165,15 @@ def _loss_name(name) -> str:
     return name
 
 
+def _update_loss(config: dict, R: float):
+    """The update loss sized for classifiers of norm R = ||model.w_star||."""
+    name = _loss_name(config["update"]["loss"])
+    try:
+        return get_loss(name, R=R)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"update.loss {name!r} at ||model.w_star|| = {R:g}: {exc}") from exc
+
+
 @contextlib.contextmanager
 def _config_values():
     """Report a bad value met while building objects from the config as ConfigError."""
@@ -192,11 +201,11 @@ def build_model(config: dict) -> DataModel:
 def build_update(config: dict, R: float, kind: str | None = None):
     uc = config["update"]
     kind = uc["kind"] if kind is None else kind
-    loss_name = _loss_name(uc["loss"])  # checked whatever the kind, as it is digested
+    _loss_name(uc["loss"])  # checked whatever the kind, as it is digested
     if kind == "zero-one":
         return ZeroOneUpdate(restarts=int(uc["restarts"]))
     if kind == "convex":
-        return ConvexUpdate(loss=get_loss(loss_name, R=R))
+        return ConvexUpdate(loss=_update_loss(config, R))
     raise ConfigError(f"unknown update kind {kind!r}")
 
 
@@ -211,7 +220,9 @@ def build_schedule(config: dict, model: DataModel) -> ScheduleParams:
     """
     sc = config["schedule"]
     R, kappa, mu = model.R, model.noise_exponent, sc["mu"]
-    loss = get_loss(_loss_name(config["update"]["loss"]), R=R)
+    if not (isinstance(mu, (int, float)) and mu > 0):
+        raise ConfigError(f"schedule.mu must be a positive number, got {mu!r}")
+    loss = _update_loss(config, R)
     ell_plus, gamma_plus = upper_bound_constants(loss, R)
     ell_minus, gamma_minus = lower_bound_constants(mu, kappa)
     return ScheduleParams(

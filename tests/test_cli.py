@@ -430,3 +430,15 @@ class TestCmdBudget:
         ncx = ScheduleParams(mode="theory-nonconvex", **constants)
         cvx = ScheduleParams(mode="theory-convex", **constants)
         assert rows == [[ncx.budget(k), cvx.budget(k)] for k in range(1, 6)]
+
+    def test_nonpositive_mu_names_its_key(self, capsys):
+        assert main(["budget", "--set", "schedule.mu=0"]) == 2
+        assert "schedule.mu" in capsys.readouterr().err
+
+    def test_loss_constants_that_overflow_name_their_keys(self, capsys):
+        # the exponential loss's constants are e^(3R + 1), past float range for R = 300
+        assert main(["budget", "--set", "update.loss=exponential",
+                     "--set", "model.w_star=[300, 0]"]) == 2
+        err = capsys.readouterr().err
+        assert "update.loss" in err and "||model.w_star|| = 300" in err
+        assert err.rstrip().endswith("math range error")
