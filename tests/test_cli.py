@@ -117,6 +117,61 @@ class TestConfig:
         assert a == b and len(a) == 16
 
 
+def _leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+# The numeric and boolean config leaves that change a small 2-D run's records.
+# A key missing here that a run reads, or one listed that it no longer reads,
+# fails the probe below: wire the key up or remove it, then update this table.
+LEAVES_THAT_CHANGE_RUN_RECORDS = {
+    "zero-one": {"model.dimension", "model.kappa", "model.tau0", "schedule.n", "run.epochs",
+                 "run.excess_risk_mc"},
+    "convex": {"model.dimension", "schedule.n", "run.epochs", "run.excess_risk_mc"},
+}
+
+
+@pytest.mark.parametrize("update", sorted(LEAVES_THAT_CHANGE_RUN_RECORDS))
+def test_config_leaves_that_change_run_records(tmp_path, capsys, update):
+    # each numeric or boolean leaf is perturbed on its own: a bool is negated,
+    # an int raised by 1 and a float scaled by 1.5; an exit code counts as a change
+    model = ({"conditional": "powered-margin", "w_star": [1.0, 0.0]} if update == "zero-one"
+             else {"conditional": "affine", "w_star": [0.4, 0.0]})
+    path = write_config(tmp_path, model={"dimension": 2, **model},
+                        update={"kind": update, "loss": "truncated-quadratic"},
+                        schedule={"mode": "fixed", "n": 60}, run={"epochs": 3, "seeds": [0]})
+
+    def records(*overrides):
+        out = tmp_path / "out"
+        code = main(["run", "--config", path, "--out", str(out), *overrides])
+        if code:
+            return code
+        lines = (out / "run_records.json").read_text().splitlines()
+        return [{k: v for k, v in json.loads(line).items() if k != "config_digest"}
+                for line in lines]
+
+    baseline = records()
+    changed = set()
+    # the loaded config has exactly DEFAULT_CONFIG's leaves, at the probe's values
+    for key, value in _leaves(cli.load_config(path)):
+        if isinstance(value, bool):
+            value = not value
+        elif isinstance(value, int):
+            value += 1
+        elif isinstance(value, float):
+            value *= 1.5
+        else:
+            continue
+        if records("--set", f"{key}={json.dumps(value)}") != baseline:
+            changed.add(key)
+    capsys.readouterr()
+    assert changed == LEAVES_THAT_CHANGE_RUN_RECORDS[update]
+
+
 # The budget constants of the truncated quadratic at R = 1: margins reach
 # M = 3R + 1 = 4, so L = 2(1 + M) = 10; psi(z) = z^2 gives a = 1 and gamma = 2;
 # curvature 2 gives ell_plus = (2 R^2 / 2a)^(1/2) = 1 and gamma_plus = 2/gamma = 1.
