@@ -100,7 +100,7 @@ def _reference_search(data, w_k, r_k, restarts, rng):
         beta = float(rng.uniform(0.0, half))
         t = rng.standard_normal(d)
         t -= (t @ wk) * wk
-        norm = float(np.linalg.norm(t))
+        norm = math.sqrt(float(t @ t))
         if norm < 1e-12:
             return wk.copy()
         t /= norm
@@ -110,7 +110,7 @@ def _reference_search(data, w_k, r_k, restarts, rng):
         if math.acos(min(1.0, max(-1.0, float(np.dot(w, wk))))) <= half:
             return w
         t = w - (w @ wk) * wk
-        norm = float(np.linalg.norm(t))
+        norm = math.sqrt(float(t @ t))
         if norm < 1e-15:
             return wk.copy()
         return math.cos(half) * wk + math.sin(half) * (t / norm)
@@ -126,13 +126,13 @@ def _reference_search(data, w_k, r_k, restarts, rng):
                     axis = np.zeros(d)
                     axis[i] = 1.0
                     t = axis - (axis @ best_w) * best_w
-                    norm = float(np.linalg.norm(t))
+                    norm = math.sqrt(float(t @ t))
                     if norm < 1e-12:
                         continue
                     t /= norm
                     for s in (step, -step):  # -step keeps t from before a +step accept
                         cand = math.cos(s) * best_w + math.sin(s) * t
-                        cand /= np.linalg.norm(cand)
+                        cand /= math.sqrt(float(cand @ cand))
                         cand = clip_to_cap(cand)
                         c = count(cand)
                         if c < best:
