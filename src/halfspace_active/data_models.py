@@ -25,6 +25,7 @@ from .errors import AssumptionIIViolation, UnsupportedMarginal
 from .geometry import (
     HypothesisBall,
     UnitVector,
+    _norm,
     _unit_margins,
     _vector_of,
     angle,
@@ -104,7 +105,7 @@ class DataModel:
             raise ValueError(f"w_star must have shape ({self.dimension},), got {w.shape}")
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
-        if np.linalg.norm(w) <= 0:
+        if _norm(w) <= 0:
             raise ValueError("w_star must be nonzero")
         w = w.copy()
         w.flags.writeable = False
@@ -125,7 +126,7 @@ class DataModel:
 
     @property
     def R(self) -> float:
-        return float(np.linalg.norm(self.w_star))
+        return _norm(self.w_star)
 
     @property
     def w_bar(self) -> UnitVector:
@@ -473,7 +474,7 @@ def _rotated_from_w_star(model: DataModel, theta: float) -> np.ndarray:
     axis = np.zeros(model.dimension)
     axis[j] = 1.0
     perp = axis - np.dot(axis, wb) * wb
-    perp /= np.linalg.norm(perp)
+    perp /= _norm(perp)
     return math.cos(theta) * wb + math.sin(theta) * perp
 
 

@@ -35,6 +35,7 @@ from .geometry import (
     FULL_RADIUS,
     HypothesisBall,
     UnitVector,
+    _norm,
     chord_length,
     normalize,
     query_mask,
@@ -402,8 +403,7 @@ def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int,
         return erm_zero_one_search((X, y), w_k, r_k, restarts=update.restarts, rng=rng)
     ball = SurrogateBall(center=R * w_k.coords, radius=R * r_k)
     w_tilde = minimize_in_ball(update.loss, X, y, ball)
-    norm = float(np.linalg.norm(w_tilde))
-    if norm <= 1e-12:
+    if _norm(w_tilde) <= 1e-12:
         raise DegenerateSolution("convex update returned a near-zero vector")
     return normalize(w_tilde)
 
@@ -478,7 +478,7 @@ def run_active(
         raise ValueError("convex update needs a model: R is the norm of the model's w_star")
     R = None if model is None else model.R
 
-    w_star_bar = None if model is None else model.w_star / np.linalg.norm(model.w_star)
+    w_star_bar = None if model is None else model.w_star / R
     w_k = normalize(substream(seed, "init").standard_normal(dim))
     cursor = 0  # pool rows scanned by earlier epochs
     epochs: list[EpochRecord] = []

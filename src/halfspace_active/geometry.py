@@ -44,9 +44,10 @@ class UnitVector:
         arr = np.asarray(self.coords, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"expected a 1-D vector with d >= 2, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        sq = float(arr.dot(arr))  # a finite square sum proves every entry finite
+        if not math.isfinite(sq) and not np.all(np.isfinite(arr)):
             raise NormalizationError("unit vector has non-finite entries")
-        norm = float(np.linalg.norm(arr))
+        norm = math.sqrt(sq)
         if abs(norm - 1.0) > _UNIT_TOL:
             raise NormalizationError(f"norm {norm!r} is not within {_UNIT_TOL} of 1")
         arr = arr.copy()
@@ -61,6 +62,11 @@ class UnitVector:
         return np.asarray(self.coords, dtype=dtype)
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a 1-D array as sqrt(v.dot(v)): np.linalg.norm's bits without its overhead."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def _vector_of(v) -> np.ndarray:
     if isinstance(v, UnitVector):
         return v.coords
@@ -73,14 +79,16 @@ def _unit_coords(v, what: str = "vector") -> np.ndarray:
         return v.coords
     arr = np.asarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflow to inf is rescaled below
-        norm = float(np.linalg.norm(arr))
+        # the norm of all entries, as np.linalg.norm takes it for any shape;
+        # UnitVector then refuses an input that is not 1-D
+        norm = _norm(arr.ravel())
     if not _SAFE_NORMS[0] <= norm <= _SAFE_NORMS[1]:
         # tiny, huge, zero or non-finite: rescale by the largest entry first
         scale = float(np.max(np.abs(arr), initial=0.0))
         if not math.isfinite(scale) or scale <= 0.0:
             raise NormalizationError(f"cannot normalize {what} with norm {norm!r}")
         arr = arr / scale
-        norm = float(np.linalg.norm(arr))
+        norm = _norm(arr.ravel())
     return arr / norm
 
 
@@ -188,7 +196,7 @@ def chord_length(u, v) -> float:
     """Euclidean distance ||u - v||; equals 2*sin(angle(u, v)/2)."""
     ua, va = _vector_of(u), _vector_of(v)
     _check_same_dim(ua, va)
-    return float(np.linalg.norm(ua - va))
+    return _norm(ua - va)
 
 
 def margin_threshold(radius: float) -> float:

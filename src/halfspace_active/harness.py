@@ -39,7 +39,14 @@ from .driver import (
     run_passive,
 )
 from .errors import ConfigError
-from .geometry import HypothesisBall, angle, disagreement_exists_oracle, normalize, should_query
+from .geometry import (
+    HypothesisBall,
+    _norm,
+    angle,
+    disagreement_exists_oracle,
+    normalize,
+    should_query,
+)
 from .losses import (
     SurrogateLoss,
     exponential_loss,
@@ -83,6 +90,8 @@ logger = logging.getLogger(__name__)
 
 # Entries of the (n, candidates) margin matrix that the gap profile holds at once.
 _MARGIN_BLOCK = 1 << 18
+# (w, x) pairs the query-rule check draws with one standard_normal call.
+_QUERY_RULE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,7 @@ class _PassiveProbe:
     def errors(self, n: int) -> np.ndarray:
         if n not in self.cache:
             self.cache[n] = np.asarray([
-                float(np.linalg.norm(np.asarray(self.run(seed, n).final_w) - self.w_bar))
+                _norm(np.asarray(self.run(seed, n).final_w) - self.w_bar)
                 for seed in self.config.seeds
             ])
         return self.cache[n]
@@ -431,11 +440,13 @@ def check_query_rule_equivalence(total: int = 100_000, seed: int = 0) -> list[Ch
     for d in dims:
         for r in radii:
             agree = 0
-            for _ in range(per_cell):
-                w = normalize(rng.standard_normal(d))
-                ball = HypothesisBall(w, r)
-                x = rng.standard_normal(d)
-                agree += should_query(x, ball) == disagreement_exists_oracle(x, ball)
+            # one draw per block: the same (w, x) pairs as a standard_normal(d)
+            # call for w and then for x, pair after pair
+            for start in range(0, per_cell, _QUERY_RULE_BLOCK):
+                pairs = rng.standard_normal((min(_QUERY_RULE_BLOCK, per_cell - start), 2, d))
+                for w, x in pairs:
+                    ball = HypothesisBall(normalize(w), r)
+                    agree += should_query(x, ball) == disagreement_exists_oracle(x, ball)
             rows.append(
                 CheckRow(
                     check_name="query-rule-equivalence",
@@ -542,7 +553,7 @@ def check_gradient_finite_difference(
             fd[i] = (
                 surrogate_objective(loss, w + e, data) - surrogate_objective(loss, w - e, data)
             ) / (2.0 * h)
-        rel = float(np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g)))
+        rel = _norm(g - fd) / max(1.0, _norm(g))
         worst = max(worst, rel)
     return [
         CheckRow(

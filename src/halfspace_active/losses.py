@@ -168,8 +168,10 @@ def lower_bound_constants(mu: float, kappa: float, c: float = 1.0 / math.pi) -> 
     i.e. excess >= (c/μ)^κ · chord^κ.  The constant c defaults to the
     uniform-sphere exact value 1/π.
     """
-    if mu <= 0 or c <= 0:
-        raise ValueError("mu and c must be positive")
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu!r}")
+    if c <= 0:
+        raise ValueError(f"c must be positive, got {c!r}")
     if kappa < 1:
         raise ValueError(f"noise exponent must satisfy kappa >= 1, got {kappa!r}")
     return (c / mu) ** kappa, kappa

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data_models import stack_examples
 from .errors import LossSpecError, MaxItersExceeded, SolverDiverged
-from .geometry import HypothesisBall, UnitVector, _vector_of, normalize
+from .geometry import HypothesisBall, UnitVector, _norm, _vector_of, normalize
 from .losses import EXP_CLAMP, SurrogateLoss
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -63,11 +63,6 @@ class SurrogateBall:
         c = np.asarray(self.center, dtype=np.float64).copy()
         c.flags.writeable = False
         object.__setattr__(self, "center", c)
-
-
-def _norm(v: np.ndarray) -> float:
-    """||v|| of a 1-D array, bit for bit np.linalg.norm(v) without its overhead."""
-    return math.sqrt(float(v @ v))
 
 
 def project_to_ball(v: np.ndarray, ball: SurrogateBall) -> np.ndarray:
@@ -322,7 +317,7 @@ def _sample_in_cap(w_k: np.ndarray, half: float, rng: np.random.Generator) -> np
     beta = float(rng.uniform(0.0, half))
     t = rng.standard_normal(d)
     t -= (t @ w_k) * w_k
-    norm = float(np.linalg.norm(t))
+    norm = _norm(t)
     if norm < 1e-12:
         return w_k.copy()
     t /= norm

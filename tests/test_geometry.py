@@ -71,6 +71,74 @@ class TestNormalize:
             assert abs(np.linalg.norm(normalize(v).coords) - 1.0) <= 1e-12
 
 
+def _np_norm_unit_coords(v):
+    """_unit_coords with its norms taken by np.linalg.norm: the bits _norm must keep."""
+    arr = np.asarray(v, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not geometry._SAFE_NORMS[0] <= norm <= geometry._SAFE_NORMS[1]:
+        scale = float(np.max(np.abs(arr), initial=0.0))
+        if not math.isfinite(scale) or scale <= 0.0:
+            raise NormalizationError(f"cannot normalize vector with norm {norm!r}")
+        arr = arr / scale
+        norm = float(np.linalg.norm(arr))
+    return arr / norm
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# entries of normal, subnormal and ~1e150 magnitude; d <= 12 keeps the
+# squared norm of 1e151-sized entries finite
+_ENTRY = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.floats(-2.2e-308, 2.2e-308),
+    st.floats(1e149, 1e151),
+    st.floats(-1e151, -1e149),
+)
+_VECTORS = st.integers(2, 12).flatmap(lambda d: st.lists(_ENTRY, min_size=d, max_size=d))
+
+
+class TestNormBits:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(_VECTORS)
+    def test_norm_and_normalize_keep_numpy_bits(self, coords):
+        v = np.asarray(coords)
+        assert _same_bits(geometry._norm(v), float(np.linalg.norm(v)))
+        try:
+            expected = _np_norm_unit_coords(v)
+        except NormalizationError:
+            with pytest.raises(NormalizationError):
+                normalize(v)
+        else:
+            assert normalize(v).coords.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(_VECTORS, st.integers(0, 11), st.sampled_from([math.inf, -math.inf, math.nan]))
+    def test_non_finite_entries_rejected(self, coords, i, bad):
+        v = np.asarray(coords)
+        v[i % v.size] = bad
+        with pytest.raises(NormalizationError, match="non-finite entries"):
+            UnitVector(v)
+
+    @pytest.mark.parametrize("v", [np.float64(1.0), np.ones((2, 2)) / 2.0, np.eye(3)[:, :2]])
+    def test_unit_vector_not_1d_rejected(self, v):
+        with pytest.raises(ValueError):
+            UnitVector(v)
+
+    @pytest.mark.parametrize("v, error", [
+        (3.0, ValueError),
+        (np.ones((2, 2)), ValueError),
+        (np.full((3, 2), 1e300), ValueError),
+        (0.0, NormalizationError),
+        (np.zeros((2, 2)), NormalizationError),
+    ])
+    def test_normalize_not_1d_keeps_its_error(self, v, error):
+        with pytest.raises(error):
+            normalize(v)
+
+
 class TestAngleAndChord:
     def test_identical(self):
         assert angle(E1, E1) == 0.0

@@ -11,6 +11,7 @@ from halfspace_active import harness
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import ConvexUpdate, ScheduleParams, ZeroOneUpdate, run_passive
 from halfspace_active.errors import ConfigError
+from halfspace_active.geometry import normalize
 from halfspace_active.harness import (
     CheckRow,
     CurvePoint,
@@ -224,6 +225,29 @@ class TestChecks:
         assert len(rows) == 15
         assert all(r.passed for r in rows)
         assert all(r.observed == 1.0 for r in rows)
+
+    def test_query_rule_blocks_keep_the_per_pair_draws(self, monkeypatch):
+        seen = []
+        should_query = harness.should_query
+
+        def recording(x, ball):
+            seen.append((x.copy(), ball.center.coords))
+            return should_query(x, ball)
+
+        monkeypatch.setattr(harness, "should_query", recording)
+        monkeypatch.setattr(harness, "_QUERY_RULE_BLOCK", 7)  # 20 pairs a cell: 7 + 7 + 6
+        rows = check_query_rule_equivalence(total=300, seed=3)
+        assert all(r.passed for r in rows)
+        rng = substream(3, "query-rule-equivalence")
+        expected = []
+        for d in (2, 3, 10):
+            for _ in range(5 * 20):  # five radii of 20 pairs each
+                w = normalize(rng.standard_normal(d))
+                expected.append((rng.standard_normal(d), w.coords))
+        assert len(seen) == len(expected)
+        for (x, c), (x_old, c_old) in zip(seen, expected):
+            assert x.tobytes() == x_old.tobytes()
+            assert c.tobytes() == c_old.tobytes()
 
     def test_psi_rows(self):
         rows = check_psi_transform()

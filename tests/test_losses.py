@@ -182,6 +182,14 @@ class TestSandwichConstants:
         with pytest.raises(ValueError):
             lower_bound_constants(1.0, 0.5, 1.0)
 
+    def test_lower_bound_names_bad_mu(self):
+        with pytest.raises(ValueError, match=r"^mu must be positive, got 0\.0$"):
+            lower_bound_constants(0.0, 1.0, 1.0)
+
+    def test_lower_bound_names_bad_c(self):
+        with pytest.raises(ValueError, match=r"^c must be positive, got -0\.5$"):
+            lower_bound_constants(1.0, 1.0, -0.5)
+
 
 class TestLossRegistry:
     def test_lookup(self):
