@@ -431,7 +431,7 @@ def angle_disagreement_report(
     return rows
 
 
-def check_query_rule_equivalence(total: int = 100_000, seed: int = 0) -> list[CheckRow]:
+def check_query_rule_equivalence(*, total: int, seed: int) -> list[CheckRow]:
     """Margin rule vs. arc oracle on random (x, w, r): agreement must be exact."""
     dims, radii = (2, 3, 10), (2.0, 1.0, 0.5, 0.25, 0.125)
     rng = substream(seed, "query-rule-equivalence")
@@ -498,9 +498,7 @@ def _pair_model(marginal: str, d: int) -> DataModel:
     return DataModel(d, marginal, "powered-margin", w, kappa=1.0)
 
 
-def check_sphere_identity(
-    dims=(2, 5), pairs: int = 20, n_mc: int = 1_000_000, seed: int = 0
-) -> list[CheckRow]:
+def check_sphere_identity(dims=(2, 5), *, pairs: int, n_mc: int, seed: int) -> list[CheckRow]:
     rows = []
     for d in dims:
         rng = substream(seed, "sphere-identity", d)
@@ -510,9 +508,7 @@ def check_sphere_identity(
     return rows
 
 
-def check_gaussian_lower_bound(
-    d: int = 10, pairs: int = 20, n_mc: int = 1_000_000, seed: int = 0
-) -> list[CheckRow]:
+def check_gaussian_lower_bound(d: int = 10, *, pairs: int, n_mc: int, seed: int) -> list[CheckRow]:
     rng = substream(seed, "gaussian-lower", d)
     model = _pair_model("gaussian", d)
     return [
@@ -522,7 +518,7 @@ def check_gaussian_lower_bound(
 
 
 def check_gradient_finite_difference(
-    triples: int = 100, tol: float = 1e-5, seed: int = 0
+    *, triples: int, tol: float = 1e-5, seed: int
 ) -> list[CheckRow]:
     """Analytic surrogate gradient vs. central differences on random data.
 
@@ -568,11 +564,7 @@ def check_gradient_finite_difference(
 
 
 def check_concentration_scaling(
-    trials: int = 50,
-    n: int = 400,
-    r: float = 0.4,
-    candidates: int = 128,
-    seed: int = 0,
+    *, trials: int, n: int, r: float = 0.4, candidates: int, seed: int
 ) -> list[CheckRow]:
     """Gap ratios under radius doubling and sample quadrupling.
 

@@ -229,11 +229,6 @@ def zero_one_objective(w, data) -> int:
     return int(np.count_nonzero(y * (X @ wc) <= 0.0))
 
 
-def _wrap(delta: float) -> float:
-    """Signed angle difference wrapped to (-π, π]."""
-    return math.remainder(delta, 2.0 * math.pi)
-
-
 def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     """Exact 0-1 ERM over the feasible arc, by sweeping critical angles.
 
@@ -242,13 +237,18 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     Crossing an event flips that instance between right and wrong, so the
     count after every event is the count at the first piece plus a
     cumulative sum of ±1 steps; one sort plus one cumulative sum make the
-    whole minimization O(n log n) in array operations.  Each run of equal
-    event angles closes one constant piece, whose midpoint is a candidate,
-    as are the arc endpoints and w_k itself.  Ties prefer the candidate
-    closest in angle to w_k, then the smaller angle; w_k itself is
-    returned when it attains the minimum.
+    whole minimization O(n log n) in array operations.  A zero instance is
+    wrong at every angle (y·w·x = 0 counts as an error), so its events
+    step by 0.  Each run of equal event angles closes one constant piece,
+    whose midpoint is a candidate, as are the arc endpoints and w_k itself,
+    which are counted directly.  An endpoint can win: a piece next to it
+    may be narrower than the rounding error of the event angles, so its
+    midpoint rounds onto an event and counts wrong an instance that the
+    endpoint counts right.  Ties prefer the candidate closest in angle to
+    w_k, then the smaller angle; w_k itself is returned when it attains
+    the minimum.
     """
-    X, y = stack_examples(data)
+    X, y = examples = stack_examples(data)
     if X.shape[1] != 2:
         raise ValueError("exact 0-1 ERM is only implemented for d = 2")
     if X.shape[0] == 0:
@@ -262,50 +262,36 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     crits = np.concatenate([alphas + math.pi / 2.0, alphas - math.pi / 2.0])
     # shift each critical angle into [lo, lo + 2π); keep those interior to the arc
     shifted = lo + np.mod(crits - lo, 2.0 * math.pi)
+    inside = (shifted > lo) & (shifted < hi)
     order = np.argsort(shifted, kind="stable")
-    inside = (shifted[order] > lo) & (shifted[order] < hi)
-    ev_angles = shifted[order][inside]
-    ev_crits = order[inside]
+    events = order[inside[order]]
+    ev_angles = shifted[events]
 
-    def count_at(psi: float) -> int:
-        w = np.array([math.cos(psi), math.sin(psi)])
-        return int(np.count_nonzero(y * (X @ w) <= 0.0))
-
-    # candidate angles: the arc endpoints, w_k itself, and one midpoint per
-    # constant piece, the first of which is counted directly
-    candidates: list[tuple[int, float]] = [
-        (count_at(lo), lo),
-        (count_at(hi), hi),
-        (count_at(psi_k), psi_k),
-    ]
-    first_mid = (lo + (ev_angles[0] if ev_angles.size else hi)) / 2.0
-    w0 = np.array([math.cos(first_mid), math.sin(first_mid)])
-    err0 = (y * (X @ w0)) <= 0.0
-    count0 = int(err0.sum())
-    candidates.append((count0, float(first_mid)))
-
-    # an event flips its point: +1 if it was right, -1 if wrong; a point's
-    # second event (both critical angles inside, possible only at r_k = 2)
-    # flips it back
-    delta = 1 - 2 * err0[ev_crits % n].astype(np.int64)
-    position = np.arange(ev_crits.size)
-    rank = np.full(2 * n, ev_crits.size)
-    rank[ev_crits] = position
-    delta[rank[(ev_crits + n) % (2 * n)] < position] *= -1
-    counts = count0 + np.cumsum(delta)
-    # a run of equal angles closes one piece, counted after its last event
+    # a run of equal angles closes one piece; piece j follows the first
+    # bounds[j] events
     new_run = np.empty(ev_angles.size, dtype=bool)
     new_run[:1] = True
     np.not_equal(ev_angles[1:], ev_angles[:-1], out=new_run[1:])
     starts = np.flatnonzero(new_run)
-    run_counts = np.append(counts[starts[1:] - 1], counts[-1:])
-    mids = (ev_angles[starts] + np.append(ev_angles[starts[1:]], hi)) / 2.0
+    edges = np.concatenate([[lo], ev_angles[starts], [hi]])
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    bounds = np.append(starts, ev_angles.size)
 
-    best = min(min(c for c, _ in candidates), int(run_counts.min(initial=n)))
-    tied = [psi for c, psi in candidates if c == best]
-    tied += mids[run_counts == best].tolist()
-    tied.sort(key=lambda psi: (abs(_wrap(psi - psi_k)), psi))
-    psi_best = tied[0]
+    # an event flips its point: +1 if it was right at the first midpoint, -1
+    # if wrong, 0 for a zero instance; its other event (also inside only at
+    # r_k = 2) flips it back, so the point's two steps are opposite
+    err0 = y * (X @ np.array([math.cos(mids[0]), math.sin(mids[0])])) <= 0.0
+    step = np.where(X.any(axis=1), 1 - 2 * err0.astype(np.int64), 0)
+    reached = np.where(inside, shifted, np.inf)
+    step[reached[:n] > reached[n:]] *= -1  # the sweep meets α - π/2 first
+    steps = np.concatenate([step, -step])[events]
+    counts = int(err0.sum()) + np.concatenate([[0], np.cumsum(steps)])[bounds]
+
+    candidates = [(zero_one_objective([math.cos(psi), math.sin(psi)], examples), psi)
+                  for psi in (lo, hi, psi_k)]
+    best = min(min(c for c, _ in candidates), int(counts.min()))
+    tied = [psi for c, psi in candidates if c == best] + mids[counts == best].tolist()
+    psi_best = min(tied, key=lambda psi: (abs(math.remainder(psi - psi_k, 2.0 * math.pi)), psi))
     if psi_best == psi_k:
         return w_k  # keep the center bitwise when it already attains the minimum
     return normalize([math.cos(psi_best), math.sin(psi_best)])

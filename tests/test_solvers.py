@@ -53,6 +53,7 @@ def _reference_sweep(data, w_k, r_k):
     inside = (shifted[order] > lo) & (shifted[order] < hi)
     ev_angles = shifted[order][inside]
     ev_points = order[inside] % n
+    moves = X.any(axis=1)  # a zero instance is wrong at every angle
 
     def count_at(psi):
         w = np.array([math.cos(psi), math.sin(psi)])
@@ -70,8 +71,9 @@ def _reference_sweep(data, w_k, r_k):
         j = idx
         while j < n_ev and ev_angles[j] == ev_angles[idx]:
             i = ev_points[j]
-            count += 1 - 2 * int(err[i])
-            err[i] = not err[i]
+            if moves[i]:
+                count += 1 - 2 * int(err[i])
+                err[i] = not err[i]
             j += 1
         nxt = ev_angles[j] if j < n_ev else hi
         candidates.append((count, float((ev_angles[idx] + nxt) / 2.0)))
@@ -84,6 +86,17 @@ def _reference_sweep(data, w_k, r_k):
     if psi_best == psi_k:
         return w_k
     return normalize([math.cos(psi_best), math.sin(psi_best)])
+
+
+def _endpoint_instances(w_k, r_k, rng):
+    """12 instances, in random order and scale, at the angles lo ± π/2 and hi ± π/2
+    of the feasible arc and one ulp to either side of each."""
+    half = math.pi if r_k == 2.0 else 2.0 * math.asin(r_k / 2.0)
+    psi_k = math.atan2(w_k.coords[1], w_k.coords[0])
+    a = np.add.outer([psi_k - half, psi_k + half], [-math.pi / 2.0, math.pi / 2.0]).ravel()
+    a = np.concatenate([a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf)])
+    a = a[rng.permutation(a.size)]
+    return np.stack([np.cos(a), np.sin(a)], axis=1) * 10.0 ** rng.uniform(-2, 2, (a.size, 1))
 
 
 def _reference_search(data, w_k, r_k, restarts, rng):
@@ -536,10 +549,12 @@ class TestErmZeroOne2d:
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(8)
-        for trial in range(30):
+        for trial in range(60):
             X = rng.standard_normal((50, 2))
             probs = 1.0 / (1.0 + np.exp(-3.0 * X[:, 0]))
             y = np.where(rng.random(50) < probs, 1.0, -1.0)
+            if trial >= 30:  # zero instances, wrong at every angle
+                X[rng.random(50) < 0.3] = 0.0
             w_k = normalize(rng.standard_normal(2))
             r_k = [2.0, 1.0, 0.5][trial % 3]
             w = erm_zero_one_2d((X, y), w_k, r_k)
@@ -559,10 +574,10 @@ class TestErmZeroOne2d:
         for r_k in (2.0, 1.0, 0.5, 0.25):
             for n in (1, 2, 50, 4096):
                 for labels in ("noisy", "all-correct", "all-wrong"):
-                    for rounded in (False, True):
+                    for data in ("raw", "rounded", "endpoints"):
                         for _ in range(4):
                             X = rng.standard_normal((n, 2))
-                            if rounded:  # many instances share a critical angle
+                            if data == "rounded":  # many instances share a critical angle
                                 X = np.round(X, 1)
                             w_star = normalize(rng.standard_normal(2))
                             y = np.sign(X @ w_star.coords)
@@ -572,12 +587,14 @@ class TestErmZeroOne2d:
                             elif labels == "all-wrong":
                                 y = -y
                             w_k = normalize(rng.standard_normal(2))
+                            if data == "endpoints":  # critical angles on an arc endpoint or an ulp off
+                                X[:12] = _endpoint_instances(w_k, r_k, rng)[: min(n, 12)]
                             got = erm_zero_one_2d((X, y), w_k, r_k)
                             want = _reference_sweep((X, y), w_k, r_k)
                             assert (got is w_k) == (want is w_k)
                             assert got.coords.tobytes() == want.coords.tobytes()
                             cases += 1
-        assert cases >= 300
+        assert cases >= 450
 
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError):
