@@ -213,12 +213,18 @@ def build_schedule(config: dict, model: DataModel) -> ScheduleParams:
     """The ``schedule`` settings, with every other budget constant taken from
     where the program already holds it.
 
-    d and R are the model's, κ is its noise exponent, L, a and γ are the
-    update loss's at norm R, and the excess-risk sandwich comes from
-    upper_bound_constants and lower_bound_constants.  m is left to
-    run_active, which budgets for the epochs that actually run.
+    A fixed or geometric schedule reads only mode, n, n0 and ratio.  The
+    theory modes read the rest: d and R are the model's, κ is its noise
+    exponent, L, a and γ are the update loss's at norm R, and the
+    excess-risk sandwich comes from upper_bound_constants and
+    lower_bound_constants.  m is left to run_active, which budgets for the
+    epochs that actually run.
     """
     sc = config["schedule"]
+    sizes = dict(mode=sc["mode"], n=None if sc["n"] is None else int(sc["n"]), n0=sc["n0"],
+                 ratio=sc["ratio"])
+    if sc["mode"] not in ("theory-nonconvex", "theory-convex"):
+        return ScheduleParams(**sizes)
     R, kappa, mu = model.R, model.noise_exponent, sc["mu"]
     if not (isinstance(mu, (int, float)) and mu > 0):
         raise ConfigError(f"schedule.mu must be a positive number, got {mu!r}")
@@ -226,8 +232,7 @@ def build_schedule(config: dict, model: DataModel) -> ScheduleParams:
     ell_plus, gamma_plus = upper_bound_constants(loss, R)
     ell_minus, gamma_minus = lower_bound_constants(mu, kappa)
     return ScheduleParams(
-        mode=sc["mode"], n=None if sc["n"] is None else int(sc["n"]), n0=sc["n0"],
-        ratio=sc["ratio"], mu=mu, theta_eps=sc["theta_eps"], delta=sc["delta"],
+        **sizes, mu=mu, theta_eps=sc["theta_eps"], delta=sc["delta"],
         floor_enabled=sc["floor_enabled"], d=model.dimension, R=R, kappa=kappa,
         L=loss.lipschitz, a=loss.psi_lower_a, gamma=loss.psi_lower_gamma,
         ell_plus=ell_plus, gamma_plus=gamma_plus, ell_minus=ell_minus, gamma_minus=gamma_minus,
@@ -235,8 +240,6 @@ def build_schedule(config: dict, model: DataModel) -> ScheduleParams:
 
 
 def _fmt6(value) -> str:
-    if value is None:
-        return "-"
     return f"{value:.6g}"
 
 
@@ -395,11 +398,12 @@ def cmd_psi_table(loss_name: str, step: float) -> int:
 def cmd_budget(config: dict) -> int:
     with _config_values():
         model = build_model(config)
-        schedule = build_schedule(config, model)
         epochs = int(config["run"]["epochs"])
         # both theory schedules are built before any output: they validate delta and m
-        theory = {mode: replace(schedule, mode=mode, n=None, m=epochs)
-                  for mode in ("theory-nonconvex", "theory-convex")}
+        theory = {}
+        for mode in ("theory-nonconvex", "theory-convex"):
+            with_mode = {**config, "schedule": {**config["schedule"], "mode": mode}}
+            theory[mode] = replace(build_schedule(with_mode, model), m=epochs)
     s = theory["theory-convex"]
     alpha_ncx = s.gamma_minus - s.gamma_plus / s.kappa
     alpha_cvx = s.gamma * alpha_ncx - 1.0

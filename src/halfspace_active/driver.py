@@ -326,36 +326,30 @@ class FinitePool:
                 raise ValueError("pool labels must match pool instances")
 
 
-def _collect_epoch(draw, ball: HypothesisBall, n_k: int, labels):
-    """Scan rows from ``draw`` until n_k queried instances are found, then label them.
+def _collect_epoch(draw, ball: HypothesisBall, n_k: int):
+    """Scan rows from ``draw`` until n_k queried instances are found.
 
     ``draw(need)`` returns the next rows, given how many queried rows are
-    still missing, or None once the source has run out.  ``labels(rows,
-    at)`` labels all the queried rows in one call, given their positions
-    ``at`` in this epoch's scan.  Returns (X, y, scanned): scanning stops
-    at the instance that fills the budget, so fewer than n_k labels means
-    the source ran out.
+    still missing, or None once the source has run out.  Returns (X, at,
+    scanned): the queried rows, their positions ``at`` in this epoch's
+    scan, and the rows scanned.  Scanning stops at the instance that fills
+    the budget, so fewer than n_k rows means the source ran out.
     """
     xs, ats = [np.empty((0, ball.dim))], [np.empty(0, dtype=np.intp)]
-    scanned = charged = 0
-    while charged < n_k:
-        rows = draw(n_k - charged)
+    scanned = found = 0
+    while found < n_k:
+        rows = draw(n_k - found)
         if rows is None:
             break
-        take = np.nonzero(query_mask(rows, ball))[0][: n_k - charged]
-        if take.size:
-            xs.append(rows[take])
-            ats.append(scanned + take)
-            charged += take.size
-        scanned += int(take[-1]) + 1 if charged == n_k else rows.shape[0]
-    X = np.vstack(xs)
-    y = labels(X, np.concatenate(ats)) if charged else np.empty(0)
-    if y.shape[0] != charged:
-        raise AssertionError("label audit failed: labels charged != labels kept")
-    return X, y, scanned
+        take = np.nonzero(query_mask(rows, ball))[0][: n_k - found]
+        xs.append(rows[take])
+        ats.append(scanned + take)
+        found += take.size
+        scanned += int(take[-1]) + 1 if found == n_k else rows.shape[0]
+    return np.vstack(xs), np.concatenate(ats), scanned
 
 
-def _model_epoch(model: DataModel, ball: HypothesisBall, n_k: int, rng, labels):
+def _model_epoch(model: DataModel, ball: HypothesisBall, n_k: int, rng):
     """One epoch of a DataModel, by rejection sampling through query_mask.
 
     At r = 2 every row is queried, so the epoch scans fresh marginal rows
@@ -366,25 +360,24 @@ def _model_epoch(model: DataModel, ball: HypothesisBall, n_k: int, rng, labels):
     ``ball.band_probability``.  query_mask still filters the direct rows;
     one it drops (rounded a last bit out of the band) is redrawn, alone.
     So both hand on i.i.d. marginal rows conditioned on the band.  All
-    draws come from ``rng``.
+    draws come from ``rng``.  Returns (X, at, scanned) as _collect_epoch
+    does; below r = 2, ``at`` indexes the direct draws.
     """
     if ball.radius == FULL_RADIUS:
-        return _collect_epoch(
-            lambda need: sample_unlabeled(model, _SCAN_CHUNK, rng), ball, n_k, labels
-        )
-    X, y, _ = _collect_epoch(lambda need: sample_in_band(model, ball, need, rng), ball, n_k, labels)
-    return X, y, n_k + int(rng.negative_binomial(n_k, ball.band_probability))
+        return _collect_epoch(lambda need: sample_unlabeled(model, _SCAN_CHUNK, rng), ball, n_k)
+    X, at, _ = _collect_epoch(lambda need: sample_in_band(model, ball, need, rng), ball, n_k)
+    return X, at, n_k + int(rng.negative_binomial(n_k, ball.band_probability))
 
 
-def _pool_epoch(pool: FinitePool, start: int, ball: HypothesisBall, n_k: int, labels):
+def _pool_epoch(pool: FinitePool, start: int, ball: HypothesisBall, n_k: int):
     """One epoch's scan of the pool's rows from ``start`` on, until they run out."""
     chunks = (pool.X[i:i + _SCAN_CHUNK] for i in range(start, pool.X.shape[0], _SCAN_CHUNK))
-    return _collect_epoch(lambda need: next(chunks, None), ball, n_k, labels)
+    return _collect_epoch(lambda need: next(chunks, None), ball, n_k)
 
 
-def _model_labels(model: DataModel, seed: int, k: int):
-    """Epoch k's label rule: the model's conditional on the "epoch", k, "labels" substream."""
-    return lambda rows, at: label_batch(model, rows, substream(seed, "epoch", k, "labels"))
+def _model_labels(model: DataModel, X: np.ndarray, seed: int, k: int) -> np.ndarray:
+    """Epoch k's labels of rows X: the model's conditional on the "epoch", k, "labels" substream."""
+    return label_batch(model, X, substream(seed, "epoch", k, "labels"))
 
 
 def _mc_excess_risk(model: DataModel, w: np.ndarray, n: int, rng) -> float:
@@ -457,21 +450,9 @@ def run_active(
     if schedule.m != m:
         schedule = replace(schedule, m=m)
     if isinstance(source, DataModel):
-        model, dim, pool_y = source, source.dimension, None
-
-        def collect(k: int, ball: HypothesisBall, n_k: int):
-            rng = substream(seed, "epoch", k, "scan")
-            return _model_epoch(model, ball, n_k, rng, labels_of(k, 0))
+        pool, model, dim = None, source, source.dimension
     else:
-        model, dim, pool_y = source.model, source.X.shape[1], source.y
-
-        def collect(k: int, ball: HypothesisBall, n_k: int):
-            return _pool_epoch(source, cursor, ball, n_k, labels_of(k, cursor))
-
-    def labels_of(k: int, start: int):
-        if pool_y is not None:
-            return lambda rows, at: pool_y[start + at]
-        return _model_labels(model, seed, k)
+        pool, model, dim = source, source.model, source.X.shape[1]
 
     _check_pairing(model, update)
     if model is None and isinstance(update, ConvexUpdate):
@@ -509,7 +490,15 @@ def run_active(
         for k in range(1, m + 1):
             r_k = radius_at(k)
             n_k = schedule.budget(k)
-            X, y, scanned = collect(k, HypothesisBall(w_k, r_k), n_k)
+            ball = HypothesisBall(w_k, r_k)
+            if pool is None:
+                X, at, scanned = _model_epoch(model, ball, n_k, substream(seed, "epoch", k, "scan"))
+            else:
+                X, at, scanned = _pool_epoch(pool, cursor, ball, n_k)
+            if pool is not None and pool.y is not None:
+                y = pool.y[cursor + at]
+            else:
+                y = _model_labels(model, X, seed, k)
             cursor += scanned
             epochs.append(entry(k, n_k, int(y.shape[0]), scanned))
             if y.shape[0] < n_k:
@@ -547,7 +536,5 @@ def passive_prefix(model: DataModel, n: int, seed: int) -> FinitePool:
     """
     rows = -(-n // _SCAN_CHUNK) * _SCAN_CHUNK
     ball = HypothesisBall(model.w_bar, FULL_RADIUS)
-    X, y, _ = _model_epoch(
-        model, ball, rows, substream(seed, "epoch", 1, "scan"), _model_labels(model, seed, 1)
-    )
-    return FinitePool(X, model=model, y=y)
+    X, _, _ = _model_epoch(model, ball, rows, substream(seed, "epoch", 1, "scan"))
+    return FinitePool(X, model=model, y=_model_labels(model, X, seed, 1))

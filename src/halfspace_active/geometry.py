@@ -142,8 +142,6 @@ class HypothesisBall:
     @property
     def half_angle(self) -> float:
         """Angle from the center to the ball's edge, 2*arcsin(r/2); π at r = 2."""
-        if self.radius == FULL_RADIUS:
-            return math.pi
         return 2.0 * math.asin(self.radius / 2.0)
 
     @property

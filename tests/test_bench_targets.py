@@ -43,16 +43,20 @@ def test_every_work_entry_is_a_cli_function():
     assert workloads and missing == []
 
 
-@pytest.mark.parametrize("name", ["run-convex-deep", "run-search-d10", "curve-2d"])
+@pytest.mark.parametrize("name", ["run-convex-deep", "run-search-d10", "curve-2d", "check-mc"])
 def test_workload_reaches_its_spans(name, tmp_path, monkeypatch, capsys):
-    # a shrunken copy of the workload's config: 2 seeds, and for the curve
-    # one target; every span it predicts reached is called, no `never` span is
+    # a shrunken copy of the workload's config: 2 seeds, for the curve one
+    # target, and for the checks small sizes; every span it predicts reached
+    # is called, no `never` span is
     workload = load_perfbench("workloads").WORKLOADS[name]
     config = workload.config(0)
     if "run" in config:
         config["run"]["seeds"] = [0, 1]
-    else:
+    elif "curve" in config:
         config["curve"].update(seeds=[0, 1], epsilons=[0.2])
+    else:
+        config["check"] = dict(equivalence_samples=150, pairs=1, n_mc=1000, scaling_trials=2,
+                               scaling_n=50, scaling_candidates=4)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     targets = {span: (module, fn) for module, fn, span, _ in load_perfbench("tracer").TARGETS}

@@ -79,6 +79,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.load_config("/nonexistent/config.json")
 
+    @pytest.mark.parametrize("text, message", [
+        ("{model", "is not valid JSON"), ("[1, 2]", "config root must be a JSON object"),
+    ])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("foo", "not of the form key=value"), ("update.kind=foo", "unknown update kind 'foo'"),
+    ])
+    def test_bad_override_exits_two(self, tmp_path, capsys, setting, message):
+        path = write_config(tmp_path)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", setting]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_set_overrides(self, tmp_path):
         path = write_config(tmp_path)
         config = cli.load_config(path, overrides=["schedule.n=99", "model.marginal=gaussian"])
@@ -282,6 +302,18 @@ class TestCmdRun:
         assert "math range error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("settings", [
+        ["schedule.mu=0"],
+        ["update.loss=exponential", "model.conditional=logistic", "model.w_star=[300, 0]"],
+    ])
+    def test_theory_only_settings_leave_a_fixed_schedule_alone(self, tmp_path, capsys, settings):
+        # mu and the update loss's constants feed only the theory budgets; the
+        # exponential loss's constants at R = 300 are past float range
+        path = write_config(tmp_path)
+        overrides = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"), *overrides]) == 0
+        assert len((tmp_path / "out" / "run_records.json").read_text().splitlines()) == 1
+
     @pytest.mark.parametrize("setting", ["run.seeds=5", "model.dimension=[2]", "run.epochs=0"])
     def test_bad_run_values_exit_two_before_any_run(self, tmp_path, capsys, setting):
         path = write_config(tmp_path)
@@ -339,6 +371,15 @@ class TestCmdCurve:
         assert "passive_cap" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_value_error_mid_curve_exits_one(self, tmp_path, capsys, monkeypatch):
+        def fail(experiment):
+            raise ValueError("forced failure")
+
+        monkeypatch.setattr(cli, "label_complexity_curve", fail)
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
+        assert main(["curve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: forced failure\n"
+
 
 class TestCmdCheck:
     def test_subset_runs_and_passes(self, tmp_path, capsys):
@@ -374,6 +415,24 @@ class TestCmdCheck:
         # --only is the check.only setting, so the digest in the leading comment agrees too
         a = (out_a / "checks.csv").read_bytes()
         assert a == (out_b / "checks.csv").read_bytes() and len(a.splitlines()) == 5
+
+    def test_only_must_be_a_string_or_a_list(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["check", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", "check.only=5"]) == 2
+        assert "check.only takes a comma-separated string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_is_the_master_seed(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        comments = []
+        for seed in ("0", "5"):
+            out = tmp_path / seed
+            assert main(["check", "--config", path, "--out", str(out), "--only", "psi",
+                         "--seed", seed]) == 0
+            comments.append((out / "checks.csv").read_text().splitlines()[0])
+        assert comments[0].endswith(" master_seed=0") and comments[1].endswith(" master_seed=5")
+        assert comments[0].split()[1] != comments[1].split()[1]  # the config digests
 
     def test_only_changes_the_digest(self, tmp_path, capsys):
         # the digest in the leading comment says which suites ran

@@ -253,36 +253,25 @@ class TestFinitePool:
         pool = FinitePool(X, y=y)
         ball = HypothesisBall(UnitVector(np.array([0.0, 1.0])), 0.5)
         chunks = (pool.X[i:i + 250] for i in range(0, 4000, 250))
-        charged = []
-
-        def labels(rows, at):
-            charged.extend(at)
-            return y[at]
-
-        Xq, yq, scanned = driver._collect_epoch(lambda need: next(chunks, None), ball, 200, labels)
-        assert yq.shape[0] == 200  # not exhausted
-        assert len(charged) == 200 == Xq.shape[0]
+        Xq, at, scanned = driver._collect_epoch(lambda need: next(chunks, None), ball, 200)
+        assert y[at].shape[0] == 200  # not exhausted
+        assert len(at) == 200 == Xq.shape[0]
         assert np.all(query_mask(Xq, ball))
-        np.testing.assert_array_equal(Xq, X[charged])
+        np.testing.assert_array_equal(Xq, X[at])
         assert scanned <= 4000
-
-    def test_label_audit_catches_a_lost_label(self):
-        X = np.random.default_rng(2).standard_normal((50, 2))
-        ball = HypothesisBall(UnitVector(np.array([1.0, 0.0])), 2.0)
-        with pytest.raises(AssertionError, match="label audit"):
-            driver._collect_epoch(lambda need: X, ball, 10,
-                                  lambda rows, at: np.ones(rows.shape[0] - 1))
 
     def test_budget_filled_on_last_row_then_exhausted(self):
         # epoch 1 (radius 2 queries everything) takes all 100 rows and is not
-        # exhausted; epoch 2 starts past the end and records an empty epoch
+        # exhausted; epoch 2 starts past the end and records an empty epoch,
+        # whose zero rows a model labels without drawing
         X = np.random.default_rng(1).standard_normal((100, 2))
-        pool = FinitePool(X, y=np.where(X[:, 0] > 0, 1.0, -1.0))
-        with pytest.raises(StreamExhausted) as ei:
-            run_active(pool, ZeroOneUpdate(), ScheduleParams(mode="fixed", n=100), m=3, seed=5)
-        partial = ei.value.partial
-        assert [(e.labels, e.scanned) for e in partial.epochs] == [(100, 100), (0, 0)]
-        assert partial.total_labels == 100
+        for pool in (FinitePool(X, y=np.where(X[:, 0] > 0, 1.0, -1.0)),
+                     FinitePool(X, model=circle_model())):
+            with pytest.raises(StreamExhausted) as ei:
+                run_active(pool, ZeroOneUpdate(), ScheduleParams(mode="fixed", n=100), m=3, seed=5)
+            partial = ei.value.partial
+            assert [(e.labels, e.scanned) for e in partial.epochs] == [(100, 100), (0, 0)]
+            assert partial.total_labels == 100
 
     def test_fixed_labels_pool(self):
         X = np.random.default_rng(0).standard_normal((500, 2))
@@ -406,10 +395,8 @@ class TestEpochCost:
         model = circle_model(kappa=1.5, seed=17)
         ball = HypothesisBall(normalize([0.6, 0.8]), radius_at(8))
         rng = CountingRng(np.random.default_rng(8))
-        X, y, scanned = driver._model_epoch(
-            model, ball, n_k, rng, lambda rows, at: np.ones(rows.shape[0])
-        )
-        assert X.shape == (n_k, 2) and y.shape == (n_k,)
+        X, at, scanned = driver._model_epoch(model, ball, n_k, rng)
+        assert X.shape == (n_k, 2) and at.shape == (n_k,)
         assert rng.values <= 10 * n_k
         p = ball.band_probability
         assert abs(scanned - n_k / p) <= 4.0 * math.sqrt(n_k * (1.0 - p)) / p
@@ -437,12 +424,10 @@ class TestDirectBandDraw:
             size = int(1.2 * n / p) + 4096
             pool = FinitePool(sample_unlabeled(model, size, model.stream("pool", i)), model=model)
 
-            def labels(rows, at, rng=model.stream("labels", i)):
-                return label_batch(model, rows, rng)
-
-            runs = [driver._pool_epoch(pool, 0, ball, n, labels),
-                    driver._model_epoch(model, ball, n, model.stream("direct", i), labels)]
-            (Xs, ys, scan_s), (Xd, yd, scan_d) = runs
+            Xs, _, scan_s = driver._pool_epoch(pool, 0, ball, n)
+            Xd, _, scan_d = driver._model_epoch(model, ball, n, model.stream("direct", i))
+            labels = model.stream("labels", i)
+            ys, yd = label_batch(model, Xs, labels), label_batch(model, Xd, labels)
             assert Xs.shape == Xd.shape == (n, d)
             crit = 2.15 * math.sqrt(2.0 / n)  # KS at the 1e-4 level
             s_scan, s_direct = (np.abs(X @ center.coords) / np.linalg.norm(X, axis=1) for X in (Xs, Xd))
@@ -489,9 +474,7 @@ class TestDirectBandDraw:
             return X
 
         monkeypatch.setattr(driver, "sample_in_band", one_off_band)
-        X, y, _ = driver._model_epoch(
-            model, ball, 500, np.random.default_rng(4), lambda rows, at: np.ones(rows.shape[0])
-        )
+        X, _, _ = driver._model_epoch(model, ball, 500, np.random.default_rng(4))
         assert asked == [500, 1]
         assert X.shape == (500, 3) and np.all(query_mask(X, ball))
 
