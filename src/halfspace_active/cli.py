@@ -51,7 +51,6 @@ DEFAULT_CONFIG = {
         "w_star": [1.0, 0.0],
         "kappa": 1.0,
         "tau0": 1.0,
-        "scale": 1.0,
         "seed": 0,
     },
     "update": {
@@ -192,7 +191,6 @@ def build_model(config: dict) -> DataModel:
         conditional=kind,
         w_star=np.asarray(mc["w_star"], dtype=float),
         seed=int(mc["seed"]),
-        scale=float(mc["scale"]),
         kappa=float(mc["kappa"]) if kind == "powered-margin" else None,
         tau0=float(mc["tau0"]),
     )

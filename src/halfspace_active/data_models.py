@@ -1,8 +1,9 @@
 """Synthetic joint distributions with tunable noise, plus their estimators.
 
 A model is a rotation-invariant marginal (uniform sphere, standard
-Gaussian, uniform ball) paired with a conditional Pr(Y=1|x): a logistic
-or affine function of w*·x, or the powered-margin family
+Gaussian, uniform ball) paired with a conditional Pr(Y=1|x): the logistic
+σ(2w*·x) or the affine (1 + w*·x)/2, under which w* itself minimizes the
+exponential or the truncated-quadratic risk, or the powered-margin family
 
     η(x) = 1/2 (1 + sgn(m) · min(1, |m|/τ₀)^{κ-1}),   m = w̄*·x̄,
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionIIViolation, UnsupportedMarginal
+from .errors import UnsupportedMarginal
 from .geometry import (
     HypothesisBall,
     UnitVector,
@@ -42,7 +43,6 @@ __all__ = [
     "sample_in_band",
     "eta_batch",
     "label_batch",
-    "bayes_tau",
     "exact_surrogate_risk",
     "exact_excess_binary_risk",
     "disagreement_probability",
@@ -53,7 +53,9 @@ __all__ = [
 MARGINALS = ("uniform-sphere", "gaussian", "uniform-ball")
 CONDITIONALS = ("logistic", "affine", "powered-margin")
 
-# (loss name, conditional) pairs whose surrogate-risk minimizer is linear.
+# (loss name, conditional) pairs whose surrogate-risk minimizer is w* itself:
+# the pointwise minimizers, 2η - 1 for the truncated quadratic and
+# ½·log(η/(1-η)) for the exponential, both equal w*·x under these laws.
 SUPPORTED_PAIRINGS = {
     ("exponential", "logistic"),
     ("truncated-quadratic", "affine"),
@@ -80,8 +82,7 @@ class RiskEstimate:
 class DataModel:
     """Joint distribution 𝒫_XY with known optimum direction.
 
-    ``scale`` is the logistic steepness and ``kappa``/``tau0`` parameterize
-    the powered-margin conditional.
+    ``kappa``/``tau0`` parameterize the powered-margin conditional.
     """
 
     dimension: int
@@ -89,7 +90,6 @@ class DataModel:
     conditional: str
     w_star: np.ndarray = field(repr=False)
     seed: int = 0
-    scale: float = 1.0
     kappa: float | None = None
     tau0: float = 1.0
 
@@ -116,13 +116,11 @@ class DataModel:
             if not 0.0 < self.tau0 <= 1.0:
                 raise ValueError("powered-margin requires tau0 in (0, 1]")
         if self.conditional == "affine":
-            # eta = w*.x + 1/2 must stay in [0, 1] on the support
+            # eta = (1 + w*.x)/2 must stay in [0, 1] on the support
             if self.marginal == "gaussian":
                 raise ValueError("affine conditional needs bounded support, not gaussian")
-            if self.R > 0.5:
-                raise ValueError("affine conditional requires ||w_star|| <= 1/2 so eta stays in [0, 1]")
-        if self.conditional == "logistic" and self.scale <= 0:
-            raise ValueError("logistic scale must be positive")
+            if self.R > 1.0:
+                raise ValueError("affine conditional requires ||w_star|| <= 1 so eta stays in [0, 1]")
 
     @property
     def R(self) -> float:
@@ -247,12 +245,12 @@ def eta_batch(model: DataModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if model.conditional == "logistic":
         margins = X @ model.w_star
-        return 1.0 / (1.0 + np.exp(-model.scale * margins))
+        return 1.0 / (1.0 + np.exp(-2.0 * margins))
     if model.conditional == "affine":
         margins = X @ model.w_star
-        if np.any(np.abs(margins) > 0.5 + 1e-12):
-            raise ValueError("affine conditional saw w_star·x outside [-1/2, 1/2]")
-        return np.clip(margins + 0.5, 0.0, 1.0)
+        if np.any(np.abs(margins) > 1.0 + 1e-12):
+            raise ValueError("affine conditional saw w_star·x outside [-1, 1]")
+        return np.clip(0.5 * (1.0 + margins), 0.0, 1.0)
     # powered-margin: depends only on the normalized margin
     m = _unit_margins(X, model.w_bar.coords)
     scaled = np.minimum(1.0, np.abs(m) / model.tau0)
@@ -263,25 +261,6 @@ def label_batch(model: DataModel, X: np.ndarray, rng: np.random.Generator) -> np
     """Labels in {-1, +1} drawn from the conditional at each row."""
     probs = eta_batch(model, X)
     return np.where(rng.random(probs.shape) < probs, 1.0, -1.0)
-
-
-def bayes_tau(model: DataModel, loss_name: str, x) -> float:
-    """Pointwise surrogate-risk minimizer, for the pairings where it is linear.
-
-    Exponential + logistic gives (s/2)·w*·x; truncated quadratic + affine
-    gives 2η(x) - 1 = w*·x.  Any other pairing has no linear minimizer and
-    raises AssumptionIIViolation.
-    """
-    pairing = (loss_name, model.conditional)
-    if pairing not in SUPPORTED_PAIRINGS:
-        raise AssumptionIIViolation(
-            f"no linear surrogate-risk minimizer for loss {loss_name!r} "
-            f"with conditional {model.conditional!r}"
-        )
-    margin = float(np.dot(np.asarray(x, dtype=np.float64), model.w_star))
-    if loss_name == "exponential":
-        return 0.5 * model.scale * margin
-    return margin
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,6 @@ class NotSmooth(HalfspaceActiveError):
     """Loss has no curvature bound, so smoothness-based constants are undefined."""
 
 
-class AssumptionIIViolation(HalfspaceActiveError):
-    """(loss, conditional) pairing has no linear surrogate-risk minimizer."""
-
-
 class SolverDiverged(HalfspaceActiveError):
     """Solver iterate left the numerically trusted region (e.g. exp overflow)."""
 

@@ -571,7 +571,7 @@ def check_concentration_scaling(
     The bound predicts gap ∝ r/√n, so both ratios target 2; the band is
     wide because the sup is approximated by candidate sampling.
     """
-    model = DataModel(2, "uniform-sphere", "affine", np.array([0.4, 0.0]))
+    model = DataModel(2, "uniform-sphere", "affine", np.array([0.8, 0.0]))
     loss = truncated_quadratic_loss()
     prof = empirical_process_gap_profile(
         loss, model, [r, 2 * r], n, trials, candidates, substream(seed, "th4-radius")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfspace_active import data_models as dm
-from halfspace_active.errors import AssumptionIIViolation, UnsupportedMarginal
+from halfspace_active.errors import UnsupportedMarginal
 from halfspace_active.geometry import HypothesisBall, angle, normalize, query_mask
 from halfspace_active.losses import get_loss
 from halfspace_active.streams import substream
@@ -31,9 +31,14 @@ def sphere_model(conditional="powered-margin", d=2, kappa=2.0, tau0=1.0, seed=0,
 class TestConstruction:
     def test_affine_needs_bounded_margin(self):
         with pytest.raises(ValueError):
-            sphere_model("affine", kappa=None, R=0.8)
+            sphere_model("affine", kappa=None, R=1.2)
         with pytest.raises(ValueError):
             dm.DataModel(2, "gaussian", "affine", np.array([0.3, 0.0]))
+
+    def test_affine_accepts_unit_norm(self):
+        # eta = (1 + w*.x)/2 reaches exactly 0 and 1 on the circle
+        model = sphere_model("affine", kappa=None, R=1.0)
+        assert dm.eta_batch(model, [[1.0, 0.0], [-1.0, 0.0]]).tolist() == [1.0, 0.0]
 
     def test_powered_margin_parameter_ranges(self):
         with pytest.raises(ValueError):
@@ -88,8 +93,13 @@ class TestEta:
 
     def test_affine_value(self):
         model = sphere_model("affine", kappa=None, R=0.5)
-        # w* = (0.5, 0), x on the circle with w*.x = 0.3
-        assert dm.eta_batch(model, [[0.6, 0.8]])[0] == pytest.approx(0.8, abs=1e-12)
+        # w* = (0.5, 0), x on the circle with w*.x = 0.3: eta = (1 + 0.3)/2
+        assert dm.eta_batch(model, [[0.6, 0.8]])[0] == pytest.approx(0.65, abs=1e-12)
+
+    def test_logistic_value(self):
+        model = sphere_model("logistic", kappa=None, R=0.5)
+        # w* = (0.5, 0), x = (0.8, 0.6) with w*.x = 0.4: eta = 1/(1 + e^-0.8)
+        assert dm.eta_batch(model, [[0.8, 0.6]])[0] == pytest.approx(0.6899744811276125, abs=1e-12)
 
     def test_powered_margin_value(self):
         model = sphere_model(kappa=2.0, tau0=1.0)
@@ -119,26 +129,6 @@ class TestLabels:
         X = np.tile([0.0, 1.0], (100_000, 1))
         y = dm.label_batch(model, X, rng)
         assert abs(np.mean(y == 1.0) - 0.5) <= 0.005
-
-
-class TestBayesTau:
-    def test_exponential_logistic(self):
-        model = sphere_model("logistic", kappa=None, scale=1.0, R=0.5)
-        x = [0.8, 0.6]  # w*.x = 0.4
-        assert dm.bayes_tau(model, "exponential", x) == pytest.approx(0.2)
-
-    def test_truncated_quadratic_affine(self):
-        model = sphere_model("affine", kappa=None, R=0.5)
-        assert dm.bayes_tau(model, "truncated-quadratic", [0.6, 0.8]) == pytest.approx(0.3)
-
-    def test_zero_margin(self):
-        model = sphere_model("logistic", kappa=None)
-        assert dm.bayes_tau(model, "exponential", [0.0, 1.0]) == 0.0
-
-    def test_unsupported_pairing(self):
-        model = sphere_model(kappa=2.0)
-        with pytest.raises(AssumptionIIViolation):
-            dm.bayes_tau(model, "exponential", [1.0, 0.0])
 
 
 class TestExactRisk:
@@ -204,11 +194,12 @@ class TestExactSurrogateRisk:
     TQ = get_loss("truncated-quadratic")
 
     def test_affine_truncated_quadratic_closed_form(self):
-        # |w·x| <= 1 keeps the loss quadratic: 1 + E[m²] - 2 E[m (2η - 1)]
+        # |w·x| <= 1 keeps the loss quadratic: 1 + E[m²] - 2 E[m (2η - 1)],
+        # with 2η - 1 = w*·x and E[(w·x)(w*·x)] = w·w*/2 on the circle
         w_star = self.AFFINE.w_star
         for w in ([0.0, 0.0], [0.3, -0.2], [0.6, 0.8], [-1.0, 0.0], [0.1, 0.7]):
             w = np.asarray(w)
-            expected = 1.0 + 0.5 * float(w @ w) - 2.0 * float(w @ w_star)
+            expected = 1.0 + 0.5 * float(w @ w) - float(w @ w_star)
             assert dm.exact_surrogate_risk(self.AFFINE, self.TQ, w) == pytest.approx(
                 expected, rel=0.0, abs=1e-13)
 
@@ -252,6 +243,22 @@ class TestExactSurrogateRisk:
         whole = dm.exact_surrogate_risk(self.AFFINE, self.TQ, W)
         monkeypatch.setattr(dm, "_QUAD_CHUNK", 1000)  # a few hypotheses per block
         np.testing.assert_array_equal(dm.exact_surrogate_risk(self.AFFINE, self.TQ, W), whole)
+
+    # w* minimizes the surrogate risk of each supported pairing, so the
+    # known norm R = ||w*|| is the norm of the convex-risk minimizer
+    @pytest.mark.parametrize("loss_name, conditional, R", [
+        ("truncated-quadratic", "affine", 0.4),
+        ("truncated-quadratic", "affine", 0.8),
+        ("exponential", "logistic", 0.5),
+        ("exponential", "logistic", 1.0),
+        ("exponential", "logistic", 2.0),
+    ])
+    def test_risk_along_w_bar_is_least_at_w_star(self, loss_name, conditional, R):
+        model = sphere_model(conditional, kappa=None, R=R)
+        t = 0.0005 * np.arange(1, round(2.0 * R / 0.0005) + 1)  # (0, 2R] on a 0.0005 grid
+        risk = dm.exact_surrogate_risk(model, get_loss(loss_name, R=R),
+                                       t[:, None] * model.w_bar.coords)
+        assert t[np.argmin(risk)] == pytest.approx(R, rel=0.0, abs=1e-12)
 
     def test_excess_binary_risk_against_midpoint_rule(self):
         model = sphere_model(kappa=1.5)
@@ -370,13 +377,13 @@ class TestTsybakovExponent:
         # eta - 1/2 is linear in the margin for affine and logistic too, so
         # their noise_exponent is 2
         for model in (sphere_model(kappa=2.0), sphere_model("affine", R=0.4),
-                      sphere_model("logistic", scale=4.0)):
+                      sphere_model("logistic", R=2.0)):
             fit = dm.verify_tsybakov_exponent(model, self.GRID)
             assert 1.7 <= fit.kappa_hat <= 2.3
             assert model.noise_exponent == 2.0
 
     def test_logistic_reports_without_assertion(self):
-        model = sphere_model("logistic", kappa=None, scale=4.0, seed=2)
+        model = sphere_model("logistic", kappa=None, R=2.0, seed=2)
         fit = dm.verify_tsybakov_exponent(model, self.GRID)
         assert fit.kappa_hat > 0
         assert len(fit.angles) + len(fit.dropped) == len(self.GRID)
