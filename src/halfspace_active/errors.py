@@ -33,10 +33,6 @@ class LossSpecError(HalfspaceActiveError):
     """A surrogate loss specification violates its declared properties."""
 
 
-class NotSmooth(HalfspaceActiveError):
-    """Loss has no curvature bound, so smoothness-based constants are undefined."""
-
-
 class SolverDiverged(HalfspaceActiveError):
     """Solver iterate left the numerically trusted region (e.g. exp overflow)."""
 

@@ -1,8 +1,8 @@
 """Convex surrogate losses and their binary-risk conversion calculus.
 
 A loss specification bundles φ, φ', φ'', a Lipschitz constant valid on the
-margin range the algorithm can actually reach, an optional curvature
-bound, and the ψ-transform
+margin range the algorithm can actually reach, a curvature bound, and
+the ψ-transform
 
     ψ(z) = inf_{αz <= 0} C_z(α) - inf_α C_z(α),
     C_z(α) = (1+z)/2 φ(α) + (1-z)/2 φ(-α),
@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LossSpecError, NotSmooth
+from .errors import LossSpecError
 from .geometry import FULL_RADIUS
 
 __all__ = [
@@ -59,7 +59,7 @@ class SurrogateLoss:
     ``lipschitz`` is valid on |z| <= margin_bound only (the exponential
     loss has no global constant).  ``smoothness`` bounds φ'' on that
     interval and doubles as the strong-smoothness constant of the risk
-    when instances satisfy ||x|| <= 1; it is None for non-smooth losses.
+    when instances satisfy ||x|| <= 1.
     ``psi_lower_a``/``psi_lower_gamma`` give the polynomial minorant
     ψ(z) >= a z^γ on (0, 1].  ``kink`` is |z| at φ's one kink, or None
     for a smooth loss.  ``phi_second`` is φ'' (one-sided at a kink), which
@@ -73,7 +73,7 @@ class SurrogateLoss:
     margin_bound: float
     psi_lower_a: float
     psi_lower_gamma: float
-    smoothness: float | None = None
+    smoothness: float
     psi_closed: Callable[[float], float] | None = None
     kink: float | None = None
     phi_second: Callable[[np.ndarray], np.ndarray] | None = None
@@ -153,8 +153,6 @@ def upper_bound_constants(loss: SurrogateLoss, R: float) -> tuple[float, float]:
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R!r}")
-    if loss.smoothness is None:
-        raise NotSmooth(f"loss {loss.name!r} has no curvature bound")
     a, gamma = loss.psi_lower_a, loss.psi_lower_gamma
     ell_plus = (loss.smoothness * R * R / (2.0 * a)) ** (1.0 / gamma)
     return ell_plus, 2.0 / gamma

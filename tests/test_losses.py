@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfspace_active import losses
-from halfspace_active.errors import LossSpecError, NotSmooth
+from halfspace_active.errors import LossSpecError
 from halfspace_active.losses import (
     SurrogateLoss,
     exponential_loss,
@@ -130,6 +130,7 @@ class TestCalibration:
             phi_prime=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
             lipschitz=0.0,
             margin_bound=4.0,
+            smoothness=0.0,
             psi_lower_a=1.0,
             psi_lower_gamma=2.0,
         )
@@ -155,19 +156,6 @@ class TestSandwichConstants:
             psi_lower_gamma=2.0,
         )
         assert upper_bound_constants(loss, 1.0) == pytest.approx((1.0, 1.0))
-
-    def test_not_smooth(self):
-        hinge = SurrogateLoss(
-            name="hinge",
-            phi=lambda z: np.maximum(0.0, 1.0 - np.asarray(z, dtype=float)),
-            phi_prime=lambda z: -(np.asarray(z, dtype=float) < 1.0).astype(float),
-            lipschitz=1.0,
-            margin_bound=4.0,
-            psi_lower_a=1.0,
-            psi_lower_gamma=1.0,
-        )
-        with pytest.raises(NotSmooth):
-            upper_bound_constants(hinge, 1.0)
 
     def test_lower_bound_values(self):
         assert lower_bound_constants(1.0, 1.0, 1.0) == pytest.approx((1.0, 1.0))
@@ -213,6 +201,7 @@ class TestLossRegistry:
                     phi_prime=lambda z: -2.0 * np.asarray(z, dtype=float),
                     lipschitz=100.0,
                     margin_bound=4.0,
+                    smoothness=2.0,
                     psi_lower_a=1.0,
                     psi_lower_gamma=2.0,
                 )
