@@ -299,7 +299,7 @@ def cmd_curve(config: dict) -> int:
         )
         master_seed = int(config["seed"])
     digest = config_digest(config)
-    result = label_complexity_curve(experiment)
+    result = label_complexity_curve(experiment, config_digest=digest)
     paths = export_results(
         result.records, result, [], config["out"],
         config_digest=digest, master_seed=master_seed,

@@ -226,14 +226,14 @@ def _bisect_labels(probe: _PassiveProbe, epsilon: float, percentile: float, cap:
     return hi
 
 
-def label_complexity_curve(config: ExperimentConfig) -> CurveResult:
+def label_complexity_curve(config: ExperimentConfig, config_digest: str = "") -> CurveResult:
     """Active labels at the schedule vs. passive labels needed, per target.
 
     The active arm runs the epoch loop with m = ceil(log2(2/eps)); the
     passive arm bisects for the smallest plain-ERM sample size whose
     median error over the seeds reaches the same accuracy (quartile
     bisections give the IQR; a point whose median search hits the cap is
-    censored).
+    censored).  Each active run's record carries ``config_digest``.
     """
     points, records = [], []
     probe = _PassiveProbe(config)
@@ -241,7 +241,8 @@ def label_complexity_curve(config: ExperimentConfig) -> CurveResult:
         m = epochs_for_target(eps)
         labels = []
         for seed in config.seeds:
-            rec = run_active(config.model, config.update, config.schedule, m=m, seed=seed)
+            rec = run_active(config.model, config.update, config.schedule, m=m, seed=seed,
+                             config_digest=config_digest)
             records.append(rec)
             labels.append(rec.total_labels)
         cap = config.passive_cap

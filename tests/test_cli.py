@@ -359,6 +359,13 @@ class TestCmdCurve:
         rows = (out_dir / "curve.csv").read_text().splitlines()[2:]  # comment, header
         assert len(rows) == 2
 
+    def test_records_carry_the_config_digest(self, tmp_path, capsys):
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0, 1]})
+        assert main(["curve", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "run_records.json").read_text().splitlines()
+        digest = cli.config_digest(cli.load_config(path))
+        assert [json.loads(line)["config_digest"] for line in lines] == [digest, digest]
+
     def test_empty_seed_list_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": []})
         assert main(["curve", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -372,7 +379,7 @@ class TestCmdCurve:
         assert not (tmp_path / "out").exists()
 
     def test_value_error_mid_curve_exits_one(self, tmp_path, capsys, monkeypatch):
-        def fail(experiment):
+        def fail(experiment, config_digest):
             raise ValueError("forced failure")
 
         monkeypatch.setattr(cli, "label_complexity_curve", fail)

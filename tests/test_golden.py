@@ -22,13 +22,13 @@ from halfspace_active import cli
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
 
-CRITERION_11_RECORDS_SHA256 = "68688a94bd9e00feba7c433c1143c42525af6e9eeec8c7eaab2a6035d8a7645c"
-ZERO_ONE_CURVE_CSV_SHA256 = "ec7e3de2ecb9d5c2ba65a2071929e8aef893586f39f0fd73133c5bad56e95556"
-ZERO_ONE_CURVE_RECORDS_SHA256 = "f7a08d4d51513d221a5597fbd53fdaaf301547996144ba1b2483a04840f2f278"
-BALL_CURVE_CSV_SHA256 = "1f592888ae0f15f60db2aebb2e3e111d975fabd509dc5a596b0b72a9e6698ef7"
-BALL_CURVE_RECORDS_SHA256 = "0111d95f8a8fb4f77ab6666c5c754a9d87f1cceb8d9a8824a3850ec2dce4ad55"
-ZERO_ONE_SEARCH_RECORDS_SHA256 = "1efb59d1a2665fd410f0f113c0b9e9e9415807e457bb802808ac35579701431f"
-CHECKS_CSV_SHA256 = "fd3ad2ee23234cbb163adb9d0021d7c1a3f6b14cb662a40eb14fb8dcdb68b122"
+CRITERION_11_RECORDS_SHA256 = "9a70421149a660c3cd99310ad3b327c131884e782c4197aaed75f276bb8ad3b3"
+ZERO_ONE_CURVE_CSV_SHA256 = "aeac62d970b1c00cf265e37c2985d616db4357e26897b1498553956456b88285"
+ZERO_ONE_CURVE_RECORDS_SHA256 = "447bb979162e3a28b4496e9f8749817aa415e57c5fddb891d8c880fc09fcbfff"
+BALL_CURVE_CSV_SHA256 = "4c3b864b3b5a71142ec5f936ab585bdc0d256ab596dd0459008513fb9462a3d7"
+BALL_CURVE_RECORDS_SHA256 = "2fa3daaf471bd7a112b5a7cb7c145e7fe41b8b0d1dd4470e93a0c21f1371481c"
+ZERO_ONE_SEARCH_RECORDS_SHA256 = "7d3dad2de8b01ae0f1e678bb521290dc21776c0f555ad19d5e13071fc7b779bb"
+CHECKS_CSV_SHA256 = "9e91cd8e6b32f06b28eac1af3191e7ef51d43376e3f87e1e1b0772bbb18178df"
 
 POOL_RECORD = (
     '{"config_digest":"pool","epochs":['
@@ -125,7 +125,7 @@ def test_checks_csv_digest(tmp_path, capsys):
 
 
 def test_default_config_digest():
-    assert cli.config_digest(cli.DEFAULT_CONFIG) == "c1702b14545532af"
+    assert cli.config_digest(cli.DEFAULT_CONFIG) == "82fa0726fa1bc0e1"
 
 
 def test_finite_pool_record():
