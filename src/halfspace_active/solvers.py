@@ -247,6 +247,11 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     endpoint counts right.  Ties prefer the candidate closest in angle to
     w_k, then the smaller angle; w_k itself is returned when it attains
     the minimum.
+
+    The sort need not be stable: equal event angles form one run, the
+    edges and midpoints read only run values, and each count is read at a
+    run's end, an integer sum over whole runs.  The order of events inside
+    a run therefore moves no count, midpoint or tie-break.
     """
     X, y = examples = stack_examples(data)
     if X.shape[1] != 2:
@@ -263,7 +268,7 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     # shift each critical angle into [lo, lo + 2π); keep those interior to the arc
     shifted = lo + np.mod(crits - lo, 2.0 * math.pi)
     inside = (shifted > lo) & (shifted < hi)
-    order = np.argsort(shifted, kind="stable")
+    order = np.argsort(shifted)
     events = order[inside[order]]
     ev_angles = shifted[events]
 
@@ -281,9 +286,10 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     # if wrong, 0 for a zero instance; its other event (also inside only at
     # r_k = 2) flips it back, so the point's two steps are opposite
     err0 = y * (X @ np.array([math.cos(mids[0]), math.sin(mids[0])])) <= 0.0
-    step = np.where(X.any(axis=1), 1 - 2 * err0.astype(np.int64), 0)
+    step = np.where(err0, -1, 1)
+    step[(X[:, 0] == 0.0) & (X[:, 1] == 0.0)] = 0
     reached = np.where(inside, shifted, np.inf)
-    step[reached[:n] > reached[n:]] *= -1  # the sweep meets α - π/2 first
+    np.negative(step, out=step, where=reached[:n] > reached[n:])  # the sweep meets α - π/2 first
     steps = np.concatenate([step, -step])[events]
     counts = int(err0.sum()) + np.concatenate([[0], np.cumsum(steps)])[bounds]
 

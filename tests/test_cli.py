@@ -249,13 +249,28 @@ class TestCmdRun:
         b = (tmp_path / "b" / "run_records.json").read_bytes()
         assert a == b and len(a) > 0
 
-    def test_partial_trace_on_exhaustion(self, tmp_path, capsys):
-        # theory budgets are huge; a finite pool cannot satisfy them -- but
-        # run uses the generative model, so force failure via a doomed schedule
+    def test_partial_trace_on_exhaustion(self, tmp_path, capsys, monkeypatch):
+        # a model never runs dry, so epoch 2 (r = 1) is made to come back one
+        # row short; the trace keeps the finished epoch 1 and the short epoch 2
+        epoch = driver._model_epoch
+
+        def short_epoch_two(model, ball, n_k, rng):
+            X, at, scanned = epoch(model, ball, n_k, rng)
+            if ball.radius == 1.0:
+                return X[:-1], at[:-1], scanned
+            return X, at, scanned
+
+        monkeypatch.setattr(driver, "_model_epoch", short_epoch_two)
         path = write_config(tmp_path, schedule={"mode": "fixed", "n": 40})
-        # sanity: the normal run works; exhaustion needs a pool, which the CLI
-        # does not expose, so this just documents exit 0 here
-        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert "pool ran dry in epoch 2 after 39/40 labels" in capsys.readouterr().err
+        lines = (tmp_path / "out" / "run_records.json").read_text().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        first, second = record["epochs"]
+        assert (first["k"], first["n_k"], first["labels"]) == (1, 40, 40)
+        assert (second["k"], second["labels"]) == (2, 39)
+        assert record["total_labels"] == 79
 
     def test_partial_trace_on_solver_failure(self, tmp_path, capsys, monkeypatch):
         # under a cap of 3 Newton iterations, seed 37 solves epoch 1 and

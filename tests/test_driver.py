@@ -30,7 +30,9 @@ from halfspace_active.geometry import (
     normalize,
     query_mask,
 )
+from halfspace_active.harness import ExperimentConfig, label_complexity_curve
 from halfspace_active.losses import truncated_quadratic_loss
+from halfspace_active.streams import substream
 
 TQ = truncated_quadratic_loss()
 
@@ -316,6 +318,49 @@ class TestRunPassive:
         act = run_active(model, ZeroOneUpdate(), ScheduleParams(mode="fixed", n=80), m=1, seed=5)
         pas = run_passive(model, ZeroOneUpdate(), 80, seed=5)
         assert act.to_json_obj()["epochs"] == pas.to_json_obj()["epochs"]
+
+
+class TestInitialVector:
+    """w_1 is derived once per (seed, d) and shared by every run of that seed."""
+
+    def test_cached_vector_is_the_init_draw(self):
+        driver._initial_vector.cache_clear()
+        for seed, d in ((0, 2), (7, 10), (2**40, 3)):
+            w = driver._initial_vector(seed, d)
+            fresh = normalize(substream(seed, "init").standard_normal(d))
+            assert w.coords.tobytes() == fresh.coords.tobytes()
+            assert driver._initial_vector(seed, d) is w
+            with pytest.raises(ValueError):
+                w.coords[0] = 0.0
+
+    def test_curve_derives_each_seed_once(self, monkeypatch):
+        inits = []
+
+        def counted(seed, *labels):
+            if labels == ("init",):
+                inits.append(seed)
+            return substream(seed, *labels)
+
+        probes, run = [], driver.run_active
+
+        def passive(source, *args, **kwargs):
+            probes.append(source)
+            return run(source, *args, **kwargs)
+
+        driver._initial_vector.cache_clear()
+        monkeypatch.setattr(driver, "substream", counted)
+        monkeypatch.setattr(driver, "run_active", passive)  # run_passive's call, not the harness's
+        config = ExperimentConfig(
+            model=circle_model(kappa=1.5, seed=0),
+            update=ZeroOneUpdate(),
+            schedule=ScheduleParams(mode="fixed", n=100),
+            epsilons=(0.4, 0.2),
+            seeds=(3, 4),
+            passive_cap=50_000,
+        )
+        label_complexity_curve(config)
+        assert len(probes) > 10
+        assert sorted(inits) == [3, 4]
 
 
 class TestRunRecord:

@@ -596,6 +596,25 @@ class TestErmZeroOne2d:
                             cases += 1
         assert cases >= 450
 
+    def test_independent_of_tie_order(self):
+        # rounded coordinates, duplicated and negated rows and zero rows make
+        # runs of equal event angles, which the unstable sort may order any way
+        rng = np.random.default_rng(13)
+        for r_k in (2.0, 1.0, 0.25):
+            for _ in range(20):
+                base = np.round(rng.standard_normal((60, 2)), 1)
+                X = np.concatenate([base, base[:20], -base[20:30], np.zeros((6, 2))])
+                y = np.sign(X @ normalize(rng.standard_normal(2)).coords)
+                y[y == 0] = 1.0
+                y[rng.random(y.size) < 0.2] *= -1.0
+                w_k = normalize(rng.standard_normal(2))
+                want = _reference_sweep((X, y), w_k, r_k)
+                for _ in range(4):
+                    p = rng.permutation(y.size)
+                    got = erm_zero_one_2d((X[p], y[p]), w_k, r_k)
+                    assert (got is w_k) == (want is w_k)
+                    assert got.coords.tobytes() == want.coords.tobytes()
+
     def test_rejects_other_dimensions(self):
         with pytest.raises(ValueError):
             erm_zero_one_2d((np.zeros((3, 3)), np.ones(3)), normalize([1, 0, 0]), 1.0)
