@@ -73,7 +73,6 @@ DEFAULT_CONFIG = {
     "run": {
         "epochs": 6,
         "seeds": [0],
-        "excess_risk_mc": 0,
     },
     "curve": {
         "epsilons": [0.2, 0.1],
@@ -173,6 +172,15 @@ def _update_loss(config: dict, R: float):
         raise ConfigError(f"update.loss {name!r} at ||model.w_star|| = {R:g}: {exc}") from exc
 
 
+def _whole(path: str, value, least: int) -> int:
+    """``value`` as an int, once it is a number >= ``least`` and whole: a
+    bool, a fraction or a non-finite float is refused, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= least
+            or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{path} must be a number >= {least} and whole, got {value!r}")
+    return int(value)
+
+
 @contextlib.contextmanager
 def _config_values():
     """Report a bad value met while building objects from the config as ConfigError."""
@@ -257,18 +265,17 @@ def cmd_run(config: dict) -> int:
         model = build_model(config)
         update = build_update(config, R=model.R)
         schedule = build_schedule(config, model)
-        epochs, excess_risk_mc = int(rc["epochs"]), int(rc["excess_risk_mc"])
         seeds = [int(seed) for seed in rc["seeds"]]
         master_seed = int(config["seed"])
-    if epochs < 1:
-        raise ConfigError(f"run.epochs must be at least 1, got {epochs}")
+    epochs = _whole("run.epochs", rc["epochs"], 1)
+    if not seeds:
+        raise ConfigError("run.seeds must name at least one seed")
     digest = config_digest(config)
     records = []
     failure = None
     for seed in seeds:
         try:
-            rec = run_active(model, update, schedule, m=epochs, seed=seed,
-                             excess_risk_mc=excess_risk_mc, config_digest=digest)
+            rec = run_active(model, update, schedule, m=epochs, seed=seed, config_digest=digest)
         except (HalfspaceActiveError, ValueError) as exc:
             if getattr(exc, "partial", None) is not None:
                 records.append(exc.partial)
@@ -318,17 +325,17 @@ def cmd_curve(config: dict) -> int:
 # ``harness.check_*`` when it runs, so a rebound or patched check is used.
 CHECKS = {
     "query-rule": lambda cc, seed: harness.check_query_rule_equivalence(
-        total=int(cc["equivalence_samples"]), seed=seed),
+        total=cc["equivalence_samples"], seed=seed),
     "psi": lambda cc, seed: harness.check_psi_transform(),
     "sphere": lambda cc, seed: harness.check_sphere_identity(
-        pairs=int(cc["pairs"]), n_mc=int(cc["n_mc"]), seed=seed),
+        pairs=cc["pairs"], n_mc=cc["n_mc"], seed=seed),
     "gaussian": lambda cc, seed: harness.check_gaussian_lower_bound(
-        pairs=int(cc["pairs"]), n_mc=int(cc["n_mc"]), seed=seed),
+        pairs=cc["pairs"], n_mc=cc["n_mc"], seed=seed),
     "gradient": lambda cc, seed: harness.check_gradient_finite_difference(
-        triples=int(cc["gradient_triples"]), seed=seed),
+        triples=cc["gradient_triples"], seed=seed),
     "scaling": lambda cc, seed: harness.check_concentration_scaling(
-        trials=int(cc["scaling_trials"]), n=int(cc["scaling_n"]),
-        candidates=int(cc["scaling_candidates"]), seed=seed),
+        trials=cc["scaling_trials"], n=cc["scaling_n"],
+        candidates=cc["scaling_candidates"], seed=seed),
 }
 
 
@@ -337,15 +344,12 @@ _CHECK_MINIMA = {"equivalence_samples": 1, "pairs": 1, "n_mc": 100, "gradient_tr
                  "scaling_trials": 1, "scaling_n": 1, "scaling_candidates": 2}
 
 
-def _selected_checks(cc: dict) -> list[str]:
-    """Names in ``check.only`` (a comma-separated string or a list; None
-    selects them all) in table order, once the sized settings are checked."""
-    for key, least in _CHECK_MINIMA.items():
-        value = cc[key]
-        # CHECKS truncates with int(), so a float must be finite and whole
-        if (isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= least
-                or isinstance(value, float) and not value.is_integer()):
-            raise ConfigError(f"check.{key} must be a number >= {least} and whole, got {value!r}")
+def _check_section(cc: dict) -> dict:
+    """The ``check`` section as the work that runs, which CHECKS reads and the
+    digest records: each sized setting as a checked int, and ``check.only``
+    (a comma-separated string or a list; None selects them all) as the
+    selected names in table order, or None when every suite is selected."""
+    sizes = {key: _whole(f"check.{key}", cc[key], least) for key, least in _CHECK_MINIMA.items()}
     only = cc["only"]
     if isinstance(only, str):
         only = only.split(",")
@@ -355,19 +359,16 @@ def _selected_checks(cc: dict) -> list[str]:
     unknown = selected - CHECKS.keys()
     if unknown:
         raise ConfigError(f"unknown check name(s): {sorted(unknown)}; known: {list(CHECKS)}")
-    return [name for name in CHECKS if name in selected]
+    names = [name for name in CHECKS if name in selected]
+    return {**cc, **sizes, "only": None if len(names) == len(CHECKS) else names}
 
 
 def cmd_check(config: dict) -> int:
-    names = _selected_checks(config["check"])
+    cc = _check_section(config["check"])
     with _config_values():
         seed = int(config["seed"])
-    # digested as the work that ran: the set of suites, however check.only
-    # spelled it, and each sized setting as the int that CHECKS runs
-    cc = config["check"]
-    only = None if len(names) == len(CHECKS) else names
-    config = {**config, "check": {**cc, "only": only, **{key: int(cc[key]) for key in _CHECK_MINIMA}}}
-    rows = [row for name in names for row in CHECKS[name](config["check"], seed)]
+    config = {**config, "check": cc}
+    rows = [row for name in cc["only"] or CHECKS for row in CHECKS[name](cc, seed)]
     export_results([], None, rows, config["out"],
                    config_digest=config_digest(config), master_seed=seed)
     failed = [r for r in rows if not r.passed]
@@ -396,7 +397,7 @@ def cmd_psi_table(loss_name: str, step: float) -> int:
 def cmd_budget(config: dict) -> int:
     with _config_values():
         model = build_model(config)
-        epochs = int(config["run"]["epochs"])
+        epochs = _whole("run.epochs", config["run"]["epochs"], 1)
         # both theory schedules are built before any output: they validate delta and m
         theory = {}
         for mode in ("theory-nonconvex", "theory-convex"):

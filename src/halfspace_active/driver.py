@@ -26,7 +26,6 @@ import numpy as np
 from .data_models import (
     SUPPORTED_PAIRINGS,
     DataModel,
-    eta_batch,
     label_batch,
     sample_in_band,
     sample_unlabeled,
@@ -264,7 +263,6 @@ class EpochRecord:
     scanned: int
     w_k: tuple[float, ...]
     chord_error: float | None
-    excess_risk_est: float | None
 
 
 _EPOCH_JSON_FIELDS = tuple(f.name for f in fields(EpochRecord) if f.name != "w_k")
@@ -394,14 +392,6 @@ def _initial_vector(seed: int, dim: int) -> UnitVector:
     return normalize(substream(seed, "init").standard_normal(dim))
 
 
-def _mc_excess_risk(model: DataModel, w: np.ndarray, n: int, rng) -> float:
-    """Monte Carlo excess binary risk using the known conditional directly."""
-    X = sample_unlabeled(model, n, rng)
-    e = eta_batch(model, X)
-    flip = ((X @ w) <= 0.0).astype(float) - ((X @ model.w_star) <= 0.0).astype(float)
-    return float(np.mean((2.0 * e - 1.0) * flip))
-
-
 def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int, k: int):
     if isinstance(update, ZeroOneUpdate):
         if X.shape[1] == 2:
@@ -438,7 +428,6 @@ def run_active(
     schedule: ScheduleParams,
     m: int,
     seed: int,
-    excess_risk_mc: int = 0,
     config_digest: str = "",
 ) -> RunRecord:
     """Run the full epoch loop and return its trace.
@@ -480,15 +469,9 @@ def run_active(
 
     def entry(k, n_k, labels, scanned):
         chord = None if w_star_bar is None else chord_length(w_k, w_star_bar)
-        excess = None
-        if excess_risk_mc > 0 and model is not None:
-            excess = _mc_excess_risk(
-                model, w_k.coords, excess_risk_mc, substream(seed, "epoch", k, "risk")
-            )
         return EpochRecord(
             k=k, r_k=r_k, n_k=n_k, labels=labels, scanned=scanned,
-            w_k=tuple(float(v) for v in w_k.coords),
-            chord_error=chord, excess_risk_est=excess,
+            w_k=tuple(float(v) for v in w_k.coords), chord_error=chord,
         )
 
     def record() -> RunRecord:

@@ -149,9 +149,8 @@ def _leaves(tree, prefix=""):
 # A key missing here that a run reads, or one listed that it no longer reads,
 # fails the probe below: wire the key up or remove it, then update this table.
 LEAVES_THAT_CHANGE_RUN_RECORDS = {
-    "zero-one": {"model.dimension", "model.kappa", "model.tau0", "schedule.n", "run.epochs",
-                 "run.excess_risk_mc"},
-    "convex": {"model.dimension", "schedule.n", "run.epochs", "run.excess_risk_mc"},
+    "zero-one": {"model.dimension", "model.kappa", "model.tau0", "schedule.n", "run.epochs"},
+    "convex": {"model.dimension", "schedule.n", "run.epochs"},
 }
 
 
@@ -337,6 +336,33 @@ class TestCmdRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("seeds", []), ("epochs", 2.5), ("epochs", True)])
+    def test_run_of_no_seeds_or_part_epochs_exits_two(self, tmp_path, capsys, key, value):
+        # no seed would write an empty run_records.json; 2.5 epochs would run
+        # 2, and true 1, under a digest that records the value given
+        path = write_config(tmp_path, run={"epochs": 3, "seeds": [1], key: value})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"run.{key}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_float_epochs_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, run={"epochs": 3.0, "seeds": [1]})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "run_records.json").read_text())
+        assert len(record["epochs"]) == 3
+
+    @pytest.mark.parametrize("given", ["file", "set"])
+    def test_removed_excess_risk_key_is_not_a_setting(self, tmp_path, capsys, given):
+        if given == "file":
+            path = write_config(tmp_path, run={"epochs": 3, "seeds": [1], "excess_risk_mc": 2000})
+            overrides = []
+        else:
+            path, overrides = write_config(tmp_path), ["--set", "run.excess_risk_mc=2000"]
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out"), *overrides]) == 2
+        assert "unknown config key 'run.excess_risk_mc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_ill_conditioned_seed_converges(self, tmp_path, capsys):
         # seed 172's last epochs have Hessian condition numbers near 1e4, where
         # projected gradient ran out of iterations; Newton steps are indifferent
@@ -467,7 +493,7 @@ class TestCmdCheck:
         assert digests[0] != digests[1]
 
     def test_whole_float_size_digested_as_its_int(self, tmp_path, capsys):
-        # CHECKS runs int(check.pairs), so 20.0 and 20 are the same work
+        # the suites run int(check.pairs), so 20.0 and 20 are the same work
         path = write_config(tmp_path)
         csvs = []
         for i, pairs in enumerate(("20.0", "20")):
@@ -476,6 +502,20 @@ class TestCmdCheck:
                          "--set", f"check.pairs={pairs}"]) == 0
             csvs.append((out / "checks.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_suites_receive_whole_float_sizes_as_ints(self, tmp_path, capsys, monkeypatch):
+        seen = {}
+
+        def sphere(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(harness, "check_sphere_identity", sphere)
+        path = write_config(tmp_path, check={"pairs": 3.0, "n_mc": 2000.0})
+        assert main(["check", "--config", path, "--out", str(tmp_path / "out"),
+                     "--only", "sphere"]) == 0
+        assert seen == {"pairs": 3, "n_mc": 2000, "seed": 0}
+        assert all(type(v) is int for v in seen.values())
 
     @pytest.mark.parametrize("setting", [
         "scaling_trials=0", "scaling_candidates=1", "scaling_n=0", "pairs=0", "n_mc=99",
@@ -547,6 +587,11 @@ class TestCmdBudget:
 
     def test_inconsistent_params_exit_two(self, capsys):
         assert main(["budget", "--set", "schedule.delta=1.5"]) == 2
+
+    @pytest.mark.parametrize("epochs", ["2.5", "true", "0"])
+    def test_epochs_must_be_whole_and_positive(self, capsys, epochs):
+        assert main(["budget", "--set", f"run.epochs={epochs}"]) == 2
+        assert "run.epochs must be a number >= 1 and whole" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["d", "R", "kappa", "m", "L", "a", "gamma", "ell_plus",
                                      "gamma_plus", "ell_minus", "gamma_minus"])

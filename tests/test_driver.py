@@ -187,14 +187,6 @@ class TestRunActive:
         assert all(b < a for a, b in zip(med[1:], med[2:]))
         assert med[-1] < 1e-3
 
-    def test_excess_risk_estimates_recorded(self):
-        model = circle_model(seed=5)
-        rec = run_active(
-            model, ZeroOneUpdate(), ScheduleParams(mode="fixed", n=60), m=2, seed=3,
-            excess_risk_mc=2000,
-        )
-        assert all(isinstance(e.excess_risk_est, float) for e in rec.epochs)
-
     def test_theory_schedule_realized(self):
         s = ScheduleParams(
             mode="theory-nonconvex", mu=1.0, kappa=1.0, ell_minus=1.0, ell_plus=1.0,
@@ -365,13 +357,13 @@ class TestInitialVector:
 
 class TestRunRecord:
     def test_rejects_bad_radius_sequence(self):
-        e1 = EpochRecord(1, 2.0, 5, 5, 5, (1.0, 0.0), None, None)
-        e2 = EpochRecord(2, 0.7, 5, 5, 5, (1.0, 0.0), None, None)
+        e1 = EpochRecord(1, 2.0, 5, 5, 5, (1.0, 0.0), None)
+        e2 = EpochRecord(2, 0.7, 5, 5, 5, (1.0, 0.0), None)
         with pytest.raises(ValueError):
             RunRecord(seed=0, config_digest="", epochs=(e1, e2), final_w=(1.0, 0.0), total_labels=10)
 
     def test_rejects_bad_total(self):
-        e1 = EpochRecord(1, 2.0, 5, 5, 5, (1.0, 0.0), None, None)
+        e1 = EpochRecord(1, 2.0, 5, 5, 5, (1.0, 0.0), None)
         with pytest.raises(ValueError):
             RunRecord(seed=0, config_digest="", epochs=(e1,), final_w=(1.0, 0.0), total_labels=11)
 
@@ -380,9 +372,7 @@ class TestRunRecord:
         rec = run_active(model, ZeroOneUpdate(), ScheduleParams(mode="fixed", n=30), m=2, seed=8)
         obj = rec.to_json_obj()
         assert set(obj) == {"seed", "config_digest", "epochs", "total_labels", "final_w"}
-        assert set(obj["epochs"][0]) == {
-            "k", "r_k", "n_k", "labels", "scanned", "chord_error", "excess_risk_est"
-        }
+        assert set(obj["epochs"][0]) == {"k", "r_k", "n_k", "labels", "scanned", "chord_error"}
 
 
 class CountingRng:
