@@ -22,21 +22,21 @@ from halfspace_active import cli
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
 
-CRITERION_11_RECORDS_SHA256 = "9a70421149a660c3cd99310ad3b327c131884e782c4197aaed75f276bb8ad3b3"
-ZERO_ONE_CURVE_CSV_SHA256 = "aeac62d970b1c00cf265e37c2985d616db4357e26897b1498553956456b88285"
-ZERO_ONE_CURVE_RECORDS_SHA256 = "447bb979162e3a28b4496e9f8749817aa415e57c5fddb891d8c880fc09fcbfff"
-BALL_CURVE_CSV_SHA256 = "4c3b864b3b5a71142ec5f936ab585bdc0d256ab596dd0459008513fb9462a3d7"
-BALL_CURVE_RECORDS_SHA256 = "2fa3daaf471bd7a112b5a7cb7c145e7fe41b8b0d1dd4470e93a0c21f1371481c"
-ZERO_ONE_SEARCH_RECORDS_SHA256 = "7d3dad2de8b01ae0f1e678bb521290dc21776c0f555ad19d5e13071fc7b779bb"
-CHECKS_CSV_SHA256 = "9e91cd8e6b32f06b28eac1af3191e7ef51d43376e3f87e1e1b0772bbb18178df"
+CRITERION_11_RECORDS_SHA256 = "67dd5cc0635bd2c8fd425ae433a985c8364756b7405cecb4ba948d10d6b1a50f"
+ZERO_ONE_CURVE_CSV_SHA256 = "9d4a7b04cb706d97b71013b415293d00dfc9279b06f4efc33dc0e3f232685b53"
+ZERO_ONE_CURVE_RECORDS_SHA256 = "d0b67fca85cfa74c0d1858d7dfb73fc34bd08f61309fed1f039fbf61a692da60"
+BALL_CURVE_CSV_SHA256 = "b2d166af6d1830603790e073245ea222304a8f0f55e28d8f0fec31acd26713e5"
+BALL_CURVE_RECORDS_SHA256 = "88c702067b4304ff1605be88b6f40d8ed146282873754e3ff0b9d018570b2639"
+ZERO_ONE_SEARCH_RECORDS_SHA256 = "c5d0ce235bc5fb856db7c1d4fc871c3cafe37ed573848d9050766a9fdd95ee15"
+CHECKS_CSV_SHA256 = "3eed3cd547be54174721cad94f35c4cefabc00414e3f307b0727b2ad0f479f06"
 
 POOL_RECORD = (
     '{"config_digest":"pool","epochs":['
-    '{"chord_error":1.9726124390415714,"excess_risk_est":null,"k":1,"labels":40,'
+    '{"chord_error":1.9726124390415714,"k":1,"labels":40,'
     '"n_k":40,"r_k":2.0,"scanned":40},'
-    '{"chord_error":0.04148916898031942,"excess_risk_est":null,"k":2,"labels":40,'
+    '{"chord_error":0.04148916898031942,"k":2,"labels":40,'
     '"n_k":40,"r_k":1.0,"scanned":69},'
-    '{"chord_error":0.04461988624184146,"excess_risk_est":null,"k":3,"labels":40,'
+    '{"chord_error":0.04461988624184146,"k":3,"labels":40,'
     '"n_k":40,"r_k":0.5,"scanned":106}],'
     '"final_w":[0.9999225296861086,-0.012447273843427755],"seed":6,"total_labels":120}'
 )
@@ -125,7 +125,7 @@ def test_checks_csv_digest(tmp_path, capsys):
 
 
 def test_default_config_digest():
-    assert cli.config_digest(cli.DEFAULT_CONFIG) == "82fa0726fa1bc0e1"
+    assert cli.config_digest(cli.DEFAULT_CONFIG) == "434f62bc1feba8e9"
 
 
 def test_finite_pool_record():
