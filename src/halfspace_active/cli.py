@@ -172,12 +172,14 @@ def _update_loss(config: dict, R: float):
         raise ConfigError(f"update.loss {name!r} at ||model.w_star|| = {R:g}: {exc}") from exc
 
 
-def _whole(path: str, value, least: int) -> int:
-    """``value`` as an int, once it is a number >= ``least`` and whole: a
-    bool, a fraction or a non-finite float is refused, not truncated."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= least
-            or isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{path} must be a number >= {least} and whole, got {value!r}")
+def _whole(path: str, value, least: int | None = None) -> int:
+    """``value`` as an int, once it is a whole number, and >= ``least`` if
+    given: a bool, a fraction or a non-finite float is refused, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()
+            or least is not None and not value >= least):
+        floor = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{path} must be a number{floor} and whole, got {value!r}")
     return int(value)
 
 
@@ -194,7 +196,7 @@ def build_model(config: dict) -> DataModel:
     mc = config["model"]
     kind = mc["conditional"]
     return DataModel(
-        dimension=int(mc["dimension"]),
+        dimension=_whole("model.dimension", mc["dimension"]),
         marginal=mc["marginal"],
         conditional=kind,
         w_star=np.asarray(mc["w_star"], dtype=float),
@@ -207,9 +209,11 @@ def build_model(config: dict) -> DataModel:
 def build_update(config: dict, R: float, kind: str | None = None):
     uc = config["update"]
     kind = uc["kind"] if kind is None else kind
-    _loss_name(uc["loss"])  # checked whatever the kind, as it is digested
+    # checked whatever the kind, as they are digested
+    _loss_name(uc["loss"])
+    restarts = _whole("update.restarts", uc["restarts"])
     if kind == "zero-one":
-        return ZeroOneUpdate(restarts=int(uc["restarts"]))
+        return ZeroOneUpdate(restarts=restarts)
     if kind == "convex":
         return ConvexUpdate(loss=_update_loss(config, R))
     raise ConfigError(f"unknown update kind {kind!r}")
@@ -227,8 +231,8 @@ def build_schedule(config: dict, model: DataModel) -> ScheduleParams:
     epochs that actually run.
     """
     sc = config["schedule"]
-    sizes = dict(mode=sc["mode"], n=None if sc["n"] is None else int(sc["n"]), n0=sc["n0"],
-                 ratio=sc["ratio"])
+    sizes = dict(mode=sc["mode"], n=None if sc["n"] is None else _whole("schedule.n", sc["n"]),
+                 n0=sc["n0"], ratio=sc["ratio"])
     if sc["mode"] not in ("theory-nonconvex", "theory-convex"):
         return ScheduleParams(**sizes)
     R, kappa, mu = model.R, model.noise_exponent, sc["mu"]
@@ -265,7 +269,7 @@ def cmd_run(config: dict) -> int:
         model = build_model(config)
         update = build_update(config, R=model.R)
         schedule = build_schedule(config, model)
-        seeds = [int(seed) for seed in rc["seeds"]]
+        seeds = [_whole("run.seeds", seed) for seed in rc["seeds"]]
         master_seed = int(config["seed"])
     epochs = _whole("run.epochs", rc["epochs"], 1)
     if not seeds:
@@ -300,9 +304,9 @@ def cmd_curve(config: dict) -> int:
             update=build_update(config, R=model.R),
             schedule=build_schedule(config, model),
             epsilons=tuple(float(e) for e in cc["epsilons"]),
-            seeds=tuple(int(s) for s in cc["seeds"]),
+            seeds=tuple(_whole("curve.seeds", s) for s in cc["seeds"]),
             passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
-            passive_cap=int(cc["passive_cap"]),
+            passive_cap=_whole("curve.passive_cap", cc["passive_cap"]),
         )
         master_seed = int(config["seed"])
     digest = config_digest(config)

@@ -3,11 +3,12 @@
 Each run starts from a random unit vector with the whole sphere as its
 hypothesis ball (radius 2, every instance queried), fits by the chosen
 update on the labels collected that epoch, and halves the ball radius.
-A finite pool is scanned in order.  A model epoch at r = 2 scans fresh
-marginal draws; every narrower band draws its queried rows directly from
-the marginal conditioned on the band, and draws the count ``scanned``
-from its exact law instead of counting it, so the epoch costs O(n_k)
-however narrow its band.  Budgets per epoch come from a
+A finite pool is scanned in order; at r = 2, where every row is queried,
+its epoch is the slice of its next n_k rows.  A model epoch at r = 2
+scans fresh marginal draws; every narrower band draws its queried rows
+directly from the marginal conditioned on the band, and draws the count
+``scanned`` from its exact law instead of counting it, so the epoch
+costs O(n_k) however narrow its band.  Budgets per epoch come from a
 fixed/geometric schedule or from the theoretical formulas, which are
 implemented for verification but are far too conservative for desk-scale
 experiments.
@@ -369,7 +370,15 @@ def _model_epoch(model: DataModel, ball: HypothesisBall, n_k: int, rng):
 
 
 def _pool_epoch(pool: FinitePool, start: int, ball: HypothesisBall, n_k: int):
-    """One epoch's scan of the pool's rows from ``start`` on, until they run out."""
+    """One epoch's scan of the pool's rows from ``start`` on, until they run out.
+
+    At r = 2 every row is queried, so the epoch is the slice of the next n_k
+    rows, a view into the pool, with the (X, at, scanned) that the scan
+    would return.
+    """
+    if ball.radius == FULL_RADIUS:
+        X = pool.X[start:start + n_k]
+        return X, np.arange(X.shape[0]), X.shape[0]
     chunks = (pool.X[i:i + _SCAN_CHUNK] for i in range(start, pool.X.shape[0], _SCAN_CHUNK))
     return _collect_epoch(lambda need: next(chunks, None), ball, n_k)
 
@@ -513,7 +522,8 @@ def run_passive(source, update, n_total: int, seed: int) -> RunRecord:
 
     Equivalent to a single epoch at radius 2: the 0-1 update sweeps the
     whole circle, the convex update searches the ball of radius 2R around
-    R·w_1.
+    R·w_1.  On a pool, that epoch is a slice of the pool's first n_total
+    rows, not a scan (see _pool_epoch).
     """
     if n_total < 1:
         raise ValueError("passive run needs n_total >= 1")
@@ -529,9 +539,13 @@ def passive_prefix(model: DataModel, n: int, seed: int) -> FinitePool:
     epoch on the "epoch", 1, "scan" and "epoch", 1, "labels" substreams.
     Rows come in whole chunks and labels one per row in scan order, so
     run_passive(pool, update, n_total, seed) returns the same record bit
-    for bit for every n_total up to the pool's size.
+    for bit for every n_total up to the pool's size.  The pool's X and y are
+    read-only: each run's epoch is a view of its rows, so a write raises
+    instead of changing what later runs on the pool see.
     """
     rows = -(-n // _SCAN_CHUNK) * _SCAN_CHUNK
     ball = HypothesisBall(model.w_bar, FULL_RADIUS)
     X, _, _ = _model_epoch(model, ball, rows, substream(seed, "epoch", 1, "scan"))
-    return FinitePool(X, model=model, y=_model_labels(model, X, seed, 1))
+    y = _model_labels(model, X, seed, 1)
+    X.flags.writeable = y.flags.writeable = False
+    return FinitePool(X, model=model, y=y)

@@ -10,6 +10,7 @@ runs at small budgets are heavy-tailed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -38,7 +39,7 @@ from .driver import (
     run_active,
     run_passive,
 )
-from .errors import ConfigError
+from .errors import ConfigError, HalfspaceActiveError
 from .geometry import (
     HypothesisBall,
     _norm,
@@ -226,23 +227,63 @@ def _bisect_labels(probe: _PassiveProbe, epsilon: float, percentile: float, cap:
     return hi
 
 
+def _head(run: RunRecord | None, schedule: ScheduleParams, m: int) -> RunRecord | None:
+    """run_active(..., m=m)'s record, read off the first m epochs of a longer
+    ``run`` of the same seed; None when there is no such run or when m epochs
+    budget differently.
+
+    A run depends on m only through its budgets, replace(schedule,
+    m=m).budget(k), so where those equal the long run's n_k for k <= m, its
+    first m epochs are the m-epoch run's, and that run's final vector is the
+    long run's w_k of epoch m + 1.  The theory modes put m into their budgets,
+    so they mostly get None.
+    """
+    if run is None or m == len(run.epochs):
+        return run
+    try:
+        budgets = replace(schedule, m=m)
+        if any(budgets.budget(e.k) != e.n_k for e in run.epochs[:m]):
+            return None
+    except (HalfspaceActiveError, ValueError):
+        return None  # the m-epoch run meets this error itself
+    epochs = run.epochs[:m]
+    return replace(run, epochs=epochs, final_w=run.epochs[m].w_k,
+                   total_labels=sum(e.labels for e in epochs))
+
+
 def label_complexity_curve(config: ExperimentConfig, config_digest: str = "") -> CurveResult:
     """Active labels at the schedule vs. passive labels needed, per target.
 
-    The active arm runs the epoch loop with m = ceil(log2(2/eps)); the
-    passive arm bisects for the smallest plain-ERM sample size whose
-    median error over the seeds reaches the same accuracy (quartile
-    bisections give the IQR; a point whose median search hits the cap is
-    censored).  Each active run's record carries ``config_digest``.
+    The active arm runs the epoch loop with m = ceil(log2(2/eps)).  Each
+    seed's loop runs once, at the deepest target's m, and a shallower target
+    reads its record off that run's first m epochs when their budgets agree
+    (see _head); otherwise, and after a failed deep run, the target runs its
+    own m epochs.  The passive arm bisects for the smallest plain-ERM sample
+    size whose median error over the seeds reaches the same accuracy
+    (quartile bisections give the IQR; a point whose median search hits the
+    cap is censored).  Each active run's record carries ``config_digest``.
     """
     points, records = [], []
     probe = _PassiveProbe(config)
+    deepest = max(map(epochs_for_target, config.epsilons))
+    run = functools.partial(run_active, config.model, config.update, config.schedule,
+                            config_digest=config_digest)
+    deep_runs: dict[int, RunRecord | None] = {}
+
+    def active(seed: int, m: int) -> RunRecord:
+        if seed not in deep_runs:
+            try:
+                deep_runs[seed] = run(m=deepest, seed=seed)
+            except (HalfspaceActiveError, ValueError):
+                deep_runs[seed] = None  # each target reruns, and fails, as it would alone
+        head = _head(deep_runs[seed], config.schedule, m)
+        return run(m=m, seed=seed) if head is None else head
+
     for eps in config.epsilons:
         m = epochs_for_target(eps)
         labels = []
         for seed in config.seeds:
-            rec = run_active(config.model, config.update, config.schedule, m=m, seed=seed,
-                             config_digest=config_digest)
+            rec = active(seed, m)
             records.append(rec)
             labels.append(rec.total_labels)
         cap = config.passive_cap

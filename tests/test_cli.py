@@ -429,6 +429,42 @@ class TestCmdCurve:
         assert capsys.readouterr().err == "error: forced failure\n"
 
 
+class TestWholeNumberSettings:
+    """Seeds, sizes and counts are whole numbers: a fraction or a bool exits 2
+    before any run, and every whole value runs."""
+
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    @pytest.mark.parametrize("command, key", [
+        ("run", "run.seeds"), ("curve", "curve.seeds"), ("curve", "curve.passive_cap"),
+        ("run", "model.dimension"), ("run", "schedule.n"), ("run", "update.restarts"),
+        ("curve", "update.restarts"),
+    ])
+    def test_refused_before_any_run(self, tmp_path, capsys, monkeypatch, command, key, value):
+        ran = []
+        monkeypatch.setattr(cli, "run_active", lambda *a, **kw: ran.append(a))
+        monkeypatch.setattr(cli, "label_complexity_curve", lambda *a, **kw: ran.append(a))
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
+        setting = f"{key}=[{value}]" if key.endswith("seeds") else f"{key}={value}"
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", setting]) == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    def test_whole_values_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, curve={"epsilons": [0.9], "seeds": [-2, 5.0],
+                                             "passive_cap": 64.0})
+        out = tmp_path / "out"
+        settings = ["run.seeds=[-3, 4.0]", "model.dimension=2.0", "schedule.n=40.0",
+                    "update.restarts=0"]
+        for command in ("run", "curve"):
+            args = [command, "--config", path, "--out", str(out / command)]
+            assert main(args + [a for s in settings for a in ("--set", s)]) == 0
+        seeds = {command: [json.loads(line)["seed"] for line in
+                           (out / command / "run_records.json").read_text().splitlines()]
+                 for command in ("run", "curve")}
+        assert seeds == {"run": [-3, 4], "curve": [-2, 5]}
+
+
 class TestCmdCheck:
     def test_subset_runs_and_passes(self, tmp_path, capsys):
         path = write_config(tmp_path, check={"equivalence_samples": 1500})

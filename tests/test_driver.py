@@ -286,6 +286,72 @@ class TestFinitePool:
         assert getattr(ei.value, "partial", None) is None
 
 
+def chunked_scan(pool, start, ball, n_k):
+    """The pool epoch as a scan of 4,096-row chunks through the query rule."""
+    step = driver._SCAN_CHUNK
+    chunks = (pool.X[i:i + step] for i in range(start, pool.X.shape[0], step))
+    return driver._collect_epoch(lambda need: next(chunks, None), ball, n_k)
+
+
+class TestFullRadiusPoolEpoch:
+    """At r = 2 a pool epoch is a slice, with the rows, positions and count of the scan."""
+
+    MODEL = circle_model(kappa=1.5, seed=21)
+    X = sample_unlabeled(MODEL, 10_000, np.random.default_rng(21))
+    POOLS = {
+        "labels": FinitePool(X, y=np.where(X[:, 0] > 0, 1.0, -1.0)),
+        "model": FinitePool(X, model=MODEL),
+    }
+
+    @pytest.mark.parametrize("kind", ["labels", "model"])
+    @pytest.mark.parametrize("start, n_k", [
+        (0, 1), (0, 4096), (0, 5000), (1234, 3000), (9000, 800),  # filled
+        (0, 12_000), (9500, 800), (10_000, 5), (10_500, 5),  # run dry
+    ])
+    def test_slice_matches_the_scan(self, kind, start, n_k):
+        pool = self.POOLS[kind]
+        ball = HypothesisBall(normalize([0.6, -0.8]), 2.0)
+        X, at, scanned = driver._pool_epoch(pool, start, ball, n_k)
+        X_scan, at_scan, scanned_scan = chunked_scan(pool, start, ball, n_k)
+        assert X.shape == X_scan.shape and X.tobytes() == X_scan.tobytes()
+        assert at.dtype == at_scan.dtype and np.array_equal(at, at_scan)
+        assert scanned == scanned_scan == min(n_k, max(0, 10_000 - start))
+
+    @pytest.mark.parametrize("kind", ["labels", "model"])
+    @pytest.mark.parametrize("rows", [10_000, 150])
+    def test_runs_and_exhaustion_match_the_scan(self, monkeypatch, kind, rows):
+        # epoch 1 is the slice and epochs 2 and 3 scan their bands; a 150-row
+        # pool runs dry in epoch 1, with the partial record of the scan
+        full = self.POOLS[kind]
+        pool = FinitePool(full.X[:rows], model=full.model,
+                          y=None if full.y is None else full.y[:rows])
+        schedule = ScheduleParams(mode="fixed", n=200)
+
+        def outcome():
+            try:
+                return run_active(pool, ZeroOneUpdate(), schedule, m=3, seed=8).to_json_line()
+            except StreamExhausted as exc:
+                return str(exc), exc.partial.to_json_line()
+
+        sliced = outcome()
+        monkeypatch.setattr(driver, "_pool_epoch", chunked_scan)
+        assert sliced == outcome()
+        assert isinstance(sliced, tuple) == (rows == 150)
+
+    def test_passive_prefix_pool_is_read_only(self):
+        # an r = 2 epoch hands the solver a view of the cached rows, so a
+        # write must raise rather than change what later probes see
+        pool = driver.passive_prefix(self.MODEL, 100, seed=4)
+        ball = HypothesisBall(normalize([1.0, 0.0]), 2.0)
+        X, _, _ = driver._pool_epoch(pool, 0, ball, 50)
+        assert np.shares_memory(X, pool.X)
+        for array in (pool.X, pool.y, X):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # a caller's own pool is left as given
+        assert self.POOLS["labels"].X.flags.writeable
+
+
 class TestRunPassive:
     def test_needs_positive_budget(self):
         with pytest.raises(ValueError):

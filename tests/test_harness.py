@@ -9,8 +9,14 @@ import pytest
 from halfspace_active import data_models as dm
 from halfspace_active import harness
 from halfspace_active.data_models import DataModel
-from halfspace_active.driver import ConvexUpdate, ScheduleParams, ZeroOneUpdate, run_passive
-from halfspace_active.errors import ConfigError
+from halfspace_active.driver import (
+    ConvexUpdate,
+    ScheduleParams,
+    ZeroOneUpdate,
+    epochs_for_target,
+    run_passive,
+)
+from halfspace_active.errors import ConfigError, DegenerateSolution
 from halfspace_active.geometry import normalize
 from halfspace_active.harness import (
     CheckRow,
@@ -148,6 +154,60 @@ class TestLabelComplexityCurve:
         assert fits.passive_slope > 0
         lo, hi = fits.passive_slope_ci
         assert lo <= fits.passive_slope <= hi
+
+
+class TestActiveArm:
+    """Each seed's active loop runs once, at the deepest target, and every
+    target's record is the one its own m-epoch run returns."""
+
+    @pytest.mark.parametrize("schedule, reused", [
+        (ScheduleParams(mode="fixed", n=60), True),
+        (ScheduleParams(mode="geometric", n0=20, ratio=1.5), True),
+        # the theory budgets read m, so m = 2 budgets differ from the m = 3 run's
+        (ScheduleParams(mode="theory-nonconvex", kappa=1.5), False),
+    ])
+    def test_records_equal_fresh_runs(self, monkeypatch, schedule, reused):
+        config = dataclasses.replace(curve_config(seeds=(0, 3)), schedule=schedule,
+                                     passive_cap=64)
+        # ExperimentConfig keeps its targets strictly decreasing; the active
+        # arm reads no order from them, so give them unordered and with a
+        # repeat (0.3 and 0.26 both take m = 3, 0.9 takes m = 2)
+        object.__setattr__(config, "epsilons", (0.3, 0.9, 0.26, 0.3))
+        calls, run = [], harness.run_active
+
+        def counting(*args, **kwargs):
+            calls.append((kwargs["seed"], kwargs["m"]))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_active", counting)
+        result = label_complexity_curve(config, config_digest="abc")
+        fresh = [
+            run(config.model, config.update, schedule, m=epochs_for_target(eps),
+                              seed=seed, config_digest="abc")
+            for eps in config.epsilons for seed in config.seeds
+        ]
+        assert [r.to_json_line() for r in result.records] == [r.to_json_line() for r in fresh]
+        assert [r.final_w for r in result.records] == [r.final_w for r in fresh]
+        assert [[e.w_k for e in r.epochs] for r in result.records] == \
+            [[e.w_k for e in r.epochs] for r in fresh]
+        deep = [(0, 3), (3, 3)]
+        assert calls == (deep if reused else deep + [(0, 2), (3, 2)])
+
+    def test_failed_deep_run_leaves_each_target_its_own_run(self, monkeypatch):
+        config = curve_config(seeds=(0, 3), epsilons=(0.9, 0.3))
+        calls, run = [], harness.run_active
+
+        def failing(*args, **kwargs):
+            calls.append((kwargs["seed"], kwargs["m"]))
+            if calls[-1] == (3, 3):
+                raise DegenerateSolution("forced failure")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_active", failing)
+        with pytest.raises(DegenerateSolution, match="forced failure"):
+            label_complexity_curve(config)
+        # seed 3's m = 2 target runs alone; its m = 3 target fails as it would alone
+        assert calls == [(0, 3), (3, 3), (3, 2), (3, 3)]
 
 
 class TestPassiveProbe:
