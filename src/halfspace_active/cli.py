@@ -200,7 +200,7 @@ def build_model(config: dict) -> DataModel:
         marginal=mc["marginal"],
         conditional=kind,
         w_star=np.asarray(mc["w_star"], dtype=float),
-        seed=int(mc["seed"]),
+        seed=_whole("model.seed", mc["seed"]),
         kappa=float(mc["kappa"]) if kind == "powered-margin" else None,
         tau0=float(mc["tau0"]),
     )
@@ -211,7 +211,7 @@ def build_update(config: dict, R: float, kind: str | None = None):
     kind = uc["kind"] if kind is None else kind
     # checked whatever the kind, as they are digested
     _loss_name(uc["loss"])
-    restarts = _whole("update.restarts", uc["restarts"])
+    restarts = _whole("update.restarts", uc["restarts"], 0)
     if kind == "zero-one":
         return ZeroOneUpdate(restarts=restarts)
     if kind == "convex":
@@ -270,7 +270,7 @@ def cmd_run(config: dict) -> int:
         update = build_update(config, R=model.R)
         schedule = build_schedule(config, model)
         seeds = [_whole("run.seeds", seed) for seed in rc["seeds"]]
-        master_seed = int(config["seed"])
+        master_seed = _whole("seed", config["seed"])
     epochs = _whole("run.epochs", rc["epochs"], 1)
     if not seeds:
         raise ConfigError("run.seeds must name at least one seed")
@@ -297,18 +297,22 @@ def cmd_run(config: dict) -> int:
 
 def cmd_curve(config: dict) -> int:
     cc = config["curve"]
+    epsilons = cc["epsilons"]
+    if not isinstance(epsilons, list) or any(
+            isinstance(e, bool) or not isinstance(e, (int, float)) for e in epsilons):
+        raise ConfigError(f"curve.epsilons must be a list of numbers, got {epsilons!r}")
     with _config_values():
         model = build_model(config)
         experiment = ExperimentConfig(
             model=model,
             update=build_update(config, R=model.R),
             schedule=build_schedule(config, model),
-            epsilons=tuple(float(e) for e in cc["epsilons"]),
+            epsilons=tuple(float(e) for e in epsilons),
             seeds=tuple(_whole("curve.seeds", s) for s in cc["seeds"]),
             passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
             passive_cap=_whole("curve.passive_cap", cc["passive_cap"]),
         )
-        master_seed = int(config["seed"])
+        master_seed = _whole("seed", config["seed"])
     digest = config_digest(config)
     result = label_complexity_curve(experiment, config_digest=digest)
     paths = export_results(
@@ -369,8 +373,7 @@ def _check_section(cc: dict) -> dict:
 
 def cmd_check(config: dict) -> int:
     cc = _check_section(config["check"])
-    with _config_values():
-        seed = int(config["seed"])
+    seed = _whole("seed", config["seed"])
     config = {**config, "check": cc}
     rows = [row for name in cc["only"] or CHECKS for row in CHECKS[name](cc, seed)]
     export_results([], None, rows, config["out"],

@@ -329,11 +329,13 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
 class _ErrorCounter:
     """Training errors of candidate rows c, bit for bit count_nonzero(y * (X @ c) <= 0).
 
-    The margins come from one gemm per call.  gemm sums in another order
-    than gemv (X @ c), so a margin within the dot-product rounding bound
-    ``tol`` of zero may change sign between the two.  Outside [-tol, tol]
-    the sign is certain, so a candidate counts its margins below -tol, and
-    a candidate with a margin inside the interval is recounted by stacked
+    The margins come from one gemm per call, against (X·y)ᵀ stored as a
+    C-contiguous (d, n) array so the gemm reads no transposed view.  gemm
+    sums in another order than gemv (X @ c), so a margin within the
+    dot-product rounding bound ``tol`` of zero may change sign between the
+    two.  Outside [-tol, tol] the sign is certain, so a candidate counts its
+    margins below -tol (an int32 sum of bytes, exact for any n), and a
+    candidate with a margin inside the interval is recounted by stacked
     gemv, which has the bits of X @ c.  A call takes at most ``rows``
     candidates: 2^18 multiply-adds, which OpenBLAS runs on one thread.
     """
@@ -341,18 +343,20 @@ class _ErrorCounter:
     def __init__(self, X: np.ndarray, y: np.ndarray):
         n, d = X.shape
         self.X, self.y = X, y
-        self.Xy = X * y[:, None]  # labels are ±1, so this scaling is exact
+        # labels are ±1, so this scaling is exact
+        self.XyT = np.ascontiguousarray((X * y[:, None]).T)
         # twice the error bound of a d-term dot product of a unit row c with
         # a row of X, whose norm is at most sqrt(d)·max|x_j|, with room to spare
-        self.tol = 4.0 * d * np.finfo(np.float64).eps * math.sqrt(d) * float(np.max(np.abs(self.Xy)))
+        self.tol = 4.0 * d * np.finfo(np.float64).eps * math.sqrt(d) * float(np.max(np.abs(self.XyT)))
         self.rows = max(1, (1 << 18) // (n * d))
         self._margins = np.empty((self.rows, n))
 
     def __call__(self, C: np.ndarray) -> np.ndarray:
-        M = np.matmul(C, self.Xy.T, out=self._margins[:C.shape[0]])
+        M = np.matmul(C, self.XyT, out=self._margins[:C.shape[0]])
         below = M < -self.tol
-        counts = below.view(np.uint8).sum(axis=1, dtype=np.int64)
-        if np.count_nonzero(M <= self.tol) != np.count_nonzero(below):
+        counts = np.add.reduce(below.view(np.uint8), axis=1, dtype=np.int32)
+        # every margin at most tol is below -tol unless one lies in the band
+        if np.count_nonzero(M <= self.tol) != counts.sum():
             near = np.flatnonzero(np.any(np.abs(M) <= self.tol, axis=1))
             exact = self.y * np.matmul(self.X, C[near, :, None])[..., 0]
             counts[near] = np.count_nonzero(exact <= 0.0, axis=1)
@@ -361,15 +365,22 @@ class _ErrorCounter:
 
 def _clip_rows_to_cap(C: np.ndarray, w_k: np.ndarray, half: float) -> None:
     """Pull each row of C that lies outside the cap back onto its boundary, in place."""
+    if half >= math.pi:
+        return  # the cap is the whole sphere: no angle exceeds π
     dots = _dots(C, w_k)
-    cosines = np.clip(dots, -1.0, 1.0)
+    # |d arccos / dc| >= 1, so a row with cosine at least cos(half) + 1e-9
+    # lies more than 1e-12 inside the cap whatever the rounding
+    maybe = np.flatnonzero(dots < math.cos(half) + 1e-9)
+    if maybe.size == 0:
+        return
+    cosines = np.clip(dots[maybe], -1.0, 1.0)
     theta = np.arccos(cosines)
     # np.arccos and math.acos may differ in the last bit: settle rows near
     # the boundary with math.acos, the angle the cap is defined by
     outside = theta > half
     for i in np.flatnonzero(np.abs(theta - half) <= 1e-12):
         outside[i] = math.acos(cosines[i]) > half
-    rows = np.flatnonzero(outside)
+    rows = maybe[outside]
     if rows.size == 0:
         return
     # rotate w_k toward each row by exactly the half-angle
@@ -448,17 +459,20 @@ def _refine_all(
         # unscored candidates count n + 1 errors, so they never improve
         rank = np.arange(owner.size) - np.searchsorted(owner, owner)
         pending = np.lexsort((owner, rank))
+        target = best[ids[owner]]  # the count to beat: best moves only after the round
         counts = np.full(owner.size, X.shape[0] + 1)
         found = np.zeros(ids.size, dtype=bool)
         while pending.size:
             block, pending = pending[:count.rows], pending[count.rows:]
-            counts[block] = count(C[block])
-            found[owner[block[counts[block] < best[ids[owner[block]]]]]] = True
-            pending = pending[~found[owner[pending]]]
+            scored = counts[block] = count(C[block])
+            hits = block[scored < target[block]]
+            if hits.size:
+                found[owner[hits]] = True
+                pending = pending[~found[owner[pending]]]
 
         # each refine takes its first improving candidate and resumes after
         # it; a refine with none ends its pass
-        better = np.flatnonzero(counts < best[ids[owner]])
+        better = np.flatnonzero(counts < target)
         first = np.ones(better.size, dtype=bool)
         first[1:] = owner[better[1:]] != owner[better[:-1]]
         take = better[first]

@@ -437,17 +437,41 @@ class TestWholeNumberSettings:
     @pytest.mark.parametrize("command, key", [
         ("run", "run.seeds"), ("curve", "curve.seeds"), ("curve", "curve.passive_cap"),
         ("run", "model.dimension"), ("run", "schedule.n"), ("run", "update.restarts"),
-        ("curve", "update.restarts"),
+        ("curve", "update.restarts"), ("run", "seed"), ("curve", "seed"), ("check", "seed"),
+        ("run", "model.seed"), ("curve", "model.seed"),
     ])
     def test_refused_before_any_run(self, tmp_path, capsys, monkeypatch, command, key, value):
         ran = []
         monkeypatch.setattr(cli, "run_active", lambda *a, **kw: ran.append(a))
         monkeypatch.setattr(cli, "label_complexity_curve", lambda *a, **kw: ran.append(a))
-        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
+        monkeypatch.setitem(cli.CHECKS, "psi", lambda cc, seed: ran.append(seed) or [])
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]},
+                            check={"only": "psi"})
         setting = f"{key}=[{value}]" if key.endswith("seeds") else f"{key}={value}"
         assert main([command, "--config", path, "--out", str(tmp_path / "out"),
                      "--set", setting]) == 2
         assert f"{key} must be a number" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "curve"])
+    def test_negative_restarts_refused(self, tmp_path, capsys, monkeypatch, command):
+        ran = []
+        monkeypatch.setattr(cli, "run_active", lambda *a, **kw: ran.append(a))
+        monkeypatch.setattr(cli, "label_complexity_curve", lambda *a, **kw: ran.append(a))
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", "update.restarts=-3"]) == 2
+        assert "update.restarts must be a number >= 0" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["[true]", '["0.1"]', "[0.4, false]", "[null]", "0.4"])
+    def test_epsilons_refused_before_any_run(self, tmp_path, capsys, monkeypatch, value):
+        ran = []
+        monkeypatch.setattr(cli, "label_complexity_curve", lambda *a, **kw: ran.append(a))
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
+        assert main(["curve", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", f"curve.epsilons={value}"]) == 2
+        assert "curve.epsilons must be a list of numbers" in capsys.readouterr().err
         assert ran == [] and not (tmp_path / "out").exists()
 
     def test_whole_values_run(self, tmp_path, capsys):
@@ -455,7 +479,7 @@ class TestWholeNumberSettings:
                                              "passive_cap": 64.0})
         out = tmp_path / "out"
         settings = ["run.seeds=[-3, 4.0]", "model.dimension=2.0", "schedule.n=40.0",
-                    "update.restarts=0"]
+                    "update.restarts=0", "seed=3.0", "model.seed=2.0"]
         for command in ("run", "curve"):
             args = [command, "--config", path, "--out", str(out / command)]
             assert main(args + [a for s in settings for a in ("--set", s)]) == 0
@@ -463,6 +487,14 @@ class TestWholeNumberSettings:
                            (out / command / "run_records.json").read_text().splitlines()]
                  for command in ("run", "curve")}
         assert seeds == {"run": [-3, 4], "curve": [-2, 5]}
+        assert (out / "curve" / "curve.csv").read_text().splitlines()[0].endswith(" master_seed=3")
+
+    def test_whole_master_seed_reaches_checks(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["check", "--config", path, "--out", str(out), "--only", "psi",
+                     "--set", "seed=4.0"]) == 0
+        assert (out / "checks.csv").read_text().splitlines()[0].endswith(" master_seed=4")
 
 
 class TestCmdCheck:

@@ -99,6 +99,17 @@ def _endpoint_instances(w_k, r_k, rng):
     return np.stack([np.cos(a), np.sin(a)], axis=1) * 10.0 ** rng.uniform(-2, 2, (a.size, 1))
 
 
+def _reference_clip(w, wk, half):
+    """One vector pulled back onto the cap's boundary when it lies outside the cap."""
+    if math.acos(min(1.0, max(-1.0, float(np.dot(w, wk))))) <= half:
+        return w
+    t = w - (w @ wk) * wk
+    norm = math.sqrt(float(t @ t))
+    if norm < 1e-15:
+        return wk.copy()
+    return math.cos(half) * wk + math.sin(half) * (t / norm)
+
+
 def _reference_search(data, w_k, r_k, restarts, rng):
     """The one-refine-at-a-time form of the restart search, kept as a bitwise reference."""
     X, y = stack_examples(data)
@@ -119,15 +130,6 @@ def _reference_search(data, w_k, r_k, restarts, rng):
         t /= norm
         return math.cos(beta) * wk + math.sin(beta) * t
 
-    def clip_to_cap(w):
-        if math.acos(min(1.0, max(-1.0, float(np.dot(w, wk))))) <= half:
-            return w
-        t = w - (w @ wk) * wk
-        norm = math.sqrt(float(t @ t))
-        if norm < 1e-15:
-            return wk.copy()
-        return math.cos(half) * wk + math.sin(half) * (t / norm)
-
     def refine(w):
         best, best_w = count(w), w
         step = half / 4.0
@@ -146,7 +148,7 @@ def _reference_search(data, w_k, r_k, restarts, rng):
                     for s in (step, -step):  # -step keeps t from before a +step accept
                         cand = math.cos(s) * best_w + math.sin(s) * t
                         cand /= math.sqrt(float(cand @ cand))
-                        cand = clip_to_cap(cand)
+                        cand = _reference_clip(cand, wk, half)
                         c = count(cand)
                         if c < best:
                             best, best_w, improved = c, cand, True
@@ -707,3 +709,88 @@ class TestErmZeroOneSearch:
         w_k = normalize([1.0, 0.0, 0.0])
         w = erm_zero_one_search((X, y), w_k, 0.25, restarts=16, rng=np.random.default_rng(3))
         assert angle(w, w_k) <= 2 * math.asin(0.125) + 1e-9
+
+
+class TestErrorCounter:
+    """The restart search's block counts against the gemv count of each candidate."""
+
+    @pytest.mark.parametrize("data", ["raw", "rounded", "orthogonal"])
+    @pytest.mark.parametrize("n, d", [(1, 3), (100, 3), (500, 10), (3000, 4)])
+    def test_counts_equal_gemv_counts(self, n, d, data):
+        rng = np.random.default_rng(n * d)
+        X = rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        special = np.linalg.qr(rng.standard_normal((d, 2)))[0].T  # two orthonormal rows
+        if data == "rounded":
+            # margins of exactly zero: zero rows, and zero entries met by axis candidates
+            X = np.round(X, 1)
+            X[::5] = 0.0
+            special = np.eye(d)[:2]
+        elif data == "orthogonal":
+            # rows orthogonal to both special candidates, whose margins are then
+            # rounding noise with a sign that depends on the order of summation
+            X -= (X @ special.T) @ special
+        count = solvers._ErrorCounter(X, y)
+        C = rng.standard_normal((min(count.rows, 900) + 2, d))
+        C /= np.linalg.norm(C, axis=1)[:, None]
+        C[::3], C[1::3] = special[0], special[1]
+        want = [int(np.count_nonzero(y * (X @ c) <= 0.0)) for c in C]
+        assert [int(count(C[i:i + 1])[0]) for i in range(C.shape[0])] == want
+        blocks = [count(C[lo:lo + count.rows]) for lo in range(0, C.shape[0], count.rows)]
+        assert np.concatenate(blocks).tolist() == want
+        assert count(C[::2][:count.rows]).tolist() == want[::2][:count.rows]
+        assert count(np.asfortranarray(C[:count.rows])).tolist() == want[:count.rows]
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (40, 3), (500, 10), (4096, 64),
+                                      (20_000, 13), (100_000, 3), (300_000, 2)])
+    def test_block_stays_single_threaded(self, n, d):
+        # past 2^18 multiply-adds OpenBLAS threads the gemm, which doubled CPU
+        # time for no wall-time gain; a one-thread benchmark cannot see that
+        count = solvers._ErrorCounter(np.ones((n, d)), np.ones(n))
+        assert count.rows >= 1
+        assert count.rows * n * d <= max(2**18, n * d)
+
+
+class TestClipRowsToCap:
+    """solvers._clip_rows_to_cap against the one-vector reference clip."""
+
+    def test_whole_sphere_changes_nothing(self):
+        rng = np.random.default_rng(31)
+        wk = normalize(rng.standard_normal(5)).coords
+        C = rng.standard_normal((60, 5))
+        C /= np.linalg.norm(C, axis=1)[:, None]
+        C[0], C[1], C[2] = -wk, wk, -wk + 1e-9 * C[2]  # antipodal rows sit at angle π
+        before = C.copy()
+        solvers._clip_rows_to_cap(C, wk, math.pi)
+        assert C.tobytes() == before.tobytes()
+
+    # small half-angles, where cos(half) rounds by many ulps of half, so that
+    # math.acos(cos(half)) > half for about half of them
+    @pytest.mark.parametrize("half", [2.0 * math.asin(r / 2.0) for r in (1.0, 0.5, 0.0625, 2.0**-10)]
+                             + [2.5] + np.random.default_rng(33).uniform(0.0, 0.3, 12).tolist())
+    def test_boundary_rows_as_reference(self, half):
+        rng = np.random.default_rng(32)
+        d = 6
+        for wk in (np.eye(d)[0], normalize(rng.standard_normal(d)).coords):
+            rows = [-wk, wk]
+            for _ in range(30):
+                t = rng.standard_normal(d)
+                t -= (t @ wk) * wk
+                t /= np.linalg.norm(t)
+                for theta in (half, np.nextafter(half, 0.0), np.nextafter(half, 4.0),
+                              half * (1.0 - 1e-12), half * (1.0 + 1e-12), 0.5 * half,
+                              min(1.5 * half, math.pi)):
+                    rows.append(math.cos(theta) * wk + math.sin(theta) * t)
+                if wk[0] == 1.0:
+                    # on the axis the dot product is the first coordinate, bit for
+                    # bit: put it at cos(half) and one ulp to either side
+                    cos_half = math.cos(half)
+                    for c in (cos_half, np.nextafter(cos_half, 2.0), np.nextafter(cos_half, -2.0)):
+                        rows.append(np.concatenate([[c], math.sin(half) * t[1:]]))
+            C = np.array(rows)
+            want = np.array([_reference_clip(c, wk, half) for c in C])
+            got = C.copy()
+            solvers._clip_rows_to_cap(got, wk, half)
+            assert got.tobytes() == want.tobytes()
+            moved = (got != C).any(axis=1)
+            assert moved.any() and not moved.all()
