@@ -411,11 +411,15 @@ def disagreement_probability(
         raise ValueError("Monte Carlo estimate needs n_mc >= 100")
     hits = 0
     remaining = n_mc
+    # every chunk is drawn into the same buffers: the generator fills them
+    # with the values, and in the order, that fresh arrays would get
+    G = np.empty((min(n_mc, _MC_CHUNK), model.dimension))
+    radii = np.empty(len(G)) if model.marginal == "uniform-ball" else None
     while remaining > 0:
         chunk = min(remaining, _MC_CHUNK)
-        P = rng.standard_normal((chunk, model.dimension)) @ UV
-        if model.marginal == "uniform-ball":
-            rng.random((chunk, 1))
+        P = rng.standard_normal(out=G[:chunk]) @ UV
+        if radii is not None:
+            rng.random(out=radii[:chunk])
         hits += int(np.count_nonzero(P[:, 0] * P[:, 1] < 0.0))
         remaining -= chunk
     return _binomial_estimate(hits, n_mc)

@@ -5,7 +5,10 @@ chord distance ``r`` of the current center disagrees with the center on
 the instance.  For ``r <= 1`` that reduces to a margin test
 ``|x̄·w| <= r*sqrt(1 - r^2/4)``; for ``r = 2`` every instance qualifies.
 The equivalent arc condition ``|θ(w, x̄) - π/2| <= 2*arcsin(r/2)`` is kept
-as an independent oracle.
+as an independent oracle.  The ``query-rule`` check compares ``query_mask``
+with a batched arc oracle of its own, a block of instances per center, and
+runs the scalar ``should_query`` and ``disagreement_exists_oracle`` on the
+rows of each block nearest the arc's edge.
 """
 
 from __future__ import annotations

@@ -41,11 +41,13 @@ from .driver import (
 )
 from .errors import ConfigError, HalfspaceActiveError
 from .geometry import (
+    FULL_RADIUS,
     HypothesisBall,
     _norm,
     angle,
     disagreement_exists_oracle,
     normalize,
+    query_mask,
     should_query,
 )
 from .losses import (
@@ -91,8 +93,10 @@ logger = logging.getLogger(__name__)
 
 # Entries of the (n, candidates) margin matrix that the gap profile holds at once.
 _MARGIN_BLOCK = 1 << 18
-# (w, x) pairs the query-rule check draws with one standard_normal call.
-_QUERY_RULE_BLOCK = 4096
+# Instance rows the query-rule check draws for each center.
+_QUERY_RULE_BLOCK = 256
+# Rows of each block, nearest the arc's edge, that also go through the scalar pair.
+_QUERY_RULE_SPOT = 4
 
 
 @dataclass(frozen=True)
@@ -473,8 +477,29 @@ def angle_disagreement_report(
     return rows
 
 
+def _arc_query_mask(X: np.ndarray, ball: HypothesisBall) -> tuple[np.ndarray, np.ndarray]:
+    """Arc form of the query rule over the rows of X, and each row's distance from the edge.
+
+    θ is the arccos of the clipped cosine between the row and the center; a
+    row queries when |θ - π/2| <= ball.half_angle (ties query, and every row
+    does at r = 2, where the half angle is π).  Independent of the margin
+    code that ``query_mask`` runs.
+    """
+    cos = (X / np.linalg.norm(X, axis=1, keepdims=True)) @ ball.center.coords
+    off = np.abs(np.arccos(np.clip(cos, -1.0, 1.0)) - math.pi / 2.0)
+    return off <= ball.half_angle, np.abs(off - ball.half_angle)
+
+
 def check_query_rule_equivalence(*, total: int, seed: int) -> list[CheckRow]:
-    """Margin rule vs. arc oracle on random (x, w, r): agreement must be exact."""
+    """Margin rule vs. arc oracle on random (x, w, r): agreement must be exact.
+
+    Each block draws a center, then its instance rows, and compares
+    ``query_mask`` with the batched arc oracle on every row.  The rows
+    nearest the arc's edge, where rounding could split the two forms (the
+    first rows at r = 2), also go through the scalar ``should_query`` and
+    ``disagreement_exists_oracle``.  A row agrees only if every verdict
+    taken on it does.
+    """
     dims, radii = (2, 3, 10), (2.0, 1.0, 0.5, 0.25, 0.125)
     rng = substream(seed, "query-rule-equivalence")
     per_cell = max(1, total // (len(dims) * len(radii)))
@@ -482,13 +507,17 @@ def check_query_rule_equivalence(*, total: int, seed: int) -> list[CheckRow]:
     for d in dims:
         for r in radii:
             agree = 0
-            # one draw per block: the same (w, x) pairs as a standard_normal(d)
-            # call for w and then for x, pair after pair
             for start in range(0, per_cell, _QUERY_RULE_BLOCK):
-                pairs = rng.standard_normal((min(_QUERY_RULE_BLOCK, per_cell - start), 2, d))
-                for w, x in pairs:
-                    ball = HypothesisBall(normalize(w), r)
-                    agree += should_query(x, ball) == disagreement_exists_oracle(x, ball)
+                ball = HypothesisBall(normalize(rng.standard_normal(d)), r)
+                X = rng.standard_normal((min(_QUERY_RULE_BLOCK, per_cell - start), d))
+                mask = query_mask(X, ball)
+                arc, edge = _arc_query_mask(X, ball)
+                ok = mask == arc
+                spot = range(len(X)) if r == FULL_RADIUS else np.argsort(edge)
+                for i in spot[:_QUERY_RULE_SPOT]:
+                    margin, arc_i = should_query(X[i], ball), disagreement_exists_oracle(X[i], ball)
+                    ok[i] &= margin == arc_i == mask[i]
+                agree += int(np.count_nonzero(ok))
             rows.append(
                 CheckRow(
                     check_name="query-rule-equivalence",

@@ -110,17 +110,17 @@ def test_criterion_06_convex_update_convergence():
     """Per-epoch error contraction of the ball-constrained convex update.
 
     This check FAILS, and the failure is a property of the configured
-    problem, not of the solver: with hard labels the pointwise surrogate
-    minimizer is a sign function, so no linear fit is optimal, and the
-    margin-band data gives the truncated quadratic a direction noise
-    floor of order 1/sqrt(n_k) per epoch (the fitted vector's tangential
-    component is driven by the sample average of balanced +-1 terms).
-    Once the ball radius shrinks below that floor, per-epoch error stops
-    contracting and fluctuates.  The epoch solver itself was verified
-    optimal against a dense grid search over the feasible disk; the 0-1
-    update on the identical stream does keep contracting (see
-    test_driver).  Kept red as an executable record of the negative
-    result.
+    problem, not of the solver.  It is not a sampling floor: more labels
+    make it worse.  The median chord error of w_7 is 0.0117, 0.0255 and
+    0.0437 at n = 500, 5,000 and 50,000 labels an epoch.  With hard labels
+    the pointwise surrogate minimizer is a sign function, so the surrogate
+    risk keeps falling along w̄* and has no finite linear minimizer; each
+    epoch's fit is pushed toward the ball's outer edge and past w*, and
+    once the radius is small that leaves w* at or past the edge of the
+    next ball.  The epoch solver itself was verified optimal against a
+    dense grid search over the feasible disk; the 0-1 update on the
+    identical stream does keep contracting (see test_driver).  Kept red as
+    an executable record of the negative result.
     """
     t0 = time.perf_counter()
     model = powered_model(kappa=1.0, seed=6)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from halfspace_active.driver import (
     run_passive,
 )
 from halfspace_active.errors import ConfigError, DegenerateSolution
-from halfspace_active.geometry import normalize
+from halfspace_active.geometry import HypothesisBall, disagreement_exists_oracle, normalize
 from halfspace_active.harness import (
     CheckRow,
     CurvePoint,
@@ -286,28 +287,95 @@ class TestChecks:
         assert all(r.passed for r in rows)
         assert all(r.observed == 1.0 for r in rows)
 
-    def test_query_rule_blocks_keep_the_per_pair_draws(self, monkeypatch):
+    def test_query_rule_blocks_draw_a_center_then_its_rows(self, monkeypatch):
         seen = []
-        should_query = harness.should_query
+        query_mask = harness.query_mask
 
-        def recording(x, ball):
-            seen.append((x.copy(), ball.center.coords))
-            return should_query(x, ball)
+        def recording(X, ball):
+            seen.append((X.copy(), ball.center.coords))
+            return query_mask(X, ball)
 
-        monkeypatch.setattr(harness, "should_query", recording)
-        monkeypatch.setattr(harness, "_QUERY_RULE_BLOCK", 7)  # 20 pairs a cell: 7 + 7 + 6
+        monkeypatch.setattr(harness, "query_mask", recording)
+        monkeypatch.setattr(harness, "_QUERY_RULE_BLOCK", 7)  # 20 rows a cell: 7 + 7 + 6
         rows = check_query_rule_equivalence(total=300, seed=3)
         assert all(r.passed for r in rows)
         rng = substream(3, "query-rule-equivalence")
         expected = []
         for d in (2, 3, 10):
-            for _ in range(5 * 20):  # five radii of 20 pairs each
-                w = normalize(rng.standard_normal(d))
-                expected.append((rng.standard_normal(d), w.coords))
+            for _ in range(5):  # five radii, three blocks each
+                for n in (7, 7, 6):
+                    w = normalize(rng.standard_normal(d))
+                    expected.append((rng.standard_normal((n, d)), w.coords))
         assert len(seen) == len(expected)
-        for (x, c), (x_old, c_old) in zip(seen, expected):
-            assert x.tobytes() == x_old.tobytes()
+        for (X, c), (X_old, c_old) in zip(seen, expected):
+            assert X.tobytes() == X_old.tobytes()
             assert c.tobytes() == c_old.tobytes()
+
+    @pytest.mark.parametrize("name", ["query_mask", "should_query"])
+    def test_one_wrong_verdict_fails_its_cell(self, monkeypatch, name):
+        # the first call flips one row's verdict: the last row of the first
+        # block's batch, which no scalar call sees (at r = 2 the first rows
+        # are spot-checked), or the first block's first spot-checked row
+        original = getattr(harness, name)
+        calls = []
+
+        def flipped(x, ball):
+            out = original(x, ball)
+            calls.append(ball)
+            if len(calls) == 1:
+                if name == "query_mask":
+                    out = out.copy()
+                    out[-1] = not out[-1]
+                else:
+                    out = not out
+            return out
+
+        monkeypatch.setattr(harness, name, flipped)
+        rows = check_query_rule_equivalence(total=3000, seed=3)
+        per_cell = 3000 // 15
+        assert (calls[0].dim, calls[0].radius) == (2, 2.0)  # the first cell
+        assert rows[0].passed is False
+        assert rows[0].observed == (per_cell - 1) / per_cell
+        assert all(r.passed and r.observed == 1.0 for r in rows[1:])
+
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    def test_arc_oracle_matches_the_scalar_oracle(self, d):
+        rng = substream(8, "arc-oracle", d)
+        for r in (2.0, 1.0, 0.5, 0.25, 0.125):
+            ball = HypothesisBall(normalize(rng.standard_normal(d)), r)
+            X = rng.standard_normal((300, d))
+            arc, edge = harness._arc_query_mask(X, ball)
+            assert arc.tolist() == [disagreement_exists_oracle(x, ball) for x in X]
+            assert np.all(edge >= 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 10])
+    def test_arc_oracle_queries_ties(self, d):
+        # integer rows a·e_i + b·e_j with a² + b² = c²: the cosine with ±e_i is
+        # a/c rounded once, whatever the summation order; a radius whose half
+        # angle is exactly the row's arc offset must query, and one whose half
+        # angle is smaller must not (np.arccos and math.acos may differ in the
+        # last bit, so a tie of one oracle need not be a tie of the other)
+        triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41)]
+        ties = 0
+        for k, (a, b, c) in enumerate(triples):
+            i, j = k % d, (k + 1) % d
+            for sign in (1.0, -1.0):
+                x = np.zeros(d)
+                x[i], x[j] = a, b
+                center = np.zeros(d)
+                center[i] = sign
+                off = abs(math.acos(a / c) - math.pi / 2.0)
+                r0 = 2.0 * math.sin(off / 2.0)
+                for r in [r0 + step * math.ulp(r0) for step in range(-8, 9)]:
+                    ball = HypothesisBall(normalize(center), r)
+                    arc, edge = harness._arc_query_mask(x[None, :], ball)
+                    if edge[0] == 0.0:
+                        ties += 1
+                        assert arc[0]
+                        below = HypothesisBall(ball.center, r - 4 * math.ulp(r))
+                        assert below.half_angle < ball.half_angle
+                        assert not harness._arc_query_mask(x[None, :], below)[0][0]
+        assert ties >= len(triples)  # most rows have a tying radius
 
     def test_psi_rows(self):
         rows = check_psi_transform()
