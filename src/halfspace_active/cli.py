@@ -183,6 +183,18 @@ def _whole(path: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def _seeds(path: str, values) -> tuple[int, ...]:
+    """The seeds at ``path``: at least one, each whole, none twice (a repeat
+    would count one run twice in every median and quartile)."""
+    seeds = tuple(_whole(path, value) for value in values)
+    if not seeds:
+        raise ConfigError(f"{path} must name at least one seed")
+    if len(set(seeds)) != len(seeds):
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        raise ConfigError(f"{path} names seed(s) {repeated} more than once")
+    return seeds
+
+
 @contextlib.contextmanager
 def _config_values():
     """Report a bad value met while building objects from the config as ConfigError."""
@@ -269,11 +281,9 @@ def cmd_run(config: dict) -> int:
         model = build_model(config)
         update = build_update(config, R=model.R)
         schedule = build_schedule(config, model)
-        seeds = [_whole("run.seeds", seed) for seed in rc["seeds"]]
+        seeds = _seeds("run.seeds", rc["seeds"])
         master_seed = _whole("seed", config["seed"])
     epochs = _whole("run.epochs", rc["epochs"], 1)
-    if not seeds:
-        raise ConfigError("run.seeds must name at least one seed")
     digest = config_digest(config)
     records = []
     failure = None
@@ -301,6 +311,8 @@ def cmd_curve(config: dict) -> int:
     if not isinstance(epsilons, list) or any(
             isinstance(e, bool) or not isinstance(e, (int, float)) for e in epsilons):
         raise ConfigError(f"curve.epsilons must be a list of numbers, got {epsilons!r}")
+    if not epsilons:
+        raise ConfigError("curve.epsilons must name at least one target")
     with _config_values():
         model = build_model(config)
         experiment = ExperimentConfig(
@@ -308,7 +320,7 @@ def cmd_curve(config: dict) -> int:
             update=build_update(config, R=model.R),
             schedule=build_schedule(config, model),
             epsilons=tuple(float(e) for e in epsilons),
-            seeds=tuple(_whole("curve.seeds", s) for s in cc["seeds"]),
+            seeds=_seeds("curve.seeds", cc["seeds"]),
             passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
             passive_cap=_whole("curve.passive_cap", cc["passive_cap"]),
         )

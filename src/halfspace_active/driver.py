@@ -20,7 +20,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .geometry import (
 from .losses import SurrogateLoss
 from .solvers import (
     SurrogateBall,
+    _SweepTable,
     erm_zero_one_2d,
     erm_zero_one_search,
     minimize_in_ball,
@@ -308,11 +309,18 @@ class FinitePool:
     never drawn.  It exercises StreamExhausted, and a pool of pre-drawn
     marginal rows with ``model`` is the scan that a model epoch's direct
     draw must match in law.  The generative sources never run dry.
+
+    A 2-D pool whose rows are read-only (as passive_prefix's are) keeps one
+    sweep table for its r = 2 epoch: the events of all its rows, sorted once,
+    about the last center w_1 it was fitted from.  A zero-one epoch on its
+    first rows at r = 2 from that w_1 filters the table for its prefix
+    instead of sorting; one from another center builds a new table.
     """
 
     X: np.ndarray
     model: DataModel | None = None
     y: np.ndarray | None = None
+    _table: _SweepTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -324,6 +332,14 @@ class FinitePool:
             self.y = np.asarray(self.y, dtype=np.float64)
             if self.y.shape[0] != self.X.shape[0]:
                 raise ValueError("pool labels must match pool instances")
+
+    def _full_circle_table(self, w_1: UnitVector) -> _SweepTable | None:
+        """The r = 2 sweep table of every row about w_1; None for rows that may change."""
+        if self.X.flags.writeable:
+            return None
+        if self._table is None or not self._table.centered_at(w_1, FULL_RADIUS):
+            self._table = _SweepTable(self.X, w_1, FULL_RADIUS)
+        return self._table
 
 
 def _collect_epoch(draw, ball: HypothesisBall, n_k: int):
@@ -401,10 +417,13 @@ def _initial_vector(seed: int, dim: int) -> UnitVector:
     return normalize(substream(seed, "init").standard_normal(dim))
 
 
-def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int, k: int):
+def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int, k: int,
+                 pool: FinitePool | None = None):
+    """Epoch k's fit; ``pool`` is the FinitePool whose first rows X are, in epoch 1 at r = 2."""
     if isinstance(update, ZeroOneUpdate):
         if X.shape[1] == 2:
-            return erm_zero_one_2d((X, y), w_k, r_k)
+            table = None if pool is None else pool._full_circle_table(w_k)
+            return erm_zero_one_2d((X, y), w_k, r_k, table=table)
         rng = substream(seed, "epoch", k, "search")
         return erm_zero_one_search((X, y), w_k, r_k, restarts=update.restarts, rng=rng)
     ball = SurrogateBall(center=R * w_k.coords, radius=R * r_k)
@@ -502,14 +521,15 @@ def run_active(
             else:
                 X, at, scanned = _pool_epoch(pool, cursor, ball, n_k)
             if pool is not None and pool.y is not None:
-                y = pool.y[cursor + at]
+                # at r = 2 the epoch's rows, and so its labels, are a slice
+                y = pool.y[cursor:cursor + scanned] if r_k == FULL_RADIUS else pool.y[cursor + at]
             else:
                 y = _model_labels(model, X, seed, k)
             cursor += scanned
             epochs.append(entry(k, n_k, int(y.shape[0]), scanned))
             if y.shape[0] < n_k:
                 raise StreamExhausted(f"pool ran dry in epoch {k} after {y.shape[0]}/{n_k} labels")
-            w_k = _solve_epoch(update, X, y, w_k, r_k, R, seed, k)
+            w_k = _solve_epoch(update, X, y, w_k, r_k, R, seed, k, pool if k == 1 else None)
     except (HalfspaceActiveError, ValueError) as exc:
         if epochs:
             exc.partial = record()

@@ -114,10 +114,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.seeds) < 1:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct: a repeat counts one run twice")
         if self.passive_cap < 1:
             raise ConfigError(f"passive_cap must be at least 1, got {self.passive_cap!r}")
         eps = tuple(float(e) for e in self.epsilons)
-        if not eps or any(not 0.0 < e < 2.0 for e in eps):
+        if not eps:
+            raise ConfigError("need at least one epsilon target")
+        if any(not 0.0 < e < 2.0 for e in eps):
             raise ConfigError("epsilon targets must lie in (0, 2)")
         if list(eps) != sorted(eps, reverse=True) or len(set(eps)) != len(eps):
             raise ConfigError("epsilon targets must be strictly decreasing")
@@ -205,6 +209,11 @@ class _PassiveProbe:
 
     def rows_held(self) -> int:
         return sum(pool.X.shape[0] for pool in self.pools.values())
+
+    def bytes_held(self) -> tuple[int, int]:
+        """(bytes of the pools' rows, labels and sweep tables, bytes of the tables alone)."""
+        tables = sum(pool._table.nbytes for pool in self.pools.values() if pool._table is not None)
+        return tables + sum(pool.X.nbytes + pool.y.nbytes for pool in self.pools.values()), tables
 
 
 def _bisect_labels(probe: _PassiveProbe, epsilon: float, percentile: float, cap: int) -> int:
@@ -297,8 +306,9 @@ def label_complexity_curve(config: ExperimentConfig, config_digest: str = "") ->
         lp_q1 = _bisect_labels(probe, eps, 25.0, cap)
         lp_q3 = _bisect_labels(probe, eps, 75.0, cap)
         logger.info(
-            "epsilon=%r: %d passive probes evaluated so far, %d stream rows held over %d seeds",
-            eps, len(probe.cache), probe.rows_held(), len(probe.pools),
+            "epsilon=%r: %d passive probes evaluated so far, %d stream rows held over %d seeds "
+            "in %d bytes, %d of them sweep tables",
+            eps, len(probe.cache), probe.rows_held(), len(probe.pools), *probe.bytes_held(),
         )
         la = _quartiles(labels)
         points.append(

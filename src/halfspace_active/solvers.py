@@ -19,6 +19,7 @@ takes the same path, bit for bit, as it would alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -229,7 +230,101 @@ def zero_one_objective(w, data) -> int:
     return int(np.count_nonzero(y * (X @ wc) <= 0.0))
 
 
-def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
+class _SweepTable:
+    """The sweep's events on one arc over fixed rows X, sorted once, for fits on any prefix of X.
+
+    Row i has two critical angles, α_i ± π/2 with α_i = atan2(x_i2, x_i1),
+    each shifted into [lo, lo + 2π) and kept if it lies inside the arc.
+    ``events`` holds the kept angles in ascending order, their codes, and
+    the zero-row mask.  An event's code is 2i for the first of row i's
+    events that the sweep meets and 2i + 1 for its second (inside only at
+    r_k = 2).  A fit on the first n rows keeps the codes below 2n: the
+    prefix's events in the order a sort of the prefix alone gives, up to the
+    order inside runs of equal angles, which moves no count (see
+    erm_zero_one_2d).  ``events`` is built on first use, so a table made
+    outside the sweep is sorted inside it.  The table refers to X, not a
+    copy, so the rows must not change while it is in use.
+    """
+
+    def __init__(self, X: np.ndarray, w_k: UnitVector, r_k: float):
+        half = HypothesisBall(w_k, r_k).half_angle
+        self.X, self.r_k = X, r_k
+        self.center = w_k.coords.tobytes()
+        self.psi_k = math.atan2(w_k.coords[1], w_k.coords[0])
+        self.lo, self.hi = self.psi_k - half, self.psi_k + half
+
+    @functools.cached_property
+    def events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sorted in-arc angles, their int32 codes, zero-row mask)."""
+        X, lo, hi = self.X, self.lo, self.hi
+        n = X.shape[0]
+        alphas = np.arctan2(X[:, 1], X[:, 0])
+        crits = np.concatenate([alphas + math.pi / 2.0, alphas - math.pi / 2.0])
+        # shift each critical angle into [lo, lo + 2π); keep those interior to the arc
+        shifted = lo + np.mod(crits - lo, 2.0 * math.pi)
+        inside = (shifted > lo) & (shifted < hi)
+        order = np.argsort(shifted)
+        events = order[inside[order]]
+        reached = np.where(inside, shifted, np.inf)
+        flipped = reached[:n] > reached[n:]  # the sweep meets α - π/2 first
+        minus = events >= n
+        rows = np.where(minus, events - n, events)
+        codes = 2 * rows + (minus != flipped[rows])
+        code_type = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
+        return shifted[events], codes.astype(code_type), (X[:, 0] == 0.0) & (X[:, 1] == 0.0)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the table holds besides the rows it refers to: 0 before its first use."""
+        return sum(a.nbytes for a in self.__dict__.get("events", ()))
+
+    def centered_at(self, w_k: UnitVector, r_k: float) -> bool:
+        """Whether the table's arc is the one of radius r_k about w_k, bit for bit."""
+        return r_k == self.r_k and w_k.coords.tobytes() == self.center
+
+    def heads(self, X: np.ndarray) -> bool:
+        """Whether X is a prefix of the table's rows: the same memory, read the same way."""
+        return (X.shape[0] <= self.X.shape[0] and X.strides == self.X.strides
+                and X.ctypes.data == self.X.ctypes.data)
+
+    def best_angle(self, examples) -> float:
+        """The angle erm_zero_one_2d returns, on the checked (X, y) of the first X.shape[0] rows."""
+        X, y = examples
+        n = X.shape[0]
+        ev_angles, codes, zero = self.events
+        if n < self.X.shape[0]:
+            keep = np.flatnonzero(codes < 2 * n)
+            ev_angles, codes = ev_angles[keep], codes[keep]
+        lo, hi, psi_k = self.lo, self.hi, self.psi_k
+
+        # a run of equal angles closes one piece; piece j follows the first
+        # bounds[j] events
+        new_run = np.empty(ev_angles.size, dtype=bool)
+        new_run[:1] = True
+        np.not_equal(ev_angles[1:], ev_angles[:-1], out=new_run[1:])
+        starts = np.flatnonzero(new_run)
+        edges = np.concatenate([[lo], ev_angles[starts], [hi]])
+        mids = (edges[:-1] + edges[1:]) / 2.0
+        bounds = np.append(starts, ev_angles.size)
+
+        # the first of a point's events that the sweep meets flips it: +1 if
+        # it was right at the first midpoint, -1 if wrong, 0 for a zero
+        # instance; its second flips it back.  Code 2i reads step i, 2i + 1
+        # its negation
+        err0 = y * (X @ np.array([math.cos(mids[0]), math.sin(mids[0])])) <= 0.0
+        step = np.where(err0, -1, 1)
+        step[zero[:n]] = 0
+        steps = np.stack([step, -step], axis=1).ravel()[codes]
+        counts = int(err0.sum()) + np.concatenate([[0], np.cumsum(steps)])[bounds]
+
+        candidates = [(zero_one_objective([math.cos(psi), math.sin(psi)], examples), psi)
+                      for psi in (lo, hi, psi_k)]
+        best = min(min(c for c, _ in candidates), int(counts.min()))
+        tied = [psi for c, psi in candidates if c == best] + mids[counts == best].tolist()
+        return min(tied, key=lambda psi: (abs(math.remainder(psi - psi_k, 2.0 * math.pi)), psi))
+
+
+def erm_zero_one_2d(data, w_k: UnitVector, r_k: float, *, table: _SweepTable | None = None) -> UnitVector:
     """Exact 0-1 ERM over the feasible arc, by sweeping critical angles.
 
     The error count is piecewise constant in the hypothesis angle, with
@@ -251,54 +346,22 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float) -> UnitVector:
     The sort need not be stable: equal event angles form one run, the
     edges and midpoints read only run values, and each count is read at a
     run's end, an integer sum over whole runs.  The order of events inside
-    a run therefore moves no count, midpoint or tie-break.
+    a run therefore moves no count, midpoint or tie-break.  So a ``table``
+    sorted once on this arc over rows whose prefix is the data's X (the
+    same memory) gives the bits that sorting the data's own events gives;
+    without one, the sweep builds a table of the data and sorts that.
     """
     X, y = examples = stack_examples(data)
     if X.shape[1] != 2:
         raise ValueError("exact 0-1 ERM is only implemented for d = 2")
     if X.shape[0] == 0:
         raise ValueError("0-1 update needs at least one labeled example")
-    half = HypothesisBall(w_k, r_k).half_angle
-    psi_k = math.atan2(w_k.coords[1], w_k.coords[0])
-    lo, hi = psi_k - half, psi_k + half
-
-    n = X.shape[0]
-    alphas = np.arctan2(X[:, 1], X[:, 0])
-    crits = np.concatenate([alphas + math.pi / 2.0, alphas - math.pi / 2.0])
-    # shift each critical angle into [lo, lo + 2π); keep those interior to the arc
-    shifted = lo + np.mod(crits - lo, 2.0 * math.pi)
-    inside = (shifted > lo) & (shifted < hi)
-    order = np.argsort(shifted)
-    events = order[inside[order]]
-    ev_angles = shifted[events]
-
-    # a run of equal angles closes one piece; piece j follows the first
-    # bounds[j] events
-    new_run = np.empty(ev_angles.size, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(ev_angles[1:], ev_angles[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    edges = np.concatenate([[lo], ev_angles[starts], [hi]])
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    bounds = np.append(starts, ev_angles.size)
-
-    # an event flips its point: +1 if it was right at the first midpoint, -1
-    # if wrong, 0 for a zero instance; its other event (also inside only at
-    # r_k = 2) flips it back, so the point's two steps are opposite
-    err0 = y * (X @ np.array([math.cos(mids[0]), math.sin(mids[0])])) <= 0.0
-    step = np.where(err0, -1, 1)
-    step[(X[:, 0] == 0.0) & (X[:, 1] == 0.0)] = 0
-    reached = np.where(inside, shifted, np.inf)
-    np.negative(step, out=step, where=reached[:n] > reached[n:])  # the sweep meets α - π/2 first
-    steps = np.concatenate([step, -step])[events]
-    counts = int(err0.sum()) + np.concatenate([[0], np.cumsum(steps)])[bounds]
-
-    candidates = [(zero_one_objective([math.cos(psi), math.sin(psi)], examples), psi)
-                  for psi in (lo, hi, psi_k)]
-    best = min(min(c for c, _ in candidates), int(counts.min()))
-    tied = [psi for c, psi in candidates if c == best] + mids[counts == best].tolist()
-    psi_best = min(tied, key=lambda psi: (abs(math.remainder(psi - psi_k, 2.0 * math.pi)), psi))
-    if psi_best == psi_k:
+    if table is None:
+        table = _SweepTable(X, w_k, r_k)
+    elif not (table.centered_at(w_k, r_k) and table.heads(X)):
+        raise ValueError("sweep table was built for another arc or other rows")
+    psi_best = table.best_angle(examples)
+    if psi_best == table.psi_k:
         return w_k  # keep the center bitwise when it already attains the minimum
     return normalize([math.cos(psi_best), math.sin(psi_best)])
 

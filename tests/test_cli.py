@@ -295,10 +295,10 @@ class TestCmdRun:
         # a numpy fault inside a run is a runtime failure, not a usage error
         solve = driver._solve_epoch
 
-        def fail_in_epoch_two(update, X, y, w_k, r_k, R, seed, k):
+        def fail_in_epoch_two(update, X, y, w_k, r_k, R, seed, k, *rest):
             if k == 2:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return solve(update, X, y, w_k, r_k, R, seed, k)
+            return solve(update, X, y, w_k, r_k, R, seed, k, *rest)
 
         monkeypatch.setattr(driver, "_solve_epoch", fail_in_epoch_two)
         path = write_config(tmp_path)
@@ -472,6 +472,29 @@ class TestWholeNumberSettings:
         assert main(["curve", "--config", path, "--out", str(tmp_path / "out"),
                      "--set", f"curve.epsilons={value}"]) == 2
         assert "curve.epsilons must be a list of numbers" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value, repeated", [("[0, 0]", 0), ("[3, 1, 3.0]", 3)])
+    @pytest.mark.parametrize("command", ["run", "curve"])
+    def test_repeated_seed_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                  command, value, repeated):
+        # a repeated seed would count one run twice in every median and quartile
+        ran = []
+        monkeypatch.setattr(cli, "run_active", lambda *a, **kw: ran.append(a))
+        monkeypatch.setattr(cli, "label_complexity_curve", lambda *a, **kw: ran.append(a))
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", f"{command}.seeds={value}"]) == 2
+        assert f"{command}.seeds names seed(s) [{repeated}] more than once" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    def test_no_epsilons_refused_before_any_run(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "label_complexity_curve", lambda *a, **kw: ran.append(a))
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
+        assert main(["curve", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", "curve.epsilons=[]"]) == 2
+        assert "curve.epsilons must name at least one target" in capsys.readouterr().err
         assert ran == [] and not (tmp_path / "out").exists()
 
     def test_whole_values_run(self, tmp_path, capsys):

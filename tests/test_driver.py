@@ -338,6 +338,20 @@ class TestFullRadiusPoolEpoch:
         assert sliced == outcome()
         assert isinstance(sliced, tuple) == (rows == 150)
 
+    def test_pool_table_follows_the_center(self):
+        # one pool fitted from two seeds' w_1 in turn: each switch builds a new
+        # table, and every run keeps the bits of a pool that keeps none
+        pool = driver.passive_prefix(self.MODEL, 3000, seed=4)
+        writable = FinitePool(pool.X.copy(), model=self.MODEL, y=pool.y.copy())
+        tables = []
+        for seed, n in [(4, 3000), (9, 2000), (9, 50), (4, 700)]:
+            got = run_passive(pool, ZeroOneUpdate(), n, seed=seed).to_json_line()
+            assert got == run_passive(writable, ZeroOneUpdate(), n, seed=seed).to_json_line()
+            assert pool._table.centered_at(driver._initial_vector(seed, 2), 2.0)
+            tables.append(pool._table)
+        assert writable._table is None
+        assert [len({id(t) for t in tables[:i + 1]}) for i in range(4)] == [1, 2, 2, 3]
+
     def test_passive_prefix_pool_is_read_only(self):
         # an r = 2 epoch hands the solver a view of the cached rows, so a
         # write must raise rather than change what later probes see

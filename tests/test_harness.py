@@ -69,6 +69,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             curve_config(seeds=())
 
+    def test_seeds_distinct(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            curve_config(seeds=(0, 1, 0))
+
+    def test_needs_epsilons(self):
+        with pytest.raises(ConfigError, match="at least one epsilon"):
+            curve_config(epsilons=())
+
     @pytest.mark.parametrize("cap", [0, -5])
     def test_passive_cap_at_least_one(self, cap):
         with pytest.raises(ConfigError, match="passive_cap"):
@@ -147,6 +155,8 @@ class TestLabelComplexityCurve:
         rows = 3 * 4096 * -(-result.passive_errors[-1][0] // 4096)
         assert f"{probes} passive probes evaluated" in lines[-1]
         assert f"{rows} stream rows held over 3 seeds" in lines[-1]
+        # 2-D rows and labels take 24 bytes a row, their sweep tables 25
+        assert f"in {rows * 49} bytes, {rows * 25} of them sweep tables" in lines[-1]
 
     def test_fits(self):
         result = label_complexity_curve(curve_config(epsilons=(0.4, 0.2, 0.1)))
@@ -235,6 +245,20 @@ class TestPassiveProbe:
             assert probe.run(5, n).to_json_line() == fresh.to_json_line()
             held.append(probe.rows_held())
         assert held == [4096] * 4 + [8192, 12288]
+
+    def test_bisection_probes_share_one_table(self):
+        # probes in bisection order filter one sorted table; the longer pool
+        # that a larger probe draws sorts a table of its own
+        model = DataModel(2, "uniform-sphere", "powered-margin", np.array([1.0, 0.0]),
+                          seed=3, kappa=1.5)
+        probe = harness._PassiveProbe(dataclasses.replace(curve_config(seeds=(5,)), model=model))
+        tables = []
+        for n in (8, 16, 32, 24, 20, 22, 21, 4097, 30):
+            fresh = run_passive(model, ZeroOneUpdate(), n, seed=5)
+            assert probe.run(5, n).to_json_line() == fresh.to_json_line()
+            tables.append(probe.pools[5]._table)
+        assert len(set(map(id, tables[:7]))) == 1 and tables[7] is tables[8] is not tables[0]
+        assert probe.bytes_held() == (8192 * (24 + 25), 8192 * 25)
 
 
 class TestEmpiricalProcessGap:

@@ -629,6 +629,59 @@ class TestErmZeroOne2d:
             solve((np.array([[1.0, 0.0]]), np.ones(1)), E1, 1.5)
 
 
+class TestSweepTable:
+    """One table sorted over all rows fits every prefix with the bits of a fresh sweep."""
+
+    def test_prefix_fits_match_fresh_and_reference_sweeps(self):
+        rng = np.random.default_rng(17)
+        cases = 0
+        for r_k in (2.0, 1.0, 0.5, 0.1, 1e-6):
+            for data in ("raw", "rounded", "antipodal", "zeros"):
+                X = rng.standard_normal((240, 2))
+                if data == "rounded":  # duplicated critical angles
+                    X = np.round(X, 1)
+                elif data == "antipodal":  # x and -c·x, interleaved
+                    X[1::2] = -X[::2] * rng.uniform(0.5, 2.0, (120, 1))
+                elif data == "zeros":
+                    X[rng.random(240) < 0.2] = 0.0
+                y = np.sign(X @ normalize(rng.standard_normal(2)).coords)
+                y[y == 0] = 1.0
+                y[rng.random(240) < 0.2] *= -1.0
+                w_k = normalize(rng.standard_normal(2))
+                table = solvers._SweepTable(X, w_k, r_k)
+                for n in (240, 1, 2, 7, 64, 121, 239, 33):
+                    got = erm_zero_one_2d((X[:n], y[:n]), w_k, r_k, table=table)
+                    for want in (erm_zero_one_2d((X[:n].copy(), y[:n]), w_k, r_k),
+                                 _reference_sweep((X[:n], y[:n]), w_k, r_k)):
+                        assert (got is w_k) == (want is w_k)
+                        assert got.coords.tobytes() == want.coords.tobytes()
+                    cases += 1
+        assert cases == 160
+
+    def test_refuses_another_arc_or_other_rows(self):
+        rng = np.random.default_rng(18)
+        X, y = rng.standard_normal((50, 2)), np.ones(50)
+        w_k = normalize([0.6, 0.8])
+        table = solvers._SweepTable(X, w_k, 2.0)
+        for data, center, r_k in [
+            ((X[:10], y[:10]), normalize([0.8, 0.6]), 2.0),  # another center
+            ((X[:10], y[:10]), w_k, 1.0),  # another radius
+            ((X[1:11], y[1:11]), w_k, 2.0),  # not a prefix
+            ((X[:10].copy(), y[:10]), w_k, 2.0),  # a copy, not the table's rows
+            ((X[::2], y[::2]), w_k, 2.0),  # the rows read with another stride
+        ]:
+            with pytest.raises(ValueError, match="another arc or other rows"):
+                erm_zero_one_2d(data, center, r_k, table=table)
+
+    def test_codes_are_int32_and_table_bytes_counted(self):
+        X = np.random.default_rng(19).standard_normal((1000, 2))
+        table = solvers._SweepTable(X, E1, 2.0)
+        assert table.nbytes == 0  # sorted on first use
+        angles, codes, zero = table.events
+        assert codes.dtype == np.int32 and angles.size == codes.size == 2000
+        assert table.nbytes == 2000 * (8 + 4) + 1000
+
+
 class TestErmZeroOneSearch:
     def test_never_worse_than_center(self):
         rng = np.random.default_rng(10)
