@@ -43,6 +43,18 @@ from .losses import (
 
 __all__ = ["main", "load_config", "config_digest", "DEFAULT_CONFIG"]
 
+# Each sized check setting: (its default, the smallest value it takes, checked
+# before any suite runs).
+_CHECK_SIZES = {
+    "equivalence_samples": (100000, 1),
+    "pairs": (20, 1),
+    "n_mc": (1000000, 100),
+    "gradient_triples": (100, 1),
+    "scaling_trials": (50, 1),
+    "scaling_n": (400, 1),
+    "scaling_candidates": (128, 2),
+}
+
 DEFAULT_CONFIG = {
     "model": {
         "dimension": 2,
@@ -81,16 +93,7 @@ DEFAULT_CONFIG = {
         "passive_cap": ExperimentConfig.passive_cap,
         "bootstrap": 500,
     },
-    "check": {
-        "only": None,
-        "equivalence_samples": 100000,
-        "pairs": 20,
-        "n_mc": 1000000,
-        "gradient_triples": 100,
-        "scaling_trials": 50,
-        "scaling_n": 400,
-        "scaling_candidates": 128,
-    },
+    "check": {"only": None, **{key: default for key, (default, _) in _CHECK_SIZES.items()}},
     "out": "results",
     "seed": 0,
 }
@@ -359,17 +362,12 @@ CHECKS = {
 }
 
 
-# Smallest value each sized check setting takes; checked before any suite runs.
-_CHECK_MINIMA = {"equivalence_samples": 1, "pairs": 1, "n_mc": 100, "gradient_triples": 1,
-                 "scaling_trials": 1, "scaling_n": 1, "scaling_candidates": 2}
-
-
 def _check_section(cc: dict) -> dict:
     """The ``check`` section as the work that runs, which CHECKS reads and the
     digest records: each sized setting as a checked int, and ``check.only``
     (a comma-separated string or a list; None selects them all) as the
     selected names in table order, or None when every suite is selected."""
-    sizes = {key: _whole(f"check.{key}", cc[key], least) for key, least in _CHECK_MINIMA.items()}
+    sizes = {key: _whole(f"check.{key}", cc[key], least) for key, (_, least) in _CHECK_SIZES.items()}
     only = cc["only"]
     if isinstance(only, str):
         only = only.split(",")

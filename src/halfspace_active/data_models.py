@@ -157,9 +157,14 @@ def stack_examples(data) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(data[1], dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError(f"inconsistent dataset shapes {X.shape} / {y.shape}")
+    _check_labels(y)
+    return _Examples((X, y))
+
+
+def _check_labels(y: np.ndarray) -> None:
+    """Raise ValueError unless every label is -1 or +1."""
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
-    return _Examples((X, y))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ import numpy as np
 from .data_models import (
     SUPPORTED_PAIRINGS,
     DataModel,
+    _Examples,
+    _check_labels,
     label_batch,
     sample_in_band,
     sample_unlabeled,
@@ -310,11 +312,13 @@ class FinitePool:
     marginal rows with ``model`` is the scan that a model epoch's direct
     draw must match in law.  The generative sources never run dry.
 
-    A 2-D pool whose rows are read-only (as passive_prefix's are) keeps one
-    sweep table for its r = 2 epoch: the events of all its rows, sorted once,
-    about the last center w_1 it was fitted from.  A zero-one epoch on its
-    first rows at r = 2 from that w_1 filters the table for its prefix
-    instead of sorting; one from another center builds a new table.
+    Labels in ``y`` are checked once, here, so an epoch hands its slice of
+    them to the fit as checked.  A 2-D pool whose rows and labels are
+    read-only (as passive_prefix's are) keeps one sweep table for its r = 2
+    epoch: the events of all its rows, sorted once, about the last center
+    w_1 it was fitted from.  A zero-one epoch on its first rows at r = 2
+    from that w_1 filters the table for its prefix instead of sorting; one
+    from another center builds a new table.
     """
 
     X: np.ndarray
@@ -332,13 +336,14 @@ class FinitePool:
             self.y = np.asarray(self.y, dtype=np.float64)
             if self.y.shape[0] != self.X.shape[0]:
                 raise ValueError("pool labels must match pool instances")
+            _check_labels(self.y)
 
     def _full_circle_table(self, w_1: UnitVector) -> _SweepTable | None:
-        """The r = 2 sweep table of every row about w_1; None for rows that may change."""
-        if self.X.flags.writeable:
+        """The r = 2 sweep table of every example about w_1; None for examples that may change."""
+        if self.X.flags.writeable or self.y is None or self.y.flags.writeable:
             return None
         if self._table is None or not self._table.centered_at(w_1, FULL_RADIUS):
-            self._table = _SweepTable(self.X, w_1, FULL_RADIUS)
+            self._table = _SweepTable(self.X, self.y, w_1, FULL_RADIUS)
         return self._table
 
 
@@ -419,11 +424,15 @@ def _initial_vector(seed: int, dim: int) -> UnitVector:
 
 def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int, k: int,
                  pool: FinitePool | None = None):
-    """Epoch k's fit; ``pool`` is the FinitePool whose first rows X are, in epoch 1 at r = 2."""
+    """Epoch k's fit; ``pool`` is the FinitePool whose first rows X are, in epoch 1 at r = 2.
+
+    When the pool has labels, y is their slice, which the pool has checked.
+    """
     if isinstance(update, ZeroOneUpdate):
         if X.shape[1] == 2:
-            table = None if pool is None else pool._full_circle_table(w_k)
-            return erm_zero_one_2d((X, y), w_k, r_k, table=table)
+            if pool is None or pool.y is None:
+                return erm_zero_one_2d((X, y), w_k, r_k)
+            return erm_zero_one_2d(_Examples((X, y)), w_k, r_k, table=pool._full_circle_table(w_k))
         rng = substream(seed, "epoch", k, "search")
         return erm_zero_one_search((X, y), w_k, r_k, restarts=update.restarts, rng=rng)
     ball = SurrogateBall(center=R * w_k.coords, radius=R * r_k)

@@ -22,12 +22,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .data_models import stack_examples
 from .errors import LossSpecError, MaxItersExceeded, SolverDiverged
-from .geometry import HypothesisBall, UnitVector, _norm, _vector_of, normalize
+from .geometry import _SAFE_NORMS, HypothesisBall, UnitVector, _norm, _vector_of, normalize
 from .losses import EXP_CLAMP, SurrogateLoss
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -230,97 +231,177 @@ def zero_one_objective(w, data) -> int:
     return int(np.count_nonzero(y * (X @ wc) <= 0.0))
 
 
+# A prefix fit reads the counts of lo, hi and ψ_k off its pieces when none of
+# its rows has a critical angle within this band of the three, measured around
+# the circle: far above the angles' rounding, a few 1e-16 rad.
+_GUARD_BAND = 1e-9
+
+
+class _Events(NamedTuple):
+    """A _SweepTable's sorted events and what every fit on a prefix shares."""
+
+    angles: np.ndarray  # the in-arc critical angles, ascending
+    codes: np.ndarray  # each event's int32 code (see _SweepTable)
+    steps: np.ndarray  # each event's int8 step of the error count
+    err: np.ndarray  # each row's error at the table's first-piece midpoint
+    guard: int  # the first row a fit must count directly; the row count if none
+    psi_at: int  # the number of events before ψ_k
+
+
+def _layout(a: np.ndarray) -> tuple:
+    """Where an array's data starts and how it is read."""
+    return a.__array_interface__["data"][0], a.strides
+
+
 class _SweepTable:
-    """The sweep's events on one arc over fixed rows X, sorted once, for fits on any prefix of X.
+    """The sweep's events on one arc over fixed examples (X, y), sorted once, for fits on any prefix.
 
     Row i has two critical angles, α_i ± π/2 with α_i = atan2(x_i2, x_i1),
     each shifted into [lo, lo + 2π) and kept if it lies inside the arc.
-    ``events`` holds the kept angles in ascending order, their codes, and
-    the zero-row mask.  An event's code is 2i for the first of row i's
-    events that the sweep meets and 2i + 1 for its second (inside only at
-    r_k = 2).  A fit on the first n rows keeps the codes below 2n: the
-    prefix's events in the order a sort of the prefix alone gives, up to the
-    order inside runs of equal angles, which moves no count (see
-    erm_zero_one_2d).  ``events`` is built on first use, so a table made
-    outside the sweep is sorted inside it.  The table refers to X, not a
-    copy, so the rows must not change while it is in use.
+    ``events`` holds the kept angles in ascending order and their codes.
+    An event's code is 2i for the first of row i's events that the sweep
+    meets and 2i + 1 for its second (inside only at r_k = 2).  A fit on
+    the first n rows keeps the codes below 2n: the prefix's events in the
+    order a sort of the prefix alone gives, up to the order inside runs of
+    equal angles, which moves no count (see erm_zero_one_2d).
+
+    The same build stores each row's error at the table's first-piece
+    midpoint, the step of every event (-1 if its row turns right, +1 if
+    wrong, 0 for a zero row), the number of events before ψ_k, and the
+    guard row.  That is the first row with a critical angle, inside the arc
+    or not, within _GUARD_BAND of lo, hi or ψ_k around the circle, or with
+    a nonzero squared norm outside geometry._SAFE_NORMS squared (subnormal,
+    huge or not finite); it is found by searchsorted on the sorted angles.
+    Each row before it has exact signs at every angle a fit reads, and
+    changes sign only at its critical angles, far from lo, hi and ψ_k.
+    So on a prefix that ends at or before the
+    guard row, the stored errors are those at the prefix's own first-piece
+    midpoint, and lo, hi and ψ_k count the errors of the pieces they lie in.
+    A longer prefix counts its first piece and the three candidates
+    directly.  ``events`` is built on first use, so a table made outside
+    the sweep is sorted inside it.  The table refers to X and y, not
+    copies, so they must not change while it is in use.
     """
 
-    def __init__(self, X: np.ndarray, w_k: UnitVector, r_k: float):
+    def __init__(self, X: np.ndarray, y: np.ndarray, w_k: UnitVector, r_k: float):
         half = HypothesisBall(w_k, r_k).half_angle
-        self.X, self.r_k = X, r_k
+        self.X, self.y, self.r_k = X, y, r_k
+        self.layout = _layout(X), _layout(y)
         self.center = w_k.coords.tobytes()
         self.psi_k = math.atan2(w_k.coords[1], w_k.coords[0])
         self.lo, self.hi = self.psi_k - half, self.psi_k + half
 
     @functools.cached_property
-    def events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sorted in-arc angles, their int32 codes, zero-row mask)."""
-        X, lo, hi = self.X, self.lo, self.hi
+    def events(self) -> _Events:
+        X, y, lo, hi, psi_k = self.X, self.y, self.lo, self.hi, self.psi_k
         n = X.shape[0]
         alphas = np.arctan2(X[:, 1], X[:, 0])
         crits = np.concatenate([alphas + math.pi / 2.0, alphas - math.pi / 2.0])
-        # shift each critical angle into [lo, lo + 2π); keep those interior to the arc
+        # shift each critical angle into [lo, lo + 2π); the events are those interior to the arc
         shifted = lo + np.mod(crits - lo, 2.0 * math.pi)
-        inside = (shifted > lo) & (shifted < hi)
         order = np.argsort(shifted)
-        events = order[inside[order]]
-        reached = np.where(inside, shifted, np.inf)
+        ordered = shifted[order]
+        # the angles in [0, a), [b, c), [d, e) and [f, 2n) lie within the band
+        # of lo, hi, ψ_k or lo + 2π
+        band = _GUARD_BAND
+        first, end, psi_at, a, b, c, d, e, f = np.searchsorted(ordered, [
+            math.nextafter(lo, math.inf), hi, psi_k, lo + band, hi - band, hi + band,
+            psi_k - band, psi_k + band, lo + 2.0 * math.pi - band]).tolist()
+        events, angles = order[first:end], ordered[first:end]
+        reached = np.full(2 * n, np.inf)
+        reached[events] = angles
         flipped = reached[:n] > reached[n:]  # the sweep meets α - π/2 first
         minus = events >= n
         rows = np.where(minus, events - n, events)
-        codes = 2 * rows + (minus != flipped[rows])
+        second = minus != flipped[rows]
         code_type = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
-        return shifted[events], codes.astype(code_type), (X[:, 0] == 0.0) & (X[:, 1] == 0.0)
+        codes = (2 * rows + second).astype(code_type)
+
+        # the first of a row's events that the sweep meets flips it: +1 if it
+        # was right at the first midpoint, -1 if wrong, 0 for a zero row,
+        # which is wrong at every angle; its second flips it back
+        mid = (lo + (angles[0] if angles.size else hi)) / 2.0
+        err = y * (X @ np.array([math.cos(mid), math.sin(mid)])) <= 0.0
+        step = np.where(err, np.int8(-1), np.int8(1))
+        risky = [order[i:j] % n for i, j in [(0, a), (b, c), (d, e), (f, 2 * n)] if i < j]
+        sq = np.einsum("ij,ij->i", X, X)
+        least, most = _SAFE_NORMS[0] ** 2, _SAFE_NORMS[1] ** 2
+        if not least <= sq.min(initial=least) <= sq.max(initial=most) <= most:
+            # zero rows, and rows whose squared norm is subnormal, huge or not a number
+            odd = np.flatnonzero(~((sq >= least) & (sq <= most)))
+            zero = (X[odd, 0] == 0.0) & (X[odd, 1] == 0.0)
+            step[odd[zero]] = 0
+            risky.append(odd[~zero])
+        steps = step[rows]
+        np.negative(steps, out=steps, where=second)
+        guard = min((int(r.min()) for r in risky if r.size), default=n)
+        return _Events(angles, codes, steps, err, guard, psi_at - first)
 
     @property
     def nbytes(self) -> int:
         """Bytes the table holds besides the rows it refers to: 0 before its first use."""
-        return sum(a.nbytes for a in self.__dict__.get("events", ()))
+        return sum(a.nbytes for a in self.__dict__.get("events", ()) if isinstance(a, np.ndarray))
 
     def centered_at(self, w_k: UnitVector, r_k: float) -> bool:
         """Whether the table's arc is the one of radius r_k about w_k, bit for bit."""
         return r_k == self.r_k and w_k.coords.tobytes() == self.center
 
-    def heads(self, X: np.ndarray) -> bool:
-        """Whether X is a prefix of the table's rows: the same memory, read the same way."""
-        return (X.shape[0] <= self.X.shape[0] and X.strides == self.X.strides
-                and X.ctypes.data == self.X.ctypes.data)
+    def heads(self, X: np.ndarray, y: np.ndarray) -> bool:
+        """Whether (X, y) is a prefix of the table's examples: the same memory, read the same way."""
+        return (X.shape[0] <= self.X.shape[0] and y.shape[0] <= self.y.shape[0]
+                and (_layout(X), _layout(y)) == self.layout)
 
     def best_angle(self, examples) -> float:
         """The angle erm_zero_one_2d returns, on the checked (X, y) of the first X.shape[0] rows."""
         X, y = examples
         n = X.shape[0]
-        ev_angles, codes, zero = self.events
+        ev = self.events
+        angles, steps, psi_at, keep = ev.angles, ev.steps, ev.psi_at, slice(None)
         if n < self.X.shape[0]:
-            keep = np.flatnonzero(codes < 2 * n)
-            ev_angles, codes = ev_angles[keep], codes[keep]
+            keep = (ev.codes < 2 * n).nonzero()[0]
+            angles, steps = angles[keep], steps[keep]
+            psi_at = int(np.searchsorted(keep, psi_at))  # the prefix's events before ψ_k
         lo, hi, psi_k = self.lo, self.hi, self.psi_k
+        direct = n > ev.guard  # the prefix holds a row from the guard row on
 
         # a run of equal angles closes one piece; piece j follows the first
-        # bounds[j] events
-        new_run = np.empty(ev_angles.size, dtype=bool)
-        new_run[:1] = True
-        np.not_equal(ev_angles[1:], ev_angles[:-1], out=new_run[1:])
-        starts = np.flatnonzero(new_run)
-        edges = np.concatenate([[lo], ev_angles[starts], [hi]])
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        bounds = np.append(starts, ev_angles.size)
-
-        # the first of a point's events that the sweep meets flips it: +1 if
-        # it was right at the first midpoint, -1 if wrong, 0 for a zero
-        # instance; its second flips it back.  Code 2i reads step i, 2i + 1
-        # its negation
-        err0 = y * (X @ np.array([math.cos(mids[0]), math.sin(mids[0])])) <= 0.0
-        step = np.where(err0, -1, 1)
-        step[zero[:n]] = 0
-        steps = np.stack([step, -step], axis=1).ravel()[codes]
-        counts = int(err0.sum()) + np.concatenate([[0], np.cumsum(steps)])[bounds]
-
-        candidates = [(zero_one_objective([math.cos(psi), math.sin(psi)], examples), psi)
-                      for psi in (lo, hi, psi_k)]
+        # bounds[j] events, so run j - 1 starts at event bounds[j - 1]
+        m = angles.size
+        ends = np.empty(m + 1, dtype=bool)
+        ends[0] = ends[m] = True
+        np.not_equal(angles[1:], angles[:-1], out=ends[1:m])
+        distinct = bool(ends.all())  # every run is one event
+        bounds = range(m + 1) if distinct else ends.nonzero()[0]
+        if direct:  # count the first piece at its own midpoint, as the reference does
+            mid = (lo + (angles[0] if m else hi)) / 2.0
+            err0 = y * (X @ np.array([math.cos(mid), math.sin(mid)])) <= 0.0
+            base = int(err0.sum())
+            step = np.where(err0, -1, 1)
+            step[(X[:, 0] == 0.0) & (X[:, 1] == 0.0)] = 0
+            steps = np.stack([step, -step], axis=1).ravel()[ev.codes[keep]]
+        else:
+            base = int(np.count_nonzero(ev.err[:n]))
+        moved = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(steps, dtype=np.int64, out=moved[1:])
+        counts = base + (moved if distinct else moved[bounds])
+        if direct:
+            candidates = [(zero_one_objective([math.cos(psi), math.sin(psi)], examples), psi)
+                          for psi in (lo, hi, psi_k)]
+        else:  # lo, hi and ψ_k lie in the first piece, the last and the one after psi_at events
+            candidates = [(int(counts[0]), lo), (int(counts[-1]), hi),
+                          (base + int(moved[psi_at]), psi_k)]
         best = min(min(c for c, _ in candidates), int(counts.min()))
-        tied = [psi for c, psi in candidates if c == best] + mids[counts == best].tolist()
+
+        # piece j lies between edges j and j + 1: lo, each run's angle, then hi
+        tied = (counts == best).nonzero()[0]
+        if tied.size > 16:  # a count swinging about its minimum ties many pieces
+            edges = np.concatenate([[lo], angles[bounds[:-1]], [hi]])
+            mids = ((edges[tied] + edges[tied + 1]) / 2.0).tolist()
+        else:
+            last = len(bounds) - 1
+            mids = [((lo if j == 0 else float(angles[bounds[j - 1]]))
+                     + (hi if j == last else float(angles[bounds[j]]))) / 2.0 for j in tied.tolist()]
+        tied = [psi for c, psi in candidates if c == best] + mids
         return min(tied, key=lambda psi: (abs(math.remainder(psi - psi_k, 2.0 * math.pi)), psi))
 
 
@@ -335,19 +416,26 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float, *, table: _SweepTable | N
     whole minimization O(n log n) in array operations.  A zero instance is
     wrong at every angle (y·w·x = 0 counts as an error), so its events
     step by 0.  Each run of equal event angles closes one constant piece,
-    whose midpoint is a candidate, as are the arc endpoints and w_k itself,
-    which are counted directly.  An endpoint can win: a piece next to it
-    may be narrower than the rounding error of the event angles, so its
-    midpoint rounds onto an event and counts wrong an instance that the
-    endpoint counts right.  Ties prefer the candidate closest in angle to
-    w_k, then the smaller angle; w_k itself is returned when it attains
-    the minimum.
+    whose midpoint is a candidate, as are the arc endpoints and w_k itself.
+    An endpoint can win: a piece next to it may be narrower than the
+    rounding error of the event angles, so its midpoint rounds onto an
+    event and counts wrong an instance that the endpoint counts right.
+    Ties prefer the candidate closest in angle to w_k, then the smaller
+    angle; w_k itself is returned when it attains the minimum.
+
+    The endpoints and w_k take the counts of the pieces they lie in when
+    no instance has a critical angle within _GUARD_BAND (1e-9 rad) of any
+    of them and every nonzero instance's squared norm is a normal float:
+    then each sign at those angles is exact, as is each flip.  Otherwise,
+    from the table's guard row on (see _SweepTable), the three are counted
+    directly on the data, and so is the first piece, as the reference
+    sweep counts them.
 
     The sort need not be stable: equal event angles form one run, the
     edges and midpoints read only run values, and each count is read at a
     run's end, an integer sum over whole runs.  The order of events inside
     a run therefore moves no count, midpoint or tie-break.  So a ``table``
-    sorted once on this arc over rows whose prefix is the data's X (the
+    sorted once on this arc over examples whose prefix is the data (the
     same memory) gives the bits that sorting the data's own events gives;
     without one, the sweep builds a table of the data and sorts that.
     """
@@ -357,8 +445,8 @@ def erm_zero_one_2d(data, w_k: UnitVector, r_k: float, *, table: _SweepTable | N
     if X.shape[0] == 0:
         raise ValueError("0-1 update needs at least one labeled example")
     if table is None:
-        table = _SweepTable(X, w_k, r_k)
-    elif not (table.centered_at(w_k, r_k) and table.heads(X)):
+        table = _SweepTable(X, y, w_k, r_k)
+    elif not (table.centered_at(w_k, r_k) and table.heads(X, y)):
         raise ValueError("sweep table was built for another arc or other rows")
     psi_best = table.best_angle(examples)
     if psi_best == table.psi_k:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from halfspace_active import driver
+from halfspace_active import data_models, driver
 from halfspace_active.data_models import DataModel, label_batch, sample_in_band, sample_unlabeled
 from halfspace_active.driver import (
     ConvexUpdate,
@@ -267,6 +267,15 @@ class TestFinitePool:
             assert [(e.labels, e.scanned) for e in partial.epochs] == [(100, 100), (0, 0)]
             assert partial.total_labels == 100
 
+    @pytest.mark.parametrize("bad", [0.5, 0.0, math.nan])
+    def test_labels_checked_at_construction(self, bad):
+        # a pool epoch hands its labels to the fit as checked, so the pool
+        # refuses a bad one at once, as stack_examples would
+        y = np.ones(10)
+        y[7] = bad
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            FinitePool(np.ones((10, 2)), y=y)
+
     def test_fixed_labels_pool(self):
         X = np.random.default_rng(0).standard_normal((500, 2))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
@@ -351,6 +360,15 @@ class TestFullRadiusPoolEpoch:
             tables.append(pool._table)
         assert writable._table is None
         assert [len({id(t) for t in tables[:i + 1]}) for i in range(4)] == [1, 2, 2, 3]
+
+    def test_pool_labels_reach_the_fit_checked(self, monkeypatch):
+        # the pool checked its labels once; a probe does not scan them again
+        pool = driver.passive_prefix(self.MODEL, 1000, seed=4)
+        want = run_passive(pool, ZeroOneUpdate(), 700, seed=4).to_json_line()
+        scans = []
+        monkeypatch.setattr(data_models, "_check_labels", scans.append)
+        assert run_passive(pool, ZeroOneUpdate(), 700, seed=4).to_json_line() == want
+        assert scans == []
 
     def test_passive_prefix_pool_is_read_only(self):
         # an r = 2 epoch hands the solver a view of the cached rows, so a

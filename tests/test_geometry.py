@@ -61,6 +61,19 @@ class TestNormalize:
         # the squared norm of each underflows or overflows
         assert abs(np.linalg.norm(normalize(v).coords) - 1.0) <= 1e-12
 
+    def test_callers_array_copied_and_left_writable(self):
+        # UnitVector freezes a copy of a caller's array; normalize freezes the
+        # array it divided into, with the bits of v / ||v||
+        a, b = np.array([0.6, 0.8]), np.array([3.0, 4.0])
+        u, v = UnitVector(a), normalize(b)
+        a[0] = b[0] = 0.0
+        assert a.flags.writeable and b.flags.writeable
+        assert u.coords.tolist() == [0.6, 0.8] and not u.coords.flags.writeable
+        assert v.coords.tobytes() == (np.array([3.0, 4.0]) / 5.0).tobytes()
+        assert not v.coords.flags.writeable
+        w = normalize(u)
+        assert not np.shares_memory(w.coords, u.coords) and not w.coords.flags.writeable
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6))
     def test_norm_is_one_or_error(self, coords):
         v = np.asarray(coords)

@@ -155,8 +155,8 @@ class TestLabelComplexityCurve:
         rows = 3 * 4096 * -(-result.passive_errors[-1][0] // 4096)
         assert f"{probes} passive probes evaluated" in lines[-1]
         assert f"{rows} stream rows held over 3 seeds" in lines[-1]
-        # 2-D rows and labels take 24 bytes a row, their sweep tables 25
-        assert f"in {rows * 49} bytes, {rows * 25} of them sweep tables" in lines[-1]
+        # 2-D rows and labels take 24 bytes a row, their sweep tables 27
+        assert f"in {rows * 51} bytes, {rows * 27} of them sweep tables" in lines[-1]
 
     def test_fits(self):
         result = label_complexity_curve(curve_config(epsilons=(0.4, 0.2, 0.1)))
@@ -258,7 +258,7 @@ class TestPassiveProbe:
             assert probe.run(5, n).to_json_line() == fresh.to_json_line()
             tables.append(probe.pools[5]._table)
         assert len(set(map(id, tables[:7]))) == 1 and tables[7] is tables[8] is not tables[0]
-        assert probe.bytes_held() == (8192 * (24 + 25), 8192 * 25)
+        assert probe.bytes_held() == (8192 * (24 + 27), 8192 * 27)
 
 
 class TestEmpiricalProcessGap:

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfspace_active import solvers
+from halfspace_active import driver, solvers
 from halfspace_active.errors import LossSpecError, MaxItersExceeded, SolverDiverged, UnsupportedRadius
 from halfspace_active.geometry import angle, normalize
 from halfspace_active.losses import exponential_loss, logistic_loss, truncated_quadratic_loss
-from halfspace_active.data_models import stack_examples
+from halfspace_active.data_models import DataModel, stack_examples
 from halfspace_active.solvers import (
     SurrogateBall,
     erm_zero_one_2d,
@@ -534,6 +534,24 @@ class TestBallQP:
                 assert_kkt(H, b, rho, z, mu)
 
 
+def _guard_band_instances(w_k, r_k, rng):
+    """Instances with critical angles near lo, hi and ψ_k of the feasible arc.
+
+    Each target angle gets offsets 0, ±1e-12 and ±5e-10 (inside the 1e-9
+    guard band), each also an ulp to either side, at random scale; then
+    the same directions scaled to subnormal entries and to 1e300.
+    """
+    half = math.pi if r_k == 2.0 else 2.0 * math.asin(r_k / 2.0)
+    psi_k = math.atan2(w_k.coords[1], w_k.coords[0])
+    targets = np.add.outer([psi_k - half, psi_k + half, psi_k], [0.0, 1e-12, -1e-12, 5e-10, -5e-10])
+    a = (targets + rng.choice([-math.pi / 2.0, math.pi / 2.0], targets.shape)).ravel()
+    a = np.concatenate([a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf)])
+    units = np.stack([np.cos(a), np.sin(a)], axis=1)
+    scales = np.concatenate([10.0 ** rng.uniform(-2, 2, a.size),
+                             rng.choice([1e-310, 4e-323, 1e300], a.size)])
+    return np.concatenate([units, units]) * scales[:, None]
+
+
 class TestErmZeroOne2d:
     def test_single_example_full_circle(self):
         data = (np.array([[0.3, 0.7]]), np.array([1.0]))
@@ -648,7 +666,7 @@ class TestSweepTable:
                 y[y == 0] = 1.0
                 y[rng.random(240) < 0.2] *= -1.0
                 w_k = normalize(rng.standard_normal(2))
-                table = solvers._SweepTable(X, w_k, r_k)
+                table = solvers._SweepTable(X, y, w_k, r_k)
                 for n in (240, 1, 2, 7, 64, 121, 239, 33):
                     got = erm_zero_one_2d((X[:n], y[:n]), w_k, r_k, table=table)
                     for want in (erm_zero_one_2d((X[:n].copy(), y[:n]), w_k, r_k),
@@ -662,12 +680,13 @@ class TestSweepTable:
         rng = np.random.default_rng(18)
         X, y = rng.standard_normal((50, 2)), np.ones(50)
         w_k = normalize([0.6, 0.8])
-        table = solvers._SweepTable(X, w_k, 2.0)
+        table = solvers._SweepTable(X, y, w_k, 2.0)
         for data, center, r_k in [
             ((X[:10], y[:10]), normalize([0.8, 0.6]), 2.0),  # another center
             ((X[:10], y[:10]), w_k, 1.0),  # another radius
             ((X[1:11], y[1:11]), w_k, 2.0),  # not a prefix
             ((X[:10].copy(), y[:10]), w_k, 2.0),  # a copy, not the table's rows
+            ((X[:10], y[:10].copy()), w_k, 2.0),  # a copy, not the table's labels
             ((X[::2], y[::2]), w_k, 2.0),  # the rows read with another stride
         ]:
             with pytest.raises(ValueError, match="another arc or other rows"):
@@ -675,11 +694,62 @@ class TestSweepTable:
 
     def test_codes_are_int32_and_table_bytes_counted(self):
         X = np.random.default_rng(19).standard_normal((1000, 2))
-        table = solvers._SweepTable(X, E1, 2.0)
+        table = solvers._SweepTable(X, np.ones(1000), E1, 2.0)
         assert table.nbytes == 0  # sorted on first use
-        angles, codes, zero = table.events
-        assert codes.dtype == np.int32 and angles.size == codes.size == 2000
-        assert table.nbytes == 2000 * (8 + 4) + 1000
+        events = table.events
+        assert events.angles.size == events.codes.size == events.steps.size == 2000
+        assert events.codes.dtype == np.int32 and events.steps.dtype == np.int8
+        assert events.err.dtype == bool and events.err.size == 1000
+        assert table.nbytes == 2000 * (8 + 4 + 1) + 1000
+
+    @pytest.mark.parametrize("r_k", [2.0, 0.5, 1e-6])
+    def test_prefix_fits_beside_the_guard_band(self, r_k):
+        # rows whose critical angles lie on lo, hi or ψ_k, an ulp or two off,
+        # or inside the guard band, and subnormal and 1e300-scaled rows, among
+        # rows labelled by w_k, so that lo, hi and ψ_k are often among the best
+        rng = np.random.default_rng(23)
+        for trial in range(12):
+            w_k = normalize(rng.standard_normal(2))
+            X = rng.standard_normal((160, 2))
+            y = np.sign(X @ w_k.coords)
+            y[y == 0] = 1.0
+            y[rng.random(160) < 0.1] *= -1.0
+            odd = _guard_band_instances(w_k, r_k, rng)
+            at = np.sort(rng.choice(np.arange(60, 160), size=8, replace=False))
+            X[at] = odd[rng.choice(odd.shape[0], size=8, replace=False)]
+            table = solvers._SweepTable(X, y, w_k, r_k)
+            assert table.events.guard == at[0]
+            for n in sorted({1, 7, 19, 33, 47, 59, *at, *(at + 1), 159, 160}):
+                got = erm_zero_one_2d((X[:n], y[:n]), w_k, r_k, table=table)
+                for want in (erm_zero_one_2d((X[:n].copy(), y[:n].copy()), w_k, r_k),
+                             _reference_sweep((X[:n], y[:n]), w_k, r_k)):
+                    assert (got is w_k) == (want is w_k)
+                    assert got.coords.tobytes() == want.coords.tobytes()
+
+    def test_many_tied_pieces(self):
+        # evenly spread rows with alternating labels: the count swings by one
+        # around its minimum, so dozens of pieces tie for it
+        rng = np.random.default_rng(29)
+        a = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False) + rng.uniform(0.0, 0.01, 200)
+        X, y = np.stack([np.cos(a), np.sin(a)], axis=1), np.tile([1.0, -1.0], 100)
+        for r_k in (2.0, 1.0, 0.25):
+            w_k = normalize(rng.standard_normal(2))
+            table = solvers._SweepTable(X, y, w_k, r_k)
+            for n in (200, 150, 99, 40, 9):
+                got = erm_zero_one_2d((X[:n], y[:n]), w_k, r_k, table=table)
+                for want in (erm_zero_one_2d((X[:n].copy(), y[:n].copy()), w_k, r_k),
+                             _reference_sweep((X[:n], y[:n]), w_k, r_k)):
+                    assert (got is w_k) == (want is w_k)
+                    assert got.coords.tobytes() == want.coords.tobytes()
+
+    def test_passive_prefix_fits_all_take_the_table_path(self):
+        # no row of a curve's pools comes near the band: every probe reads
+        # the candidates' counts off its pieces
+        model = DataModel(2, "uniform-sphere", "powered-margin", np.array([1.0, 0.0]), kappa=1.5)
+        for seed in range(20):
+            pool = driver.passive_prefix(model, 4096, seed)
+            table = pool._full_circle_table(driver._initial_vector(seed, 2))
+            assert table.events.guard == pool.X.shape[0] == 4096
 
 
 class TestErmZeroOneSearch:
