@@ -312,8 +312,9 @@ class FinitePool:
     marginal rows with ``model`` is the scan that a model epoch's direct
     draw must match in law.  The generative sources never run dry.
 
-    Labels in ``y`` are checked once, here, so an epoch hands its slice of
-    them to the fit as checked.  A 2-D pool whose rows and labels are
+    Labels in ``y`` are checked once, here; an epoch hands its slice of
+    them to the 2-D fit as checked when they are read-only, since writable
+    ones may have changed since.  A 2-D pool whose rows and labels are
     read-only (as passive_prefix's are) keeps one sweep table for its r = 2
     epoch: the events of all its rows, sorted once, about the last center
     w_1 it was fitted from.  A zero-one epoch on its first rows at r = 2
@@ -426,11 +427,12 @@ def _solve_epoch(update, X, y, w_k: UnitVector, r_k: float, R: float, seed: int,
                  pool: FinitePool | None = None):
     """Epoch k's fit; ``pool`` is the FinitePool whose first rows X are, in epoch 1 at r = 2.
 
-    When the pool has labels, y is their slice, which the pool has checked.
+    When the pool's labels are read-only, y is their slice, which the pool
+    has checked; labels that may have changed since are checked again.
     """
     if isinstance(update, ZeroOneUpdate):
         if X.shape[1] == 2:
-            if pool is None or pool.y is None:
+            if pool is None or pool.y is None or pool.y.flags.writeable:
                 return erm_zero_one_2d((X, y), w_k, r_k)
             return erm_zero_one_2d(_Examples((X, y)), w_k, r_k, table=pool._full_circle_table(w_k))
         rng = substream(seed, "epoch", k, "search")

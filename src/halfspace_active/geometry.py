@@ -14,7 +14,7 @@ rows of each block nearest the arc's edge.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,17 +39,11 @@ _SAFE_NORMS = (math.sqrt(np.finfo(np.float64).tiny), math.sqrt(np.finfo(np.float
 
 @dataclass(frozen=True)
 class UnitVector:
-    """A direction in R^d with unit Euclidean norm, d >= 2.
-
-    ``coords`` is a read-only copy of the given array.  normalize hands over
-    an array that nothing else refers to (``_owned``), which is frozen in
-    place instead.
-    """
+    """A direction in R^d with unit Euclidean norm, d >= 2."""
 
     coords: np.ndarray = field(repr=False)
-    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned: bool):
+    def __post_init__(self):
         arr = np.asarray(self.coords, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError(f"expected a 1-D vector with d >= 2, got shape {arr.shape}")
@@ -59,8 +53,7 @@ class UnitVector:
         norm = math.sqrt(sq)
         if abs(norm - 1.0) > _UNIT_TOL:
             raise NormalizationError(f"norm {norm!r} is not within {_UNIT_TOL} of 1")
-        if not _owned:
-            arr = arr.copy()
+        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
 
@@ -181,8 +174,7 @@ class HypothesisBall:
 
 def normalize(v) -> UnitVector:
     """Return v / ||v|| as a UnitVector; zero vectors raise NormalizationError."""
-    # _unit_coords divides any other input into a new array
-    return UnitVector(_unit_coords(v), _owned=not isinstance(v, UnitVector))
+    return UnitVector(_unit_coords(v))
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:

@@ -248,6 +248,19 @@ class _Events(NamedTuple):
     psi_at: int  # the number of events before ψ_k
 
 
+def _first_piece(X: np.ndarray, y: np.ndarray, mid: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's error at angle mid, and the int8 step of its first event.
+
+    The first of a row's events that the sweep meets flips it: +1 if it was
+    right at mid, -1 if wrong, 0 for a zero row, which is wrong at every
+    angle; its second event flips it back.
+    """
+    err = y * (X @ np.array([math.cos(mid), math.sin(mid)])) <= 0.0
+    step = np.where(err, np.int8(-1), np.int8(1))
+    step[(X[:, 0] == 0.0) & (X[:, 1] == 0.0)] = 0
+    return err, step
+
+
 def _layout(a: np.ndarray) -> tuple:
     """Where an array's data starts and how it is read."""
     return a.__array_interface__["data"][0], a.strides
@@ -317,21 +330,14 @@ class _SweepTable:
         code_type = np.int32 if 2 * n <= np.iinfo(np.int32).max else np.int64
         codes = (2 * rows + second).astype(code_type)
 
-        # the first of a row's events that the sweep meets flips it: +1 if it
-        # was right at the first midpoint, -1 if wrong, 0 for a zero row,
-        # which is wrong at every angle; its second flips it back
-        mid = (lo + (angles[0] if angles.size else hi)) / 2.0
-        err = y * (X @ np.array([math.cos(mid), math.sin(mid)])) <= 0.0
-        step = np.where(err, np.int8(-1), np.int8(1))
+        err, step = _first_piece(X, y, (lo + (angles[0] if angles.size else hi)) / 2.0)
         risky = [order[i:j] % n for i, j in [(0, a), (b, c), (d, e), (f, 2 * n)] if i < j]
         sq = np.einsum("ij,ij->i", X, X)
         least, most = _SAFE_NORMS[0] ** 2, _SAFE_NORMS[1] ** 2
         if not least <= sq.min(initial=least) <= sq.max(initial=most) <= most:
-            # zero rows, and rows whose squared norm is subnormal, huge or not a number
+            # zero rows (step 0), and rows whose squared norm is subnormal, huge or not a number
             odd = np.flatnonzero(~((sq >= least) & (sq <= most)))
-            zero = (X[odd, 0] == 0.0) & (X[odd, 1] == 0.0)
-            step[odd[zero]] = 0
-            risky.append(odd[~zero])
+            risky.append(odd[step[odd] != 0])
         steps = step[rows]
         np.negative(steps, out=steps, where=second)
         guard = min((int(r.min()) for r in risky if r.size), default=n)
@@ -370,20 +376,16 @@ class _SweepTable:
         ends = np.empty(m + 1, dtype=bool)
         ends[0] = ends[m] = True
         np.not_equal(angles[1:], angles[:-1], out=ends[1:m])
-        distinct = bool(ends.all())  # every run is one event
-        bounds = range(m + 1) if distinct else ends.nonzero()[0]
+        bounds = ends.nonzero()[0]
         if direct:  # count the first piece at its own midpoint, as the reference does
-            mid = (lo + (angles[0] if m else hi)) / 2.0
-            err0 = y * (X @ np.array([math.cos(mid), math.sin(mid)])) <= 0.0
-            base = int(err0.sum())
-            step = np.where(err0, -1, 1)
-            step[(X[:, 0] == 0.0) & (X[:, 1] == 0.0)] = 0
+            err0, step = _first_piece(X, y, (lo + (angles[0] if m else hi)) / 2.0)
+            base = int(np.count_nonzero(err0))
             steps = np.stack([step, -step], axis=1).ravel()[ev.codes[keep]]
         else:
             base = int(np.count_nonzero(ev.err[:n]))
         moved = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(steps, dtype=np.int64, out=moved[1:])
-        counts = base + (moved if distinct else moved[bounds])
+        counts = base + moved[bounds]
         if direct:
             candidates = [(zero_one_objective([math.cos(psi), math.sin(psi)], examples), psi)
                           for psi in (lo, hi, psi_k)]
@@ -394,13 +396,8 @@ class _SweepTable:
 
         # piece j lies between edges j and j + 1: lo, each run's angle, then hi
         tied = (counts == best).nonzero()[0]
-        if tied.size > 16:  # a count swinging about its minimum ties many pieces
-            edges = np.concatenate([[lo], angles[bounds[:-1]], [hi]])
-            mids = ((edges[tied] + edges[tied + 1]) / 2.0).tolist()
-        else:
-            last = len(bounds) - 1
-            mids = [((lo if j == 0 else float(angles[bounds[j - 1]]))
-                     + (hi if j == last else float(angles[bounds[j]]))) / 2.0 for j in tied.tolist()]
+        edges = np.concatenate([[lo], angles[bounds[:-1]], [hi]])
+        mids = ((edges[tied] + edges[tied + 1]) / 2.0).tolist()
         tied = [psi for c, psi in candidates if c == best] + mids
         return min(tied, key=lambda psi: (abs(math.remainder(psi - psi_k, 2.0 * math.pi)), psi))
 

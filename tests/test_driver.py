@@ -370,6 +370,16 @@ class TestFullRadiusPoolEpoch:
         assert run_passive(pool, ZeroOneUpdate(), 700, seed=4).to_json_line() == want
         assert scans == []
 
+    def test_writable_labels_checked_again_at_the_fit(self):
+        # the caller can still change labels it handed over writable, so the
+        # fit checks them as it checks any data
+        X = np.random.default_rng(5).standard_normal((100, 2))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        pool = FinitePool(X, y=y)
+        y[3] = 0.5
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            run_passive(pool, ZeroOneUpdate(), 50, seed=1)
+
     def test_passive_prefix_pool_is_read_only(self):
         # an r = 2 epoch hands the solver a view of the cached rows, so a
         # write must raise rather than change what later probes see

@@ -62,8 +62,8 @@ class TestNormalize:
         assert abs(np.linalg.norm(normalize(v).coords) - 1.0) <= 1e-12
 
     def test_callers_array_copied_and_left_writable(self):
-        # UnitVector freezes a copy of a caller's array; normalize freezes the
-        # array it divided into, with the bits of v / ||v||
+        # UnitVector freezes a copy of a caller's array; normalize's result is
+        # read-only, with the bits of v / ||v||
         a, b = np.array([0.6, 0.8]), np.array([3.0, 4.0])
         u, v = UnitVector(a), normalize(b)
         a[0] = b[0] = 0.0

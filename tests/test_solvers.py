@@ -726,22 +726,6 @@ class TestSweepTable:
                     assert (got is w_k) == (want is w_k)
                     assert got.coords.tobytes() == want.coords.tobytes()
 
-    def test_many_tied_pieces(self):
-        # evenly spread rows with alternating labels: the count swings by one
-        # around its minimum, so dozens of pieces tie for it
-        rng = np.random.default_rng(29)
-        a = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False) + rng.uniform(0.0, 0.01, 200)
-        X, y = np.stack([np.cos(a), np.sin(a)], axis=1), np.tile([1.0, -1.0], 100)
-        for r_k in (2.0, 1.0, 0.25):
-            w_k = normalize(rng.standard_normal(2))
-            table = solvers._SweepTable(X, y, w_k, r_k)
-            for n in (200, 150, 99, 40, 9):
-                got = erm_zero_one_2d((X[:n], y[:n]), w_k, r_k, table=table)
-                for want in (erm_zero_one_2d((X[:n].copy(), y[:n].copy()), w_k, r_k),
-                             _reference_sweep((X[:n], y[:n]), w_k, r_k)):
-                    assert (got is w_k) == (want is w_k)
-                    assert got.coords.tobytes() == want.coords.tobytes()
-
     def test_passive_prefix_fits_all_take_the_table_path(self):
         # no row of a curve's pools comes near the band: every probe reads
         # the candidates' counts off its pieces
