@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,8 @@ from .losses import (
 )
 
 __all__ = ["main", "load_config", "config_digest", "DEFAULT_CONFIG"]
+
+logger = logging.getLogger(__name__)
 
 # Each sized check setting: (its default, the smallest value it takes, checked
 # before any suite runs).
@@ -186,6 +189,16 @@ def _whole(path: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def _real(path: str, value, above: float | None = None):
+    """``value`` as given, once it is a number, and > ``above`` if given: a
+    bool or a string is refused, not read as 1 or parsed."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or above is not None and not value > above):
+        bound = "" if above is None else f" > {above}"
+        raise ConfigError(f"{path} must be a number{bound}, got {value!r}")
+    return value
+
+
 def _seeds(path: str, values) -> tuple[int, ...]:
     """The seeds at ``path``: at least one, each whole, none twice (a repeat
     would count one run twice in every median and quartile)."""
@@ -216,8 +229,8 @@ def build_model(config: dict) -> DataModel:
         conditional=kind,
         w_star=np.asarray(mc["w_star"], dtype=float),
         seed=_whole("model.seed", mc["seed"]),
-        kappa=float(mc["kappa"]) if kind == "powered-margin" else None,
-        tau0=float(mc["tau0"]),
+        kappa=float(_real("model.kappa", mc["kappa"])) if kind == "powered-margin" else None,
+        tau0=float(_real("model.tau0", mc["tau0"])),
     )
 
 
@@ -246,19 +259,22 @@ def build_schedule(config: dict, model: DataModel) -> ScheduleParams:
     epochs that actually run.
     """
     sc = config["schedule"]
-    sizes = dict(mode=sc["mode"], n=None if sc["n"] is None else _whole("schedule.n", sc["n"]),
-                 n0=sc["n0"], ratio=sc["ratio"])
+    n, n0, ratio = (None if sc[key] is None else rule(f"schedule.{key}", sc[key])
+                    for key, rule in (("n", _whole), ("n0", _real), ("ratio", _real)))
+    sizes = dict(mode=sc["mode"], n=n, n0=n0, ratio=ratio)
     if sc["mode"] not in ("theory-nonconvex", "theory-convex"):
         return ScheduleParams(**sizes)
-    R, kappa, mu = model.R, model.noise_exponent, sc["mu"]
-    if not (isinstance(mu, (int, float)) and mu > 0):
-        raise ConfigError(f"schedule.mu must be a positive number, got {mu!r}")
+    R, kappa, mu = model.R, model.noise_exponent, _real("schedule.mu", sc["mu"], 0)
+    floor = sc["floor_enabled"]
+    if not isinstance(floor, bool):  # the string "no" would be true
+        raise ConfigError(f"schedule.floor_enabled must be true or false, got {floor!r}")
     loss = _update_loss(config, R)
     ell_plus, gamma_plus = upper_bound_constants(loss, R)
     ell_minus, gamma_minus = lower_bound_constants(mu, kappa)
     return ScheduleParams(
-        **sizes, mu=mu, theta_eps=sc["theta_eps"], delta=sc["delta"],
-        floor_enabled=sc["floor_enabled"], d=model.dimension, R=R, kappa=kappa,
+        **sizes, mu=mu, theta_eps=_real("schedule.theta_eps", sc["theta_eps"]),
+        delta=_real("schedule.delta", sc["delta"]),
+        floor_enabled=floor, d=model.dimension, R=R, kappa=kappa,
         L=loss.lipschitz, a=loss.psi_lower_a, gamma=loss.psi_lower_gamma,
         ell_plus=ell_plus, gamma_plus=gamma_plus, ell_minus=ell_minus, gamma_minus=gamma_minus,
     )
@@ -327,6 +343,8 @@ def cmd_curve(config: dict) -> int:
             passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
             passive_cap=_whole("curve.passive_cap", cc["passive_cap"]),
         )
+        # digested, so checked, though no output reads it yet
+        _whole("curve.bootstrap", cc["bootstrap"], 1)
         master_seed = _whole("seed", config["seed"])
     digest = config_digest(config)
     result = label_complexity_curve(experiment, config_digest=digest)
@@ -385,7 +403,13 @@ def cmd_check(config: dict) -> int:
     cc = _check_section(config["check"])
     seed = _whole("seed", config["seed"])
     config = {**config, "check": cc}
-    rows = [row for name in cc["only"] or CHECKS for row in CHECKS[name](cc, seed)]
+    rows = []
+    for name in cc["only"] or CHECKS:
+        start = time.perf_counter()
+        suite = CHECKS[name](cc, seed)
+        # wall times go to the log, never into checks.csv
+        logger.info("check %s: %d rows in %.3f s", name, len(suite), time.perf_counter() - start)
+        rows += suite
     export_results([], None, rows, config["out"],
                    config_digest=config_digest(config), master_seed=seed)
     failed = [r for r in rows if not r.passed]

@@ -61,7 +61,7 @@ SUPPORTED_PAIRINGS = {
     ("truncated-quadratic", "affine"),
 }
 
-_MC_CHUNK = 1 << 16
+_MC_CHUNK = 1 << 14  # Monte Carlo rows per chunk; its buffers stay in cache
 _QUAD_CHUNK = 1 << 13  # quadrature nodes per block of hypotheses; blocks stay in cache
 
 
@@ -416,16 +416,20 @@ def disagreement_probability(
         raise ValueError("Monte Carlo estimate needs n_mc >= 100")
     hits = 0
     remaining = n_mc
-    # every chunk is drawn into the same buffers: the generator fills them
-    # with the values, and in the order, that fresh arrays would get
-    G = np.empty((min(n_mc, _MC_CHUNK), model.dimension))
-    radii = np.empty(len(G)) if model.marginal == "uniform-ball" else None
+    # every chunk is drawn, projected and sign-tested in the same buffers: the
+    # generator fills them with the values, and in the order, that fresh
+    # arrays would get, and the products are those of fresh arrays
+    rows = min(n_mc, _MC_CHUNK)
+    G, projections = np.empty((rows, model.dimension)), np.empty((rows, 2))
+    product, disagree = np.empty(rows), np.empty(rows, dtype=bool)
+    radii = np.empty(rows) if model.marginal == "uniform-ball" else None
     while remaining > 0:
         chunk = min(remaining, _MC_CHUNK)
-        P = rng.standard_normal(out=G[:chunk]) @ UV
+        p = np.matmul(rng.standard_normal(out=G[:chunk]), UV, out=projections[:chunk])
         if radii is not None:
             rng.random(out=radii[:chunk])
-        hits += int(np.count_nonzero(P[:, 0] * P[:, 1] < 0.0))
+        np.multiply(p[:, 0], p[:, 1], out=product[:chunk])
+        hits += int(np.count_nonzero(np.less(product[:chunk], 0.0, out=disagree[:chunk])))
         remaining -= chunk
     return _binomial_estimate(hits, n_mc)
 

@@ -92,7 +92,9 @@ CHECKS_HEADER = ["check_name", "parameter", "observed", "bound_or_target", "sigm
 logger = logging.getLogger(__name__)
 
 # Entries of the (n, candidates) margin matrix that the gap profile holds at once.
-_MARGIN_BLOCK = 1 << 18
+# At 2^16 a block's temporaries, after the sphere suite's frees, passed glibc's
+# heap-trim threshold, so every block faulted its pages in afresh.
+_MARGIN_BLOCK = 1 << 15
 # Instance rows the query-rule check draws for each center.
 _QUERY_RULE_BLOCK = 256
 # Rows of each block, nearest the arc's edge, that also go through the scalar pair.

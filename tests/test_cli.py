@@ -1,8 +1,10 @@
 import importlib
 import json
+import logging
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -438,7 +440,7 @@ class TestWholeNumberSettings:
         ("run", "run.seeds"), ("curve", "curve.seeds"), ("curve", "curve.passive_cap"),
         ("run", "model.dimension"), ("run", "schedule.n"), ("run", "update.restarts"),
         ("curve", "update.restarts"), ("run", "seed"), ("curve", "seed"), ("check", "seed"),
-        ("run", "model.seed"), ("curve", "model.seed"),
+        ("run", "model.seed"), ("curve", "model.seed"), ("curve", "curve.bootstrap"),
     ])
     def test_refused_before_any_run(self, tmp_path, capsys, monkeypatch, command, key, value):
         ran = []
@@ -451,6 +453,17 @@ class TestWholeNumberSettings:
         assert main([command, "--config", path, "--out", str(tmp_path / "out"),
                      "--set", setting]) == 2
         assert f"{key} must be a number" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1.5", '"x"'])
+    def test_bootstrap_below_one_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                         value):
+        ran = []
+        monkeypatch.setattr(cli, "label_complexity_curve", lambda *a, **kw: ran.append(a))
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
+        assert main(["curve", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", f"curve.bootstrap={value}"]) == 2
+        assert "curve.bootstrap must be a number >= 1 and whole" in capsys.readouterr().err
         assert ran == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "curve"])
@@ -518,6 +531,48 @@ class TestWholeNumberSettings:
         assert main(["check", "--config", path, "--out", str(out), "--only", "psi",
                      "--set", "seed=4.0"]) == 0
         assert (out / "checks.csv").read_text().splitlines()[0].endswith(" master_seed=4")
+
+
+class TestRealNumberSettings:
+    """Real-valued leaves are numbers: a bool is not read as 1 and a string is
+    not parsed, wherever the model or the schedule reads them."""
+
+    KEYS = ["model.kappa", "model.tau0", "schedule.mu", "schedule.theta_eps",
+            "schedule.delta", "schedule.n0", "schedule.ratio"]
+
+    @pytest.mark.parametrize("value", ["true", '"2"', '"0.1"', "[1]"])
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("command", ["run", "budget"])
+    def test_refused_before_any_run(self, tmp_path, capsys, monkeypatch, command, key, value):
+        ran = []
+        monkeypatch.setattr(cli, "run_active", lambda *a, **kw: ran.append(a))
+        path = write_config(tmp_path, schedule={"mode": "theory-convex"})
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", f"{key}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key} must be a number")
+        assert ran == [] and captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_geometric_sizes_pass_as_given(self, tmp_path, capsys):
+        # n0 and ratio default to null, which every fixed-schedule test runs
+        path = write_config(tmp_path, schedule={"mode": "geometric", "n0": 10, "ratio": 2})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "run_records.json").read_text())
+        assert [e["n_k"] for e in record["epochs"]] == [10, 20, 40]
+
+    @pytest.mark.parametrize("value", ['"no"', "0", "1", "null", '"false"'])
+    def test_floor_enabled_takes_only_a_boolean(self, capsys, value):
+        assert main(["budget", "--set", f"schedule.floor_enabled={value}"]) == 2
+        assert "schedule.floor_enabled must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floor, budgets", [("false", [1] * 4), ("true", [9] * 4)])
+    def test_floor_enabled_sets_the_convex_floor(self, tmp_path, capsys, floor, budgets):
+        path = write_config(tmp_path, schedule={"mode": "theory-convex", "mu": 1e-4,
+                                                "floor_enabled": json.loads(floor)},
+                            run={"epochs": 4, "seeds": [1]})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        record = json.loads((tmp_path / "out" / "run_records.json").read_text())
+        assert [e["n_k"] for e in record["epochs"]] == budgets
 
 
 class TestCmdCheck:
@@ -633,6 +688,19 @@ class TestCmdCheck:
         assert code == 2 and ran == []
         assert f"check.{setting.split('=')[0]} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_verbose_logs_each_suite_and_keeps_the_bytes(self, tmp_path, capsys, caplog):
+        path = write_config(tmp_path, check={"equivalence_samples": 1500})
+        args = ["check", "--config", path, "--only", "query-rule,psi"]
+        assert main(args + ["--out", str(tmp_path / "quiet")]) == 0
+        with caplog.at_level(logging.INFO, logger="halfspace_active.cli"):
+            assert main(["--verbose", *args, "--out", str(tmp_path / "verbose")]) == 0
+        csv = (tmp_path / "verbose" / "checks.csv").read_bytes()
+        assert csv == (tmp_path / "quiet" / "checks.csv").read_bytes()
+        logged = [re.fullmatch(r"check (\S+): (\d+) rows in \d+\.\d{3} s", r.getMessage())
+                  for r in caplog.records if r.name == "halfspace_active.cli"]
+        assert [m[1] for m in logged] == ["query-rule", "psi"]
+        assert sum(int(m[2]) for m in logged) == len(csv.splitlines()) - 2  # comment, header
 
     def test_failing_rows_exit_one(self, tmp_path, capsys, monkeypatch):
         bad = harness.CheckRow("psi-closed-vs-numeric", "forced", 1.0, "0.0", 0.0, False)

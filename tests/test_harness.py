@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import logging
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,37 @@ class TestEmpiricalProcessGap:
         whole = empirical_process_gap_profile(*args, rng=substream(5, "blocks"))
         monkeypatch.setattr(harness, "_MARGIN_BLOCK", 1000)  # 5 candidates per block
         assert empirical_process_gap_profile(*args, rng=substream(5, "blocks")) == whole
+
+
+def _traced_peak(call) -> int:
+    """Bytes that ``call`` holds at once, by tracemalloc, after a first call
+    has built the caches and imports that later calls share."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The check suites' Monte Carlo kernels stream through small blocks, so
+    their working set does not grow with the draw count."""
+
+    BOUND = 2 << 20
+
+    def test_disagreement_probability(self):
+        model = DataModel(5, "uniform-sphere", "powered-margin", np.eye(5)[0], kappa=1.0)
+        u, v = np.random.default_rng(0).standard_normal((2, 5))
+        assert _traced_peak(lambda: dm.disagreement_probability(
+            model, u, v, n_mc=200_000, rng=substream(0, "mc"))) <= self.BOUND
+
+    def test_empirical_process_gap_profile(self):
+        model = DataModel(2, "uniform-sphere", "affine", np.array([0.8, 0.0]))
+        assert _traced_peak(lambda: empirical_process_gap_profile(
+            TQ, model, [0.4], n=1600, trials=1, candidates=128,
+            rng=substream(0, "gap"))) <= self.BOUND
 
 
 class TestChecks:
