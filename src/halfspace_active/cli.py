@@ -65,13 +65,13 @@ DEFAULT_CONFIG = {
         "conditional": "powered-margin",
         "w_star": [1.0, 0.0],
         "kappa": 1.0,
-        "tau0": 1.0,
-        "seed": 0,
+        "tau0": DataModel.tau0,
+        "seed": DataModel.seed,
     },
     "update": {
         "kind": "convex",
         "loss": "truncated-quadratic",
-        "restarts": ZeroOneUpdate().restarts,
+        "restarts": ZeroOneUpdate.restarts,
     },
     # the theory budgets' other constants come from the model, the loss and
     # the epoch count (build_schedule, run_active)
@@ -80,10 +80,10 @@ DEFAULT_CONFIG = {
         "n": 500,
         "n0": None,
         "ratio": None,
-        "mu": 1.0,
-        "theta_eps": 1.0,
-        "delta": 0.1,
-        "floor_enabled": False,
+        "mu": ScheduleParams.mu,
+        "theta_eps": ScheduleParams.theta_eps,
+        "delta": ScheduleParams.delta,
+        "floor_enabled": ScheduleParams.floor_enabled,
     },
     "run": {
         "epochs": 6,
@@ -391,6 +391,8 @@ def _check_section(cc: dict) -> dict:
         only = only.split(",")
     if only is not None and not isinstance(only, list):
         raise ConfigError("check.only takes a comma-separated string or a list of check names")
+    if only == []:
+        raise ConfigError("check.only must name at least one check")
     selected = set(only or CHECKS)
     unknown = selected - CHECKS.keys()
     if unknown:

@@ -581,9 +581,9 @@ def _pair_model(marginal: str, d: int) -> DataModel:
     return DataModel(d, marginal, "powered-margin", w, kappa=1.0)
 
 
-def check_sphere_identity(dims=(2, 5), *, pairs: int, n_mc: int, seed: int) -> list[CheckRow]:
+def check_sphere_identity(*, pairs: int, n_mc: int, seed: int) -> list[CheckRow]:
     rows = []
-    for d in dims:
+    for d in (2, 5):
         rng = substream(seed, "sphere-identity", d)
         model = _pair_model("uniform-sphere", d)
         for row in angle_disagreement_report(model, pairs, n_mc, rng):
@@ -591,7 +591,8 @@ def check_sphere_identity(dims=(2, 5), *, pairs: int, n_mc: int, seed: int) -> l
     return rows
 
 
-def check_gaussian_lower_bound(d: int = 10, *, pairs: int, n_mc: int, seed: int) -> list[CheckRow]:
+def check_gaussian_lower_bound(*, pairs: int, n_mc: int, seed: int) -> list[CheckRow]:
+    d = 10
     rng = substream(seed, "gaussian-lower", d)
     model = _pair_model("gaussian", d)
     return [
@@ -600,9 +601,7 @@ def check_gaussian_lower_bound(d: int = 10, *, pairs: int, n_mc: int, seed: int)
     ]
 
 
-def check_gradient_finite_difference(
-    *, triples: int, tol: float = 1e-5, seed: int
-) -> list[CheckRow]:
+def check_gradient_finite_difference(*, triples: int, seed: int) -> list[CheckRow]:
     """Analytic surrogate gradient vs. central differences on random data.
 
     Margins within h of the truncated-quadratic kink are nudged away;
@@ -610,7 +609,7 @@ def check_gradient_finite_difference(
     """
     rng = substream(seed, "gradient-fd")
     losses_pool = (exponential_loss(), truncated_quadratic_loss())
-    h = 1e-6
+    h, tol = 1e-6, 1e-5
     worst = 0.0
     for _ in range(triples):
         loss = losses_pool[int(rng.integers(len(losses_pool)))]
@@ -646,14 +645,13 @@ def check_gradient_finite_difference(
     ]
 
 
-def check_concentration_scaling(
-    *, trials: int, n: int, r: float = 0.4, candidates: int, seed: int
-) -> list[CheckRow]:
+def check_concentration_scaling(*, trials: int, n: int, candidates: int, seed: int) -> list[CheckRow]:
     """Gap ratios under radius doubling and sample quadrupling.
 
     The bound predicts gap ∝ r/√n, so both ratios target 2; the band is
     wide because the sup is approximated by candidate sampling.
     """
+    r = 0.4
     model = DataModel(2, "uniform-sphere", "affine", np.array([0.8, 0.0]))
     loss = truncated_quadratic_loss()
     prof = empirical_process_gap_profile(

@@ -646,8 +646,9 @@ def erm_zero_one_search(
     data,
     w_k: UnitVector,
     r_k: float,
-    restarts: int = 32,
-    rng: np.random.Generator | None = None,
+    *,
+    restarts: int,
+    rng: np.random.Generator,
 ) -> UnitVector:
     """Heuristic 0-1 ERM for any dimension: restarts + coordinate refinement.
 
@@ -665,8 +666,6 @@ def erm_zero_one_search(
         raise ValueError("0-1 update needs at least one labeled example")
     half = HypothesisBall(w_k, r_k).half_angle
     wk = w_k.coords
-    if rng is None:
-        rng = np.random.default_rng(0)
     starts = [wk] + [_sample_in_cap(wk, half, rng) for _ in range(restarts)]
     best_w, best = _refine_all(X, y, np.array(starts), wk, half)
     # the first strict minimum in restart order, w_k's own refine first

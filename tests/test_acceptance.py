@@ -82,7 +82,7 @@ def test_criterion_02_psi_transform():
 
 def test_criterion_03_sphere_identity():
     t0 = time.perf_counter()
-    rows = harness.check_sphere_identity(dims=(2, 5), pairs=20, n_mc=1_000_000, seed=103)
+    rows = harness.check_sphere_identity(pairs=20, n_mc=1_000_000, seed=103)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in rows) and elapsed < 60
     report(3, "sphere disagreement = angle/pi", ok,
@@ -92,14 +92,14 @@ def test_criterion_03_sphere_identity():
 
 
 def test_criterion_04_gaussian_lower_bound():
-    rows = harness.check_gaussian_lower_bound(d=10, pairs=20, n_mc=1_000_000, seed=104)
+    rows = harness.check_gaussian_lower_bound(pairs=20, n_mc=1_000_000, seed=104)
     ok = all(r.passed for r in rows)
     report(4, "gaussian angle lower bound", ok, f"{len(rows)} pairs")
     assert ok
 
 
 def test_criterion_05_gradient_finite_difference():
-    rows = harness.check_gradient_finite_difference(triples=100, tol=1e-5, seed=105)
+    rows = harness.check_gradient_finite_difference(triples=100, seed=105)
     ok = rows[0].passed
     report(5, "gradient vs central differences", ok,
            f"worst relative error = {rows[0].observed:.2e}")
@@ -187,9 +187,7 @@ def test_criterion_07_label_complexity_trend():
 
 def test_criterion_08_concentration_scaling():
     t0 = time.perf_counter()
-    rows = harness.check_concentration_scaling(
-        trials=50, n=400, r=0.4, candidates=128, seed=108
-    )
+    rows = harness.check_concentration_scaling(trials=50, n=400, candidates=128, seed=108)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in rows) and elapsed < 300
     detail = ", ".join(f"{r.parameter}: {r.observed:.2f}" for r in rows)

@@ -147,35 +147,42 @@ def _leaves(tree, prefix=""):
             yield prefix + key, value
 
 
-# The numeric and boolean config leaves that change a small 2-D run's records.
+# The numeric and boolean config leaves that change a small 2-D run's records,
+# or a small 2-D zero-one curve's rows and records.
 # A key missing here that a run reads, or one listed that it no longer reads,
 # fails the probe below: wire the key up or remove it, then update this table.
 LEAVES_THAT_CHANGE_RUN_RECORDS = {
     "zero-one": {"model.dimension", "model.kappa", "model.tau0", "schedule.n", "run.epochs"},
     "convex": {"model.dimension", "schedule.n", "run.epochs"},
+    # its passive search stops at the cap, so the cap shows
+    "curve": {"model.dimension", "model.kappa", "model.tau0", "schedule.n", "curve.passive_cap"},
 }
 
 
-@pytest.mark.parametrize("update", sorted(LEAVES_THAT_CHANGE_RUN_RECORDS))
-def test_config_leaves_that_change_run_records(tmp_path, capsys, update):
+@pytest.mark.parametrize("probe", sorted(LEAVES_THAT_CHANGE_RUN_RECORDS))
+def test_config_leaves_that_change_run_records(tmp_path, capsys, probe):
     # each numeric or boolean leaf is perturbed on its own: a bool is negated,
     # an int raised by 1 and a float scaled by 1.5; an exit code counts as a change
+    command, update = ("curve", "zero-one") if probe == "curve" else ("run", probe)
     model = ({"conditional": "powered-margin", "w_star": [1.0, 0.0]} if update == "zero-one"
              else {"conditional": "affine", "w_star": [0.4, 0.0]})
     path = write_config(tmp_path, model={"dimension": 2, **model},
                         update={"kind": update, "loss": "truncated-quadratic"},
-                        schedule={"mode": "fixed", "n": 60}, run={"epochs": 3, "seeds": [0]})
+                        schedule={"mode": "fixed", "n": 60}, run={"epochs": 3, "seeds": [0]},
+                        curve={"epsilons": [0.1], "seeds": [0, 1, 2], "passive_cap": 8})
 
-    def records(*overrides):
+    def outputs(*overrides):
         out = tmp_path / "out"
-        code = main(["run", "--config", path, "--out", str(out), *overrides])
+        code = main([command, "--config", path, "--out", str(out), *overrides])
         if code:
             return code
         lines = (out / "run_records.json").read_text().splitlines()
-        return [{k: v for k, v in json.loads(line).items() if k != "config_digest"}
-                for line in lines]
+        records = [{k: v for k, v in json.loads(line).items() if k != "config_digest"}
+                   for line in lines]
+        # curve.csv's leading comment carries the digest
+        return records, (out / "curve.csv").read_text().splitlines()[1:]
 
-    baseline = records()
+    baseline = outputs()
     changed = set()
     # the loaded config has exactly DEFAULT_CONFIG's leaves, at the probe's values
     for key, value in _leaves(cli.load_config(path)):
@@ -187,10 +194,10 @@ def test_config_leaves_that_change_run_records(tmp_path, capsys, update):
             value *= 1.5
         else:
             continue
-        if records("--set", f"{key}={json.dumps(value)}") != baseline:
+        if outputs("--set", f"{key}={json.dumps(value)}") != baseline:
             changed.add(key)
     capsys.readouterr()
-    assert changed == LEAVES_THAT_CHANGE_RUN_RECORDS[update]
+    assert changed == LEAVES_THAT_CHANGE_RUN_RECORDS[probe]
 
 
 # The budget constants of the truncated quadratic at R = 1: margins reach
@@ -609,6 +616,19 @@ class TestCmdCheck:
         # --only is the check.only setting, so the digest in the leading comment agrees too
         a = (out_a / "checks.csv").read_bytes()
         assert a == (out_b / "checks.csv").read_bytes() and len(a.splitlines()) == 5
+
+    @pytest.mark.parametrize("setting", ["check.only=[]", 'check={"only": []}'])
+    def test_empty_only_list_exits_two_before_any_suite(self, tmp_path, capsys, monkeypatch,
+                                                        setting):
+        # an empty list selects no suite; it does not fall back to all of them
+        ran = []
+        for name in cli.CHECKS:
+            monkeypatch.setitem(cli.CHECKS, name, lambda cc, seed: ran.append(seed) or [])
+        path = write_config(tmp_path)
+        assert main(["check", "--config", path, "--out", str(tmp_path / "out"),
+                     "--set", setting]) == 2
+        assert "check.only must name at least one check" in capsys.readouterr().err
+        assert ran == [] and not (tmp_path / "out").exists()
 
     def test_only_must_be_a_string_or_a_list(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -643,8 +643,9 @@ class TestErmZeroOne2d:
                              ids=lambda f: f.__name__)
     def test_intermediate_radius_rejected(self, solve):
         # the hypothesis ball has no arc form for radii in (1, 2)
+        search = {} if solve is erm_zero_one_2d else {"restarts": 0, "rng": np.random.default_rng(0)}
         with pytest.raises(UnsupportedRadius):
-            solve((np.array([[1.0, 0.0]]), np.ones(1)), E1, 1.5)
+            solve((np.array([[1.0, 0.0]]), np.ones(1)), E1, 1.5, **search)
 
 
 class TestSweepTable:
@@ -808,6 +809,11 @@ class TestErmZeroOneSearch:
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
             cases += 1
         assert cases >= 300
+
+    def test_restarts_and_rng_are_required(self):
+        # no hidden count or stream: the caller's update and seed own both
+        with pytest.raises(TypeError):
+            erm_zero_one_search((np.eye(3), np.ones(3)), normalize([1.0, 0.0, 0.0]), 1.0)
 
     def test_search_feasible(self):
         rng = np.random.default_rng(13)
