@@ -383,7 +383,7 @@ CHECKS = {
 def _check_section(cc: dict) -> dict:
     """The ``check`` section as the work that runs, which CHECKS reads and the
     digest records: each sized setting as a checked int, and ``check.only``
-    (a comma-separated string or a list; None selects them all) as the
+    (a comma-separated string or a non-empty list; None selects them all) as the
     selected names in table order, or None when every suite is selected."""
     sizes = {key: _whole(f"check.{key}", cc[key], least) for key, (_, least) in _CHECK_SIZES.items()}
     only = cc["only"]
