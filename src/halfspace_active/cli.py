@@ -1,7 +1,8 @@
 """Command-line harness: run, curve, check, psi-table, budget.
 
 Configuration is a single JSON tree (diffable, archivable) with dotted
-``--set key=value`` overrides; unknown keys are rejected by name.  Exit
+``--set key=value`` overrides; unknown keys are rejected by name, and each
+leaf is checked by its form rule (SETTINGS) whatever the command.  Exit
 codes: 0 success, 1 runtime failure (partial results are still written),
 2 usage or configuration errors, caught before any work starts.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import hashlib
 import json
 import logging
 import sys
@@ -32,7 +32,7 @@ from .driver import (
     total_label_bound,
 )
 from .errors import ConfigError, HalfspaceActiveError, ScheduleError
-from .harness import ExperimentConfig, export_results, label_complexity_curve
+from .harness import ExperimentConfig, config_digest, export_results, label_complexity_curve
 from .losses import (
     BUILTIN_LOSSES,
     get_loss,
@@ -46,60 +46,143 @@ __all__ = ["main", "load_config", "config_digest", "DEFAULT_CONFIG"]
 
 logger = logging.getLogger(__name__)
 
-# Each sized check setting: (its default, the smallest value it takes, checked
-# before any suite runs).
-_CHECK_SIZES = {
-    "equivalence_samples": (100000, 1),
-    "pairs": (20, 1),
-    "n_mc": (1000000, 100),
-    "gradient_triples": (100, 1),
-    "scaling_trials": (50, 1),
-    "scaling_n": (400, 1),
-    "scaling_candidates": (128, 2),
-}
 
-DEFAULT_CONFIG = {
-    "model": {
-        "dimension": 2,
-        "marginal": "uniform-sphere",
-        "conditional": "powered-margin",
-        "w_star": [1.0, 0.0],
-        "kappa": 1.0,
-        "tau0": DataModel.tau0,
-        "seed": DataModel.seed,
-    },
-    "update": {
-        "kind": "convex",
-        "loss": "truncated-quadratic",
-        "restarts": ZeroOneUpdate.restarts,
-    },
-    # the theory budgets' other constants come from the model, the loss and
-    # the epoch count (build_schedule, run_active)
-    "schedule": {
-        "mode": "fixed",
-        "n": 500,
-        "n0": None,
-        "ratio": None,
-        "mu": ScheduleParams.mu,
-        "theta_eps": ScheduleParams.theta_eps,
-        "delta": ScheduleParams.delta,
-        "floor_enabled": ScheduleParams.floor_enabled,
-    },
-    "run": {
-        "epochs": 6,
-        "seeds": [0],
-    },
-    "curve": {
-        "epsilons": [0.2, 0.1],
-        "seeds": [0, 1, 2, 3, 4],
-        "passive_update": "zero-one",
-        "passive_cap": ExperimentConfig.passive_cap,
-        "bootstrap": 500,
-    },
-    "check": {"only": None, **{key: default for key, (default, _) in _CHECK_SIZES.items()}},
-    "out": "results",
-    "seed": 0,
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _whole(least: int | None = None):
+    """The rule for a whole number, >= ``least`` if given, which it returns as
+    an int: a bool, a fraction or a non-finite float is refused, not truncated."""
+    def rule(path: str, value) -> int:
+        if (not _is_number(value) or isinstance(value, float) and not value.is_integer()
+                or least is not None and not value >= least):
+            floor = "" if least is None else f" >= {least}"
+            raise ConfigError(f"{path} must be a number{floor} and whole, got {value!r}")
+        return int(value)
+    return rule
+
+
+def _real(path: str, value):
+    """A number, as given: a bool or a string is refused, not read as 1 or parsed."""
+    if not _is_number(value):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    return value
+
+
+def _bool(path: str, value) -> bool:
+    if not isinstance(value, bool):  # the string "no" would be true
+        raise ConfigError(f"{path} must be true or false, got {value!r}")
+    return value
+
+
+def _or_null(rule):
+    return lambda path, value: None if value is None else rule(path, value)
+
+
+def _seeds(path: str, values) -> list[int]:
+    """At least one whole seed, none twice (a repeat would count one run twice
+    in every median and quartile)."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{path} must name at least one seed, got {values!r}")
+    seeds = [_whole()(path, value) for value in values]
+    if len(set(seeds)) != len(seeds):
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        raise ConfigError(f"{path} names seed(s) {repeated} more than once")
+    return seeds
+
+
+def _numbers(path: str, values) -> list:
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise ConfigError(f"{path} must be a list of numbers, got {values!r}")
+    if not values:
+        raise ConfigError(f"{path} must name at least one target")
+    return values
+
+
+def _loss_name(path: str, name) -> str:
+    if not isinstance(name, str) or name not in BUILTIN_LOSSES:
+        raise ConfigError(f"unknown loss {name!r} for {path}; available: {sorted(BUILTIN_LOSSES)}")
+    return name
+
+
+def _check_names(path: str, only):
+    """The suites selected (a comma-separated string or a non-empty list) as
+    names in table order, or None when all are selected."""
+    names = only.split(",") if isinstance(only, str) else only
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ConfigError(f"{path} takes a comma-separated string or a list of check names")
+    if not names or "" in names:
+        raise ConfigError(f"{path} must name at least one check, and no empty entry, got {only!r}")
+    unknown = set(names) - CHECKS.keys()
+    if unknown:
+        raise ConfigError(f"unknown check name(s): {sorted(unknown)}; known: {list(CHECKS)}")
+    selected = [name for name in CHECKS if name in names]
+    return None if len(selected) == len(CHECKS) else selected
+
+
+def _tree(flat: dict) -> dict:
+    """The nested tree of a {dotted path: value} dict."""
+    tree = {}
+    for dotted, value in flat.items():
+        *sections, key = dotted.split(".")
+        node = tree
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    return tree
+
+
+# Every config leaf: (its default, its form rule), which load_config applies
+# whatever the command.  A rule of None passes the value on; what is built from
+# it checks it there, as it does all that needs another leaf or a built object.
+SETTINGS = {
+    "model.dimension": (2, _whole()),
+    "model.marginal": ("uniform-sphere", None),
+    "model.conditional": ("powered-margin", None),
+    "model.w_star": ([1.0, 0.0], None),
+    "model.kappa": (1.0, _real),
+    "model.tau0": (DataModel.tau0, _real),
+    # read by nothing; kept only while perfbench's curve-2d config sets it
+    "model.seed": (DataModel.seed, _whole()),
+    "update.kind": ("convex", None),
+    "update.loss": ("truncated-quadratic", _loss_name),
+    "update.restarts": (ZeroOneUpdate.restarts, _whole(0)),
+    "schedule.mode": ("fixed", None),
+    "schedule.n": (500, _or_null(_whole())),
+    "schedule.n0": (None, _or_null(_real)),
+    "schedule.ratio": (None, _or_null(_real)),
+    "schedule.mu": (ScheduleParams.mu, _real),
+    "schedule.theta_eps": (ScheduleParams.theta_eps, _real),
+    "schedule.delta": (ScheduleParams.delta, _real),
+    "schedule.floor_enabled": (ScheduleParams.floor_enabled, _bool),
+    "run.epochs": (6, _whole(1)),
+    "run.seeds": ([0], _seeds),
+    "curve.epsilons": ([0.2, 0.1], _numbers),
+    "curve.seeds": ([0, 1, 2, 3, 4], _seeds),
+    "curve.passive_update": ("zero-one", None),
+    "curve.passive_cap": (ExperimentConfig.passive_cap, _whole(1)),
+    "check.only": (None, _or_null(_check_names)),  # null selects every suite
+    "check.equivalence_samples": (100000, _whole(1)),
+    "check.pairs": (20, _whole(1)),
+    "check.n_mc": (1000000, _whole(100)),
+    "check.gradient_triples": (100, _whole(1)),
+    "check.scaling_trials": (50, _whole(1)),
+    "check.scaling_n": (400, _whole(1)),
+    "check.scaling_candidates": (128, _whole(2)),
+    "out": ("results", None),
+    "seed": (0, _whole()),
 }
+DEFAULT_CONFIG = _tree({dotted: default for dotted, (default, _) in SETTINGS.items()})
+
+
+def _leaves(tree: dict, prefix: str = ""):
+    """(dotted path, value) for each leaf of ``tree``."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
 
 
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
@@ -121,7 +204,8 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
 
 
 def load_config(path: str | None, overrides=(), seed: int | None = None, out: str | None = None) -> dict:
-    """Resolve defaults <- file <- --set overrides <- flag overrides.
+    """Resolve defaults <- file <- --set overrides <- flag overrides, then
+    apply each leaf's form rule.
 
     ``--set a.b=v`` is the one-leaf tree ``{"a": {"b": v}}`` and merges
     exactly as the same tree in the file would.
@@ -146,69 +230,34 @@ def load_config(path: str | None, overrides=(), seed: int | None = None, out: st
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        for key in reversed(dotted.split(".")):
-            value = {key: value}
-        config = _merge(config, value)
-    if seed is not None:
-        config["seed"] = int(seed)
-    if out is not None:
-        config["out"] = out
-    return config
+        config = _merge(config, _tree({dotted: value}))
+    flags = {"seed": seed, "out": out}
+    config = _merge(config, {key: value for key, value in flags.items() if value is not None})
+    return _tree({dotted: value if SETTINGS[dotted][1] is None else SETTINGS[dotted][1](dotted, value)
+                  for dotted, value in _leaves(config)})
 
 
-def config_digest(config: dict) -> str:
-    """Digest of the experiment identity (everything except where files land)."""
-    payload = {k: v for k, v in config.items() if k != "out"}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+class _Reads(dict):
+    """A loaded config by dotted path, as a command reads it.  Each leaf read
+    is noted in ``read``, so the builders alone say what a command read."""
+
+    def __init__(self, config: dict):
+        super().__init__(_leaves(config))
+        self.read = {}
+
+    def __getitem__(self, dotted: str):
+        self.read[dotted] = value = super().__getitem__(dotted)
+        return value
 
 
-def _loss_name(name) -> str:
-    if not isinstance(name, str) or name not in BUILTIN_LOSSES:
-        raise ConfigError(f"unknown loss {name!r}; available: {sorted(BUILTIN_LOSSES)}")
-    return name
-
-
-def _update_loss(config: dict, R: float):
-    """The update loss sized for classifiers of norm R = ||model.w_star||."""
-    name = _loss_name(config["update"]["loss"])
-    try:
-        return get_loss(name, R=R)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"update.loss {name!r} at ||model.w_star|| = {R:g}: {exc}") from exc
-
-
-def _whole(path: str, value, least: int | None = None) -> int:
-    """``value`` as an int, once it is a whole number, and >= ``least`` if
-    given: a bool, a fraction or a non-finite float is refused, not truncated."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()
-            or least is not None and not value >= least):
-        floor = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{path} must be a number{floor} and whole, got {value!r}")
-    return int(value)
-
-
-def _real(path: str, value, above: float | None = None):
-    """``value`` as given, once it is a number, and > ``above`` if given: a
-    bool or a string is refused, not read as 1 or parsed."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or above is not None and not value > above):
-        bound = "" if above is None else f" > {above}"
-        raise ConfigError(f"{path} must be a number{bound}, got {value!r}")
-    return value
-
-
-def _seeds(path: str, values) -> tuple[int, ...]:
-    """The seeds at ``path``: at least one, each whole, none twice (a repeat
-    would count one run twice in every median and quartile)."""
-    seeds = tuple(_whole(path, value) for value in values)
-    if not seeds:
-        raise ConfigError(f"{path} must name at least one seed")
-    if len(set(seeds)) != len(seeds):
-        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-        raise ConfigError(f"{path} names seed(s) {repeated} more than once")
-    return seeds
+def _digested(config: _Reads) -> dict:
+    """The leaves read from ``config``, less ``out``, as the tree the outputs
+    are digested over; one WARNING names each leaf set off its default but not read."""
+    unread = [dotted for dotted, value in config.items()
+              if dotted not in config.read and value != SETTINGS[dotted][0]]
+    if unread:
+        logger.warning("set but not read by this command: %s", ", ".join(unread))
+    return _tree({dotted: value for dotted, value in config.read.items() if dotted != "out"})
 
 
 @contextlib.contextmanager
@@ -220,61 +269,56 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
-def build_model(config: dict) -> DataModel:
-    mc = config["model"]
-    kind = mc["conditional"]
-    return DataModel(
-        dimension=_whole("model.dimension", mc["dimension"]),
-        marginal=mc["marginal"],
-        conditional=kind,
-        w_star=np.asarray(mc["w_star"], dtype=float),
-        seed=_whole("model.seed", mc["seed"]),
-        kappa=float(_real("model.kappa", mc["kappa"])) if kind == "powered-margin" else None,
-        tau0=float(_real("model.tau0", mc["tau0"])),
-    )
+def build_model(config) -> DataModel:
+    kind = config["model.conditional"]
+    noise = ("kappa", "tau0") if kind == "powered-margin" else ()
+    return DataModel(dimension=config["model.dimension"], marginal=config["model.marginal"],
+                     conditional=kind, w_star=np.asarray(config["model.w_star"], dtype=float),
+                     **{key: float(config[f"model.{key}"]) for key in noise})
 
 
-def build_update(config: dict, R: float, kind: str | None = None):
-    uc = config["update"]
-    kind = uc["kind"] if kind is None else kind
-    # checked whatever the kind, as they are digested
-    _loss_name(uc["loss"])
-    restarts = _whole("update.restarts", uc["restarts"], 0)
+def _update_loss(config, R: float):
+    """The update loss sized for classifiers of norm R = ||model.w_star||."""
+    name = config["update.loss"]
+    try:
+        return get_loss(name, R=R)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"update.loss {name!r} at ||model.w_star|| = {R:g}: {exc}") from exc
+
+
+def build_update(config, model: DataModel, kind: str):
+    """The update of ``kind``: only the restart search (d > 2) reads
+    update.restarts, and only the convex update reads update.loss."""
     if kind == "zero-one":
-        return ZeroOneUpdate(restarts=restarts)
+        return ZeroOneUpdate(config["update.restarts"]) if model.dimension > 2 else ZeroOneUpdate()
     if kind == "convex":
-        return ConvexUpdate(loss=_update_loss(config, R))
+        return ConvexUpdate(loss=_update_loss(config, model.R))
     raise ConfigError(f"unknown update kind {kind!r}")
 
 
-def build_schedule(config: dict, model: DataModel) -> ScheduleParams:
-    """The ``schedule`` settings, with every other budget constant taken from
+def build_schedule(config, model: DataModel, mode: str) -> ScheduleParams:
+    """The schedule of ``mode``, with every other budget constant taken from
     where the program already holds it.
 
-    A fixed or geometric schedule reads only mode, n, n0 and ratio.  The
-    theory modes read the rest: d and R are the model's, κ is its noise
-    exponent, L, a and γ are the update loss's at norm R, and the
-    excess-risk sandwich comes from upper_bound_constants and
-    lower_bound_constants.  m is left to run_active, which budgets for the
-    epochs that actually run.
+    A fixed schedule reads only n, and a geometric one n0 and ratio.  The
+    theory modes read mu, theta_eps, delta and floor_enabled: d and R are
+    the model's, κ is its noise exponent, L, a and γ are the update loss's
+    at norm R, and the excess-risk sandwich comes from upper_bound_constants
+    and lower_bound_constants.  m is left to run_active, which budgets for
+    the epochs that actually run.
     """
-    sc = config["schedule"]
-    n, n0, ratio = (None if sc[key] is None else rule(f"schedule.{key}", sc[key])
-                    for key, rule in (("n", _whole), ("n0", _real), ("ratio", _real)))
-    sizes = dict(mode=sc["mode"], n=n, n0=n0, ratio=ratio)
-    if sc["mode"] not in ("theory-nonconvex", "theory-convex"):
-        return ScheduleParams(**sizes)
-    R, kappa, mu = model.R, model.noise_exponent, _real("schedule.mu", sc["mu"], 0)
-    floor = sc["floor_enabled"]
-    if not isinstance(floor, bool):  # the string "no" would be true
-        raise ConfigError(f"schedule.floor_enabled must be true or false, got {floor!r}")
-    loss = _update_loss(config, R)
+    if mode not in ("theory-nonconvex", "theory-convex"):
+        sizes = ("n",) if mode == "fixed" else ("n0", "ratio") if mode == "geometric" else ()
+        return ScheduleParams(mode, **{key: config[f"schedule.{key}"] for key in sizes})
+    mu = config["schedule.mu"]
+    if not mu > 0:
+        raise ConfigError(f"schedule.mu must be a number > 0, got {mu!r}")
+    R, kappa, loss = model.R, model.noise_exponent, _update_loss(config, model.R)
     ell_plus, gamma_plus = upper_bound_constants(loss, R)
     ell_minus, gamma_minus = lower_bound_constants(mu, kappa)
     return ScheduleParams(
-        **sizes, mu=mu, theta_eps=_real("schedule.theta_eps", sc["theta_eps"]),
-        delta=_real("schedule.delta", sc["delta"]),
-        floor_enabled=floor, d=model.dimension, R=R, kappa=kappa,
+        mode, mu=mu, theta_eps=config["schedule.theta_eps"], delta=config["schedule.delta"],
+        floor_enabled=config["schedule.floor_enabled"], d=model.dimension, R=R, kappa=kappa,
         L=loss.lipschitz, a=loss.psi_lower_a, gamma=loss.psi_lower_gamma,
         ell_plus=ell_plus, gamma_plus=gamma_plus, ell_minus=ell_minus, gamma_minus=gamma_minus,
     )
@@ -294,16 +338,14 @@ def _print_epoch_table(record) -> None:
         )
 
 
-def cmd_run(config: dict) -> int:
-    rc = config["run"]
+def cmd_run(config: _Reads) -> int:
     with _config_values():
         model = build_model(config)
-        update = build_update(config, R=model.R)
-        schedule = build_schedule(config, model)
-        seeds = _seeds("run.seeds", rc["seeds"])
-        master_seed = _whole("seed", config["seed"])
-    epochs = _whole("run.epochs", rc["epochs"], 1)
-    digest = config_digest(config)
+        update = build_update(config, model, config["update.kind"])
+        schedule = build_schedule(config, model, config["schedule.mode"])
+    seeds, epochs, out = config["run.seeds"], config["run.epochs"], config["out"]
+    read = _digested(config)
+    digest = config_digest(read)
     records = []
     failure = None
     for seed in seeds:
@@ -316,42 +358,28 @@ def cmd_run(config: dict) -> int:
             break
         records.append(rec)
         _print_epoch_table(rec)
-    export_results(records, None, [], config["out"], config_digest=digest,
-                   master_seed=master_seed)
+    export_results(records, None, None, out, read)
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_curve(config: dict) -> int:
-    cc = config["curve"]
-    epsilons = cc["epsilons"]
-    if not isinstance(epsilons, list) or any(
-            isinstance(e, bool) or not isinstance(e, (int, float)) for e in epsilons):
-        raise ConfigError(f"curve.epsilons must be a list of numbers, got {epsilons!r}")
-    if not epsilons:
-        raise ConfigError("curve.epsilons must name at least one target")
+def cmd_curve(config: _Reads) -> int:
     with _config_values():
         model = build_model(config)
         experiment = ExperimentConfig(
             model=model,
-            update=build_update(config, R=model.R),
-            schedule=build_schedule(config, model),
-            epsilons=tuple(float(e) for e in epsilons),
-            seeds=_seeds("curve.seeds", cc["seeds"]),
-            passive_update=build_update(config, kind=cc["passive_update"], R=model.R),
-            passive_cap=_whole("curve.passive_cap", cc["passive_cap"]),
+            update=build_update(config, model, config["update.kind"]),
+            schedule=build_schedule(config, model, config["schedule.mode"]),
+            epsilons=config["curve.epsilons"],
+            seeds=config["curve.seeds"],
+            passive_update=build_update(config, model, config["curve.passive_update"]),
+            passive_cap=config["curve.passive_cap"],
         )
-        # digested, so checked, though no output reads it yet
-        _whole("curve.bootstrap", cc["bootstrap"], 1)
-        master_seed = _whole("seed", config["seed"])
-    digest = config_digest(config)
-    result = label_complexity_curve(experiment, config_digest=digest)
-    paths = export_results(
-        result.records, result, [], config["out"],
-        config_digest=digest, master_seed=master_seed,
-    )
+    out, read = config["out"], _digested(config)
+    result = label_complexity_curve(experiment, config_digest=config_digest(read))
+    paths = export_results(result.records, result, None, out, read)
     print(f"{'epsilon':>8} {'active_med':>11} {'passive_med':>12} {'censored':>9}")
     for p in result.points:
         print(
@@ -365,55 +393,30 @@ def cmd_curve(config: dict) -> int:
 # Check name -> call, in the order rows are written.  Each entry looks up
 # ``harness.check_*`` when it runs, so a rebound or patched check is used.
 CHECKS = {
-    "query-rule": lambda cc, seed: harness.check_query_rule_equivalence(
-        total=cc["equivalence_samples"], seed=seed),
-    "psi": lambda cc, seed: harness.check_psi_transform(),
-    "sphere": lambda cc, seed: harness.check_sphere_identity(
-        pairs=cc["pairs"], n_mc=cc["n_mc"], seed=seed),
-    "gaussian": lambda cc, seed: harness.check_gaussian_lower_bound(
-        pairs=cc["pairs"], n_mc=cc["n_mc"], seed=seed),
-    "gradient": lambda cc, seed: harness.check_gradient_finite_difference(
-        triples=cc["gradient_triples"], seed=seed),
-    "scaling": lambda cc, seed: harness.check_concentration_scaling(
-        trials=cc["scaling_trials"], n=cc["scaling_n"],
-        candidates=cc["scaling_candidates"], seed=seed),
+    "query-rule": lambda config, seed: harness.check_query_rule_equivalence(
+        total=config["check.equivalence_samples"], seed=seed),
+    "psi": lambda config, seed: harness.check_psi_transform(),
+    "sphere": lambda config, seed: harness.check_sphere_identity(
+        pairs=config["check.pairs"], n_mc=config["check.n_mc"], seed=seed),
+    "gaussian": lambda config, seed: harness.check_gaussian_lower_bound(
+        pairs=config["check.pairs"], n_mc=config["check.n_mc"], seed=seed),
+    "gradient": lambda config, seed: harness.check_gradient_finite_difference(
+        triples=config["check.gradient_triples"], seed=seed),
+    "scaling": lambda config, seed: harness.check_concentration_scaling(
+        trials=config["check.scaling_trials"], n=config["check.scaling_n"],
+        candidates=config["check.scaling_candidates"], seed=seed),
 }
 
 
-def _check_section(cc: dict) -> dict:
-    """The ``check`` section as the work that runs, which CHECKS reads and the
-    digest records: each sized setting as a checked int, and ``check.only``
-    (a comma-separated string or a non-empty list; None selects them all) as the
-    selected names in table order, or None when every suite is selected."""
-    sizes = {key: _whole(f"check.{key}", cc[key], least) for key, (_, least) in _CHECK_SIZES.items()}
-    only = cc["only"]
-    if isinstance(only, str):
-        only = only.split(",")
-    if only is not None and not isinstance(only, list):
-        raise ConfigError("check.only takes a comma-separated string or a list of check names")
-    if only == []:
-        raise ConfigError("check.only must name at least one check")
-    selected = set(only or CHECKS)
-    unknown = selected - CHECKS.keys()
-    if unknown:
-        raise ConfigError(f"unknown check name(s): {sorted(unknown)}; known: {list(CHECKS)}")
-    names = [name for name in CHECKS if name in selected]
-    return {**cc, **sizes, "only": None if len(names) == len(CHECKS) else names}
-
-
-def cmd_check(config: dict) -> int:
-    cc = _check_section(config["check"])
-    seed = _whole("seed", config["seed"])
-    config = {**config, "check": cc}
-    rows = []
-    for name in cc["only"] or CHECKS:
+def cmd_check(config: _Reads) -> int:
+    seed, rows = config["seed"], []
+    for name in config["check.only"] or CHECKS:
         start = time.perf_counter()
-        suite = CHECKS[name](cc, seed)
+        suite = CHECKS[name](config, seed)
         # wall times go to the log, never into checks.csv
         logger.info("check %s: %d rows in %.3f s", name, len(suite), time.perf_counter() - start)
         rows += suite
-    export_results([], None, rows, config["out"],
-                   config_digest=config_digest(config), master_seed=seed)
+    export_results(None, None, rows, config["out"], _digested(config))
     failed = [r for r in rows if not r.passed]
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
@@ -424,7 +427,7 @@ def cmd_check(config: dict) -> int:
 
 
 def cmd_psi_table(loss_name: str, step: float) -> int:
-    loss = get_loss(_loss_name(loss_name))
+    loss = get_loss(_loss_name("--loss", loss_name))
     if not 0.0 < step <= 1.0:
         raise ConfigError(f"step must lie in (0, 1], got {step}")
     print("z,psi,psi_numeric,lower_bound")
@@ -437,22 +440,21 @@ def cmd_psi_table(loss_name: str, step: float) -> int:
     return 0
 
 
-def cmd_budget(config: dict) -> int:
+def cmd_budget(config: _Reads) -> int:
     with _config_values():
         model = build_model(config)
-        epochs = _whole("run.epochs", config["run"]["epochs"], 1)
+        epochs = config["run.epochs"]
         # both theory schedules are built before any output: they validate delta and m
-        theory = {}
-        for mode in ("theory-nonconvex", "theory-convex"):
-            with_mode = {**config, "schedule": {**config["schedule"], "mode": mode}}
-            theory[mode] = replace(build_schedule(with_mode, model), m=epochs)
+        theory = {mode: replace(build_schedule(config, model, mode), m=epochs)
+                  for mode in ("theory-nonconvex", "theory-convex")}
+    _digested(config)  # for its WARNING: budget writes no file
     s = theory["theory-convex"]
     alpha_ncx = s.gamma_minus - s.gamma_plus / s.kappa
     alpha_cvx = s.gamma * alpha_ncx - 1.0
     budgets = {mode: [t.budget(k) for k in range(1, epochs + 1)] for mode, t in theory.items()}
     print(f"constants: d={s.d} R={_fmt6(s.R)} (model), kappa={_fmt6(s.kappa)} (model noise "
           f"exponent), m={s.m} (run.epochs), L={_fmt6(s.L)} a={_fmt6(s.a)} gamma={_fmt6(s.gamma)} "
-          f"(loss {config['update']['loss']}), ell_plus={_fmt6(s.ell_plus)} "
+          f"(loss {config['update.loss']}), ell_plus={_fmt6(s.ell_plus)} "
           f"gamma_plus={_fmt6(s.gamma_plus)} (upper_bound_constants), "
           f"ell_minus={_fmt6(s.ell_minus)} gamma_minus={_fmt6(s.gamma_minus)} "
           f"(lower_bound_constants of schedule.mu and kappa)")
@@ -492,7 +494,9 @@ def make_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("curve", help="label-complexity curve, active vs passive"), True)
     p_check = sub.add_parser("check", help="run the verification suites")
     common(p_check, True)
-    p_check.add_argument("--only", default=None,
+    # the check.only setting, laid over the config in its place among the --set overrides
+    p_check.add_argument("--only", dest="overrides", action="append",
+                         type=lambda names: f"check.only={json.dumps(names)}",
                          help=f"comma-separated subset of {','.join(CHECKS)}")
     p_psi = sub.add_parser("psi-table", help="print a z -> psi(z) table as CSV")
     p_psi.add_argument("--loss", required=True, help="loss name")
@@ -507,14 +511,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "psi-table":
             return cmd_psi_table(args.loss, args.step)
-        overrides = list(args.overrides)
-        if getattr(args, "only", None) is not None:
-            # a config setting like any other, so the digest says which suites ran
-            overrides.append(f"check.only={json.dumps(args.only)}")
-        config = load_config(args.config, overrides, seed=args.seed, out=args.out)
+        config = load_config(args.config, args.overrides, seed=args.seed, out=args.out)
         # looked up per call: the commands are module globals that may be rebound
         commands = {"run": cmd_run, "curve": cmd_curve, "check": cmd_check, "budget": cmd_budget}
-        return commands[args.command](config)
+        return commands[args.command](_Reads(config))
     except (ConfigError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

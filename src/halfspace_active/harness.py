@@ -3,19 +3,22 @@
 Everything here is driven by one master seed through named substreams, so
 every number in the output files is reproducible.  Results are exported
 as newline-delimited run records plus two CSVs (the curve and the check
-table); medians rather than means summarize over seeds because failure
-runs at small budgets are heavy-tailed.
+table), beside the config.json whose digest each carries; medians rather
+than means summarize over seeds because failure runs at small budgets are
+heavy-tailed.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
+import json
 import logging
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -76,11 +79,13 @@ __all__ = [
     "check_gaussian_lower_bound",
     "check_gradient_finite_difference",
     "check_concentration_scaling",
+    "config_digest",
     "export_results",
     "CURVE_HEADER",
     "CHECKS_HEADER",
 ]
 
+# Each header names its row dataclass's fields in order (CurvePoint, CheckRow).
 CURVE_HEADER = [
     "epsilon",
     "labels_active_med", "labels_active_q1", "labels_active_q3",
@@ -699,59 +704,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows, comment: str) -> None:
+def _csv_text(header: list[str], rows, comment: str) -> str:
     buf = io.StringIO()
     buf.write(comment + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        writer.writerow([_fmt(v) for v in astuple(row)])
+    return buf.getvalue()
 
 
-def export_results(
-    records,
-    curve: CurveResult | None,
-    reports,
-    out_dir: str,
-    config_digest: str = "",
-    master_seed: int = 0,
-) -> dict[str, str]:
-    """Write run_records.json, curve.csv, and checks.csv under out_dir.
+def config_digest(config: dict) -> str:
+    """The digest every output carries: the first 16 hex digits of the
+    SHA-256 of config.json's text, ``config`` as canonical JSON."""
+    return hashlib.sha256(_canonical(config).encode("utf-8")).hexdigest()[:16]
 
-    Outputs are byte-stable for fixed inputs; every file carries the
-    config digest and master seed (JSON records as fields, CSVs as a
-    leading comment).
+
+def _canonical(config: dict) -> str:
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+
+
+def export_results(records, curve: CurveResult | None, reports, out_dir: str,
+                   config: dict) -> dict[str, str]:
+    """Write config.json, and run_records.json, curve.csv and checks.csv for
+    each of records, curve and reports that is not None, under out_dir.
+
+    Outputs are byte-stable for fixed inputs.  Every file but config.json
+    carries config_digest(config): JSON records as a field, CSVs as a
+    leading comment.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    comment = f"# config_digest={config_digest} master_seed={master_seed}"
-    paths = {}
-
-    records_path = os.path.join(out_dir, "run_records.json")
-    with open(records_path, "w", encoding="utf-8", newline="") as fh:
-        for rec in records:
-            fh.write(rec.to_json_line() + "\n")
-    paths["run_records"] = records_path
-
-    curve_path = os.path.join(out_dir, "curve.csv")
-    curve_rows = []
+    comment = f"# config_digest={config_digest(config)}"
+    texts = {"config": ("config.json", _canonical(config))}
+    if records is not None:
+        texts["run_records"] = ("run_records.json", "".join(r.to_json_line() + "\n" for r in records))
     if curve is not None:
-        for p in curve.points:
-            curve_rows.append([
-                p.epsilon,
-                p.labels_active_med, p.labels_active_q1, p.labels_active_q3,
-                p.labels_passive_med, p.labels_passive_q1, p.labels_passive_q3,
-                p.censored,
-            ])
-    _write_csv(curve_path, CURVE_HEADER, curve_rows, comment)
-    paths["curve"] = curve_path
-
-    checks_path = os.path.join(out_dir, "checks.csv")
-    check_rows = [
-        [r.check_name, r.parameter, r.observed, r.bound_or_target, r.sigma, r.passed]
-        for r in reports
-    ]
-    _write_csv(checks_path, CHECKS_HEADER, check_rows, comment)
-    paths["checks"] = checks_path
+        texts["curve"] = ("curve.csv", _csv_text(CURVE_HEADER, curve.points, comment))
+    if reports is not None:
+        texts["checks"] = ("checks.csv", _csv_text(CHECKS_HEADER, reports, comment))
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for key, (name, text) in texts.items():
+        paths[key] = os.path.join(out_dir, name)
+        with open(paths[key], "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return paths

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import importlib
 import json
 import logging
@@ -138,6 +140,22 @@ class TestConfig:
         b = cli.config_digest(cli.load_config(path))
         assert a == b and len(a) == 16
 
+    def test_every_leaf_has_one_form_rule(self):
+        # a key added to the config without a rule, or a rule left for a
+        # removed key, fails here; each default passes its own rule unchanged
+        leaves = dict(_leaves(cli.DEFAULT_CONFIG))
+        assert list(leaves) == list(cli.SETTINGS)
+        for key, (default, rule) in cli.SETTINGS.items():
+            assert rule is None or rule(key, copy.deepcopy(default)) == default
+
+    def test_loaded_values_are_normalised(self, tmp_path):
+        path = write_config(tmp_path)
+        config = cli.load_config(path, ["run.epochs=3.0", "check.only=sphere,psi,psi"])
+        assert type(config["run"]["epochs"]) is int
+        assert config["check"]["only"] == ["psi", "sphere"]
+        everything = cli.load_config(path, ["check.only=" + ",".join(reversed(cli.CHECKS))])
+        assert everything["check"]["only"] is None
+
 
 def _leaves(tree, prefix=""):
     for key, value in tree.items():
@@ -148,7 +166,8 @@ def _leaves(tree, prefix=""):
 
 
 # The numeric and boolean config leaves that change a small 2-D run's records,
-# or a small 2-D zero-one curve's rows and records.
+# a small 2-D zero-one curve's rows and records, or the rows of a small
+# gradient and scaling check.
 # A key missing here that a run reads, or one listed that it no longer reads,
 # fails the probe below: wire the key up or remove it, then update this table.
 LEAVES_THAT_CHANGE_RUN_RECORDS = {
@@ -156,33 +175,56 @@ LEAVES_THAT_CHANGE_RUN_RECORDS = {
     "convex": {"model.dimension", "schedule.n", "run.epochs"},
     # its passive search stops at the cap, so the cap shows
     "curve": {"model.dimension", "model.kappa", "model.tau0", "schedule.n", "curve.passive_cap"},
+    "check": {"seed", "check.gradient_triples", "check.scaling_trials", "check.scaling_n",
+              "check.scaling_candidates"},
 }
+
+# The files each command writes beside config.json.
+OUTPUTS = {"run": ["run_records.json"], "curve": ["run_records.json", "curve.csv"],
+           "check": ["checks.csv"]}
+
+
+def read_outputs(out, command):
+    """A command's outputs without the digest they carry: records less their
+    config_digest field, CSVs less their leading comment."""
+    outputs = []
+    for name in OUTPUTS[command]:
+        lines = (out / name).read_text().splitlines()
+        if name.endswith(".json"):
+            outputs.append([{k: v for k, v in json.loads(line).items() if k != "config_digest"}
+                            for line in lines])
+        else:
+            outputs.append([line for line in lines if not line.startswith("#")])
+    return outputs
 
 
 @pytest.mark.parametrize("probe", sorted(LEAVES_THAT_CHANGE_RUN_RECORDS))
 def test_config_leaves_that_change_run_records(tmp_path, capsys, probe):
     # each numeric or boolean leaf is perturbed on its own: a bool is negated,
-    # an int raised by 1 and a float scaled by 1.5; an exit code counts as a change
-    command, update = ("curve", "zero-one") if probe == "curve" else ("run", probe)
+    # an int raised by 1 and a float scaled by 1.5; an exit code counts as a
+    # change.  Every leaf that changes an output is named in config.json, so
+    # a leaf that config.json leaves out changes nothing.
+    command = {"zero-one": "run", "convex": "run"}.get(probe, probe)
+    update = "convex" if probe == "convex" else "zero-one"
     model = ({"conditional": "powered-margin", "w_star": [1.0, 0.0]} if update == "zero-one"
              else {"conditional": "affine", "w_star": [0.4, 0.0]})
+    # the check sizes are test_checks_csv_digest's, at which both suites pass
     path = write_config(tmp_path, model={"dimension": 2, **model},
                         update={"kind": update, "loss": "truncated-quadratic"},
                         schedule={"mode": "fixed", "n": 60}, run={"epochs": 3, "seeds": [0]},
-                        curve={"epsilons": [0.1], "seeds": [0, 1, 2], "passive_cap": 8})
+                        curve={"epsilons": [0.1], "seeds": [0, 1, 2], "passive_cap": 8},
+                        check={"only": "gradient,scaling", "equivalence_samples": 3000,
+                               "pairs": 3, "n_mc": 20000, "gradient_triples": 20,
+                               "scaling_trials": 4, "scaling_n": 100, "scaling_candidates": 16})
+    out = tmp_path / "out"
 
     def outputs(*overrides):
-        out = tmp_path / "out"
         code = main([command, "--config", path, "--out", str(out), *overrides])
-        if code:
-            return code
-        lines = (out / "run_records.json").read_text().splitlines()
-        records = [{k: v for k, v in json.loads(line).items() if k != "config_digest"}
-                   for line in lines]
-        # curve.csv's leading comment carries the digest
-        return records, (out / "curve.csv").read_text().splitlines()[1:]
+        return code or read_outputs(out, command)
 
     baseline = outputs()
+    assert isinstance(baseline, list)  # an exit code would hide every change
+    digested = {key for key, _ in _leaves(json.loads((out / "config.json").read_text()))}
     changed = set()
     # the loaded config has exactly DEFAULT_CONFIG's leaves, at the probe's values
     for key, value in _leaves(cli.load_config(path)):
@@ -198,6 +240,11 @@ def test_config_leaves_that_change_run_records(tmp_path, capsys, probe):
             changed.add(key)
     capsys.readouterr()
     assert changed == LEAVES_THAT_CHANGE_RUN_RECORDS[probe]
+    assert changed <= digested
+    if probe == "check":
+        # the sphere, gaussian and query-rule sizes are neither read nor digested
+        assert {"check.pairs", "check.n_mc", "check.equivalence_samples"}.isdisjoint(digested)
+        assert "seed" in digested
 
 
 # The budget constants of the truncated quadratic at R = 1: margins reach
@@ -241,7 +288,7 @@ class TestCmdRun:
         assert "unknown loss" in capsys.readouterr().err
 
     def test_unknown_loss_exits_two_for_zero_one_update(self, tmp_path, capsys):
-        # the loss is part of the config digest, so it is checked for every kind
+        # the loss is checked by its form rule, whatever the update kind
         path = write_config(tmp_path, update={"kind": "zero-one"})
         code = main(["run", "--config", path, "--out", str(tmp_path / "out"),
                      "--set", "update.loss=perceptron"])
@@ -413,7 +460,7 @@ class TestCmdCurve:
         path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0, 1]})
         assert main(["curve", "--config", path, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "run_records.json").read_text().splitlines()
-        digest = cli.config_digest(cli.load_config(path))
+        digest = hashlib.sha256((tmp_path / "out" / "config.json").read_bytes()).hexdigest()[:16]
         assert [json.loads(line)["config_digest"] for line in lines] == [digest, digest]
 
     def test_empty_seed_list_exits_two(self, tmp_path, capsys):
@@ -438,6 +485,48 @@ class TestCmdCurve:
         assert capsys.readouterr().err == "error: forced failure\n"
 
 
+class TestOutputs:
+    def test_a_run_leaves_a_curve_in_the_same_directory_alone(self, tmp_path, capsys):
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0, 1]},
+                            check={"only": "psi"})
+        out = str(tmp_path / "out")
+        assert main(["curve", "--config", path, "--out", out]) == 0
+        curve = (tmp_path / "out" / "curve.csv").read_bytes()
+        assert main(["run", "--config", path, "--out", out]) == 0
+        assert (tmp_path / "out" / "curve.csv").read_bytes() == curve
+        records = (tmp_path / "out" / "run_records.json").read_bytes()
+        assert main(["check", "--config", path, "--out", out]) == 0
+        assert (tmp_path / "out" / "curve.csv").read_bytes() == curve
+        assert (tmp_path / "out" / "run_records.json").read_bytes() == records
+
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_config_json_digest_is_carried_by_every_output(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0, 1]},
+                            check={"only": "psi"})
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "config.json").read_bytes()).hexdigest()[:16]
+        assert sorted(p.name for p in out.iterdir()) == sorted(["config.json", *OUTPUTS[command]])
+        for name in OUTPUTS[command]:
+            lines = (out / name).read_text().splitlines()
+            if name.endswith(".json"):
+                assert lines and all(json.loads(line)["config_digest"] == digest for line in lines)
+            else:
+                assert lines[0] == f"# config_digest={digest}"
+        # never where the files land
+        assert "out" not in json.loads((out / "config.json").read_text())
+
+    def test_set_leaves_a_command_does_not_read_are_warned(self, tmp_path, capsys, caplog):
+        path = write_config(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="halfspace_active.cli"):
+            assert main(["run", "--config", path, "--out", str(tmp_path / "out"), "--seed", "3",
+                         "--set", "update.restarts=5", "--set", "curve.passive_cap=9"]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        # a 2-D zero-one update never runs the restart search
+        assert warnings == ["set but not read by this command: update.restarts, "
+                            "curve.passive_cap, seed"]
+
+
 class TestWholeNumberSettings:
     """Seeds, sizes and counts are whole numbers: a fraction or a bool exits 2
     before any run, and every whole value runs."""
@@ -447,7 +536,7 @@ class TestWholeNumberSettings:
         ("run", "run.seeds"), ("curve", "curve.seeds"), ("curve", "curve.passive_cap"),
         ("run", "model.dimension"), ("run", "schedule.n"), ("run", "update.restarts"),
         ("curve", "update.restarts"), ("run", "seed"), ("curve", "seed"), ("check", "seed"),
-        ("run", "model.seed"), ("curve", "model.seed"), ("curve", "curve.bootstrap"),
+        ("run", "model.seed"), ("curve", "model.seed"),
     ])
     def test_refused_before_any_run(self, tmp_path, capsys, monkeypatch, command, key, value):
         ran = []
@@ -460,17 +549,6 @@ class TestWholeNumberSettings:
         assert main([command, "--config", path, "--out", str(tmp_path / "out"),
                      "--set", setting]) == 2
         assert f"{key} must be a number" in capsys.readouterr().err
-        assert ran == [] and not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("value", ["0", "-1.5", '"x"'])
-    def test_bootstrap_below_one_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
-                                                         value):
-        ran = []
-        monkeypatch.setattr(cli, "label_complexity_curve", lambda *a, **kw: ran.append(a))
-        path = write_config(tmp_path, curve={"epsilons": [0.4], "seeds": [0]})
-        assert main(["curve", "--config", path, "--out", str(tmp_path / "out"),
-                     "--set", f"curve.bootstrap={value}"]) == 2
-        assert "curve.bootstrap must be a number >= 1 and whole" in capsys.readouterr().err
         assert ran == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "curve"])
@@ -530,14 +608,17 @@ class TestWholeNumberSettings:
                            (out / command / "run_records.json").read_text().splitlines()]
                  for command in ("run", "curve")}
         assert seeds == {"run": [-3, 4], "curve": [-2, 5]}
-        assert (out / "curve" / "curve.csv").read_text().splitlines()[0].endswith(" master_seed=3")
+        # config.json holds each whole value the curve read as an int
+        digested = json.loads((out / "curve" / "config.json").read_text())
+        assert digested["curve"]["passive_cap"] == 64 and digested["curve"]["seeds"] == [-2, 5]
+        assert all(type(v) is int for v in (digested["model"]["dimension"], digested["schedule"]["n"]))
 
     def test_whole_master_seed_reaches_checks(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["check", "--config", path, "--out", str(out), "--only", "psi",
                      "--set", "seed=4.0"]) == 0
-        assert (out / "checks.csv").read_text().splitlines()[0].endswith(" master_seed=4")
+        assert '"seed":4}' in (out / "config.json").read_text()
 
 
 class TestRealNumberSettings:
@@ -630,6 +711,15 @@ class TestCmdCheck:
         assert "check.only must name at least one check" in capsys.readouterr().err
         assert ran == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args", [["--only", ""], ["--set", "check.only=psi,"],
+                                      ["--set", 'check.only=["psi", ""]']])
+    def test_empty_only_entry_is_named(self, tmp_path, capsys, args):
+        path = write_config(tmp_path)
+        assert main(["check", "--config", path, "--out", str(tmp_path / "out"), *args]) == 2
+        err = capsys.readouterr().err
+        assert "no empty entry" in err and "unknown check" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_only_must_be_a_string_or_a_list(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["check", "--config", path, "--out", str(tmp_path / "out"),
@@ -645,8 +735,8 @@ class TestCmdCheck:
             assert main(["check", "--config", path, "--out", str(out), "--only", "psi",
                          "--seed", seed]) == 0
             comments.append((out / "checks.csv").read_text().splitlines()[0])
-        assert comments[0].endswith(" master_seed=0") and comments[1].endswith(" master_seed=5")
-        assert comments[0].split()[1] != comments[1].split()[1]  # the config digests
+            assert json.loads((out / "config.json").read_text())["seed"] == int(seed)
+        assert comments[0] != comments[1]  # the config digests
 
     def test_only_changes_the_digest(self, tmp_path, capsys):
         # the digest in the leading comment says which suites ran
@@ -718,7 +808,8 @@ class TestCmdCheck:
         csv = (tmp_path / "verbose" / "checks.csv").read_bytes()
         assert csv == (tmp_path / "quiet" / "checks.csv").read_bytes()
         logged = [re.fullmatch(r"check (\S+): (\d+) rows in \d+\.\d{3} s", r.getMessage())
-                  for r in caplog.records if r.name == "halfspace_active.cli"]
+                  for r in caplog.records
+                  if r.name == "halfspace_active.cli" and r.levelno == logging.INFO]
         assert [m[1] for m in logged] == ["query-rule", "psi"]
         assert sum(int(m[2]) for m in logged) == len(csv.splitlines()) - 2  # comment, header
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import logging
 import math
 import tracemalloc
@@ -23,6 +24,7 @@ from halfspace_active.geometry import HypothesisBall, disagreement_exists_oracle
 from halfspace_active.harness import (
     CheckRow,
     CurvePoint,
+    CurveResult,
     ExperimentConfig,
     check_gradient_finite_difference,
     check_psi_transform,
@@ -463,23 +465,20 @@ class TestExport:
         config = curve_config()
         result = label_complexity_curve(config)
         rows = check_psi_transform()
-        paths1 = export_results(
-            result.records, result, rows, str(tmp_path / "a"),
-            config_digest="deadbeef", master_seed=7,
-        )
-        paths2 = export_results(
-            result.records, result, rows, str(tmp_path / "b"),
-            config_digest="deadbeef", master_seed=7,
-        )
+        paths1 = export_results(result.records, result, rows, str(tmp_path / "a"), {"seed": 7})
+        paths2 = export_results(result.records, result, rows, str(tmp_path / "b"), {"seed": 7})
+        assert sorted(paths1) == ["checks", "config", "curve", "run_records"]
         for key in paths1:
             assert Path(paths1[key]).read_bytes() == Path(paths2[key]).read_bytes()
+        text = Path(paths1["config"]).read_bytes()
+        assert text == b'{"seed":7}'
         head = Path(paths1["curve"]).read_text(encoding="utf-8").splitlines()[0]
-        assert "config_digest=deadbeef" in head and "master_seed=7" in head
+        assert head == f"# config_digest={hashlib.sha256(text).hexdigest()[:16]}"
 
     def test_curve_csv_round_trip(self, tmp_path):
         # floats are written with repr, so reading them back is exact
         result = label_complexity_curve(curve_config())
-        paths = export_results(result.records, result, [], str(tmp_path), master_seed=1)
+        paths = export_results(result.records, result, None, str(tmp_path), {})
         with open(paths["curve"], encoding="utf-8") as fh:
             rows = list(csv.reader(line for line in fh if not line.startswith("#")))
         assert rows[0] == harness.CURVE_HEADER
@@ -489,16 +488,22 @@ class TestExport:
         assert parsed == result.points
 
     def test_empty_exports_have_headers(self, tmp_path):
-        paths = export_results([], None, [], str(tmp_path))
+        result = CurveResult(points=(), passive_errors=(), records=())
+        paths = export_results([], result, [], str(tmp_path), {})
         curve_lines = Path(paths["curve"]).read_text(encoding="utf-8").splitlines()
         checks_lines = Path(paths["checks"]).read_text(encoding="utf-8").splitlines()
         assert curve_lines[1].split(",") == harness.CURVE_HEADER
         assert checks_lines[1].split(",") == harness.CHECKS_HEADER
         assert Path(paths["run_records"]).read_text(encoding="utf-8") == ""
 
+    def test_only_the_outputs_given_are_written(self, tmp_path):
+        # None is not an empty output: that file is some other command's
+        assert sorted(export_results(None, None, [], str(tmp_path), {})) == ["checks", "config"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checks.csv", "config.json"]
+
     def test_single_point_single_row(self, tmp_path):
         result = label_complexity_curve(curve_config(epsilons=(0.4,)))
-        paths = export_results([], result, [], str(tmp_path))
+        paths = export_results([], result, None, str(tmp_path), {})
         lines = Path(paths["curve"]).read_text(encoding="utf-8").splitlines()
         rows = [l for l in lines if not l.startswith("#")]
         assert len(rows) == 2  # header + one data row
