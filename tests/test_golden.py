@@ -22,13 +22,13 @@ from halfspace_active import cli
 from halfspace_active.data_models import DataModel
 from halfspace_active.driver import FinitePool, ScheduleParams, ZeroOneUpdate, run_active
 
-CRITERION_11_RECORDS_SHA256 = "67dd5cc0635bd2c8fd425ae433a985c8364756b7405cecb4ba948d10d6b1a50f"
-ZERO_ONE_CURVE_CSV_SHA256 = "9d4a7b04cb706d97b71013b415293d00dfc9279b06f4efc33dc0e3f232685b53"
-ZERO_ONE_CURVE_RECORDS_SHA256 = "d0b67fca85cfa74c0d1858d7dfb73fc34bd08f61309fed1f039fbf61a692da60"
-BALL_CURVE_CSV_SHA256 = "b2d166af6d1830603790e073245ea222304a8f0f55e28d8f0fec31acd26713e5"
-BALL_CURVE_RECORDS_SHA256 = "88c702067b4304ff1605be88b6f40d8ed146282873754e3ff0b9d018570b2639"
-ZERO_ONE_SEARCH_RECORDS_SHA256 = "c5d0ce235bc5fb856db7c1d4fc871c3cafe37ed573848d9050766a9fdd95ee15"
-CHECKS_CSV_SHA256 = "3eed3cd547be54174721cad94f35c4cefabc00414e3f307b0727b2ad0f479f06"
+CRITERION_11_RECORDS_SHA256 = "5a464384cce506226b93947eb72d06f33d13c1e4db052dadc09090e3cc2792e4"
+ZERO_ONE_CURVE_CSV_SHA256 = "c3df704bafc0041a34ba812d8414bb63420d21709761b052855a87e73eb54fa7"
+ZERO_ONE_CURVE_RECORDS_SHA256 = "d260ca819acdaae73be88cf03136910f4e31326385f376d0d52cbf762a782841"
+BALL_CURVE_CSV_SHA256 = "2693ed67660add6cc55e28fbd1d1bb9e60b7ea2c520e8382a5f9b157ba2c5d10"
+BALL_CURVE_RECORDS_SHA256 = "a49ed200a60f7a2f43420d0a291619078edfbf564c6e5edc0b10432fb3dea9ec"
+ZERO_ONE_SEARCH_RECORDS_SHA256 = "b0ea914b6f00beaa1911b7a059fc1223728324ca99ef052190f07417fe193ef2"
+CHECKS_CSV_SHA256 = "a64d896bc1dcae8115a54c07285c26da219550edf1637d82d30abbaf826449da"
 
 POOL_RECORD = (
     '{"config_digest":"pool","epochs":['
@@ -125,7 +125,7 @@ def test_checks_csv_digest(tmp_path, capsys):
 
 
 def test_default_config_digest():
-    assert cli.config_digest(cli.DEFAULT_CONFIG) == "434f62bc1feba8e9"
+    assert cli.config_digest(cli.DEFAULT_CONFIG) == "55676e9d7ca04297"
 
 
 def test_finite_pool_record():
