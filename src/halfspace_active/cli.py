@@ -393,26 +393,26 @@ def cmd_curve(config: _Reads) -> int:
 # Check name -> call, in the order rows are written.  Each entry looks up
 # ``harness.check_*`` when it runs, so a rebound or patched check is used.
 CHECKS = {
-    "query-rule": lambda config, seed: harness.check_query_rule_equivalence(
-        total=config["check.equivalence_samples"], seed=seed),
-    "psi": lambda config, seed: harness.check_psi_transform(),
-    "sphere": lambda config, seed: harness.check_sphere_identity(
-        pairs=config["check.pairs"], n_mc=config["check.n_mc"], seed=seed),
-    "gaussian": lambda config, seed: harness.check_gaussian_lower_bound(
-        pairs=config["check.pairs"], n_mc=config["check.n_mc"], seed=seed),
-    "gradient": lambda config, seed: harness.check_gradient_finite_difference(
-        triples=config["check.gradient_triples"], seed=seed),
-    "scaling": lambda config, seed: harness.check_concentration_scaling(
+    "query-rule": lambda config: harness.check_query_rule_equivalence(
+        total=config["check.equivalence_samples"], seed=config["seed"]),
+    "psi": lambda config: harness.check_psi_transform(),
+    "sphere": lambda config: harness.check_sphere_identity(
+        pairs=config["check.pairs"], n_mc=config["check.n_mc"], seed=config["seed"]),
+    "gaussian": lambda config: harness.check_gaussian_lower_bound(
+        pairs=config["check.pairs"], n_mc=config["check.n_mc"], seed=config["seed"]),
+    "gradient": lambda config: harness.check_gradient_finite_difference(
+        triples=config["check.gradient_triples"], seed=config["seed"]),
+    "scaling": lambda config: harness.check_concentration_scaling(
         trials=config["check.scaling_trials"], n=config["check.scaling_n"],
-        candidates=config["check.scaling_candidates"], seed=seed),
+        candidates=config["check.scaling_candidates"], seed=config["seed"]),
 }
 
 
 def cmd_check(config: _Reads) -> int:
-    seed, rows = config["seed"], []
+    rows = []
     for name in config["check.only"] or CHECKS:
         start = time.perf_counter()
-        suite = CHECKS[name](config, seed)
+        suite = CHECKS[name](config)
         # wall times go to the log, never into checks.csv
         logger.info("check %s: %d rows in %.3f s", name, len(suite), time.perf_counter() - start)
         rows += suite

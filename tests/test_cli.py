@@ -202,8 +202,8 @@ def read_outputs(out, command):
 def test_config_leaves_that_change_run_records(tmp_path, capsys, probe):
     # each numeric or boolean leaf is perturbed on its own: a bool is negated,
     # an int raised by 1 and a float scaled by 1.5; an exit code counts as a
-    # change.  Every leaf that changes an output is named in config.json, so
-    # a leaf that config.json leaves out changes nothing.
+    # change.  A leaf that changes an output is named in config.json, and a
+    # leaf that config.json leaves out changes nothing.
     command = {"zero-one": "run", "convex": "run"}.get(probe, probe)
     update = "convex" if probe == "convex" else "zero-one"
     model = ({"conditional": "powered-margin", "w_star": [1.0, 0.0]} if update == "zero-one"
@@ -225,7 +225,7 @@ def test_config_leaves_that_change_run_records(tmp_path, capsys, probe):
     baseline = outputs()
     assert isinstance(baseline, list)  # an exit code would hide every change
     digested = {key for key, _ in _leaves(json.loads((out / "config.json").read_text()))}
-    changed = set()
+    changed, perturbed = set(), set()
     # the loaded config has exactly DEFAULT_CONFIG's leaves, at the probe's values
     for key, value in _leaves(cli.load_config(path)):
         if isinstance(value, bool):
@@ -236,11 +236,13 @@ def test_config_leaves_that_change_run_records(tmp_path, capsys, probe):
             value *= 1.5
         else:
             continue
+        perturbed.add(key)
         if outputs("--set", f"{key}={json.dumps(value)}") != baseline:
             changed.add(key)
     capsys.readouterr()
     assert changed == LEAVES_THAT_CHANGE_RUN_RECORDS[probe]
-    assert changed <= digested
+    # of the leaves perturbed, config.json names exactly those that changed an output
+    assert changed == digested & perturbed
     if probe == "check":
         # the sphere, gaussian and query-rule sizes are neither read nor digested
         assert {"check.pairs", "check.n_mc", "check.equivalence_samples"}.isdisjoint(digested)
@@ -513,8 +515,10 @@ class TestOutputs:
                 assert lines and all(json.loads(line)["config_digest"] == digest for line in lines)
             else:
                 assert lines[0] == f"# config_digest={digest}"
-        # never where the files land
-        assert "out" not in json.loads((out / "config.json").read_text())
+        read = json.loads((out / "config.json").read_text())
+        assert "out" not in read  # never where the files land
+        if command == "check":
+            assert read == {"check": {"only": ["psi"]}}  # psi takes no size and no seed
 
     def test_set_leaves_a_command_does_not_read_are_warned(self, tmp_path, capsys, caplog):
         path = write_config(tmp_path)
@@ -614,9 +618,9 @@ class TestWholeNumberSettings:
         assert all(type(v) is int for v in (digested["model"]["dimension"], digested["schedule"]["n"]))
 
     def test_whole_master_seed_reaches_checks(self, tmp_path, capsys):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, check={"gradient_triples": 2})
         out = tmp_path / "out"
-        assert main(["check", "--config", path, "--out", str(out), "--only", "psi",
+        assert main(["check", "--config", path, "--out", str(out), "--only", "gradient",
                      "--set", "seed=4.0"]) == 0
         assert '"seed":4}' in (out / "config.json").read_text()
 
@@ -728,11 +732,11 @@ class TestCmdCheck:
         assert not (tmp_path / "out").exists()
 
     def test_seed_flag_is_the_master_seed(self, tmp_path, capsys):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, check={"gradient_triples": 2})
         comments = []
         for seed in ("0", "5"):
             out = tmp_path / seed
-            assert main(["check", "--config", path, "--out", str(out), "--only", "psi",
+            assert main(["check", "--config", path, "--out", str(out), "--only", "gradient",
                          "--seed", seed]) == 0
             comments.append((out / "checks.csv").read_text().splitlines()[0])
             assert json.loads((out / "config.json").read_text())["seed"] == int(seed)
