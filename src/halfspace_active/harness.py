@@ -734,17 +734,18 @@ def export_results(records, curve: CurveResult | None, reports, out_dir: str,
     leading comment.
     """
     comment = f"# config_digest={config_digest(config)}"
-    texts = {"config": ("config.json", _canonical(config))}
+    # each file as the pieces it is written in; records go out a line at a time
+    texts = {"config": ("config.json", [_canonical(config)])}
     if records is not None:
-        texts["run_records"] = ("run_records.json", "".join(r.to_json_line() + "\n" for r in records))
+        texts["run_records"] = ("run_records.json", (r.to_json_line() + "\n" for r in records))
     if curve is not None:
-        texts["curve"] = ("curve.csv", _csv_text(CURVE_HEADER, curve.points, comment))
+        texts["curve"] = ("curve.csv", [_csv_text(CURVE_HEADER, curve.points, comment)])
     if reports is not None:
-        texts["checks"] = ("checks.csv", _csv_text(CHECKS_HEADER, reports, comment))
+        texts["checks"] = ("checks.csv", [_csv_text(CHECKS_HEADER, reports, comment)])
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    for key, (name, text) in texts.items():
+    for key, (name, pieces) in texts.items():
         paths[key] = os.path.join(out_dir, name)
         with open(paths[key], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     return paths
