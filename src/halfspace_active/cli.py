@@ -239,7 +239,7 @@ def load_config(path: str | None, overrides=(), seed: int | None = None, out: st
 
 class _Reads(dict):
     """A loaded config by dotted path, as a command reads it.  Each leaf read
-    is noted in ``read``, so the builders alone say what a command read."""
+    is noted in ``read``, so the reading code alone says what a command read."""
 
     def __init__(self, config: dict):
         super().__init__(_leaves(config))

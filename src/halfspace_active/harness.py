@@ -729,9 +729,9 @@ def export_results(records, curve: CurveResult | None, reports, out_dir: str,
     """Write config.json, and run_records.json, curve.csv and checks.csv for
     each of records, curve and reports that is not None, under out_dir.
 
-    Outputs are byte-stable for fixed inputs.  Every file but config.json
-    carries config_digest(config): JSON records as a field, CSVs as a
-    leading comment.
+    Outputs are byte-stable for fixed inputs.  The CSVs carry
+    config_digest(config) as a leading comment; the records carry, as a
+    field, the digest they were run under, which the CLI makes the same.
     """
     comment = f"# config_digest={config_digest(config)}"
     # each file as the pieces it is written in; records go out a line at a time
