@@ -495,7 +495,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the verification suites")
     common(p_check, True)
     # the check.only setting, laid over the config in its place among the --set overrides
-    p_check.add_argument("--only", dest="overrides", action="append",
+    p_check.add_argument("--only", dest="overrides", action="append", metavar="ONLY",
                          type=lambda names: f"check.only={json.dumps(names)}",
                          help=f"comma-separated subset of {','.join(CHECKS)}")
     p_psi = sub.add_parser("psi-table", help="print a z -> psi(z) table as CSV")
